@@ -11,8 +11,6 @@ from .coloring import (
     color_gem_class,
     color_kite_class,
     color_petersen_blowup,
-    greedy_extend,
-    merge_across_cutset,
     replay_trace,
     validate_certificate,
 )
@@ -71,6 +69,7 @@ from .structure import (
     BlowupCertificate,
     CliqueCutsetSplit,
     PeelResult,
+    TheoremCase,
     decompose_into_atoms,
     find_bisimplicial,
     find_clique_cutset,
@@ -79,5 +78,6 @@ from .structure import (
     recognize_clique_blowup,
     recognize_fixed,
     split_into_two_cliques,
+    theorem_case,
 )
 from .verify import VerificationRun, check_theorem, standard_blowup_corpus, verify_corpus

@@ -1,8 +1,10 @@
 """Certified colorings realizing the three class bounds.
 
 The recursion mirrors the inductive structure of the bound proofs:
-components are colored independently, clique cutsets split and merge,
-exceptional graphs get stored colorings, and otherwise a theorem-supplied
+components are colored independently, clique cutsets split and merge, and
+each cutset-free block is handed to structure.theorem_case, the same engine
+verify checks: the Petersen graph gets a stored coloring, a peeled clique or
+a Petersen blowup is colored directly, and otherwise a theorem-supplied
 low-degree or bisimplicial vertex is removed and greedily re-colored.
 A certificate carries the assignment, the claimed bound, and a flat
 replayable trace of derivation steps.
@@ -18,27 +20,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
 
-from .families import graph_f, petersen
+from .families import petersen
 from .graphs import (
     Graph,
     GraphError,
     _bits,
     exact_coloring,
-    find_isomorphism,
     induced_subgraph,
     max_clique_size,
     write_graph6,
 )
-from .patterns import class_membership
-from .structure import (
-    BlowupCertificate,
-    CliqueCutsetSplit,
-    find_bisimplicial,
-    find_clique_cutset,
-    peel_universal_clique,
-    recognize_clique_blowup,
-    recognize_fixed,
-)
+from .patterns import class_membership, class_third_pattern
+from .structure import COLORING_BOUNDS, BlowupCertificate, find_clique_cutset, theorem_case
 
 
 class StructuralContradiction(RuntimeError):
@@ -135,12 +128,12 @@ def replay_trace(trace) -> dict[int, int]:
     return stack[0]
 
 
-@lru_cache(maxsize=None)
-def _stored_coloring(name: str) -> tuple[tuple[int, int], ...]:
-    # found once by exhaustive search on the reference copy, then reused
-    ref = petersen() if name == "Petersen" else graph_f()
-    assign = exact_coloring(ref)
-    assert max(assign.values()) == 3
+@lru_cache(maxsize=1)
+def _stored_coloring() -> tuple[tuple[int, int], ...]:
+    # found once by exhaustive search on the reference Petersen graph, then reused
+    assign = exact_coloring(petersen())
+    if max(assign.values()) != 3:
+        raise GraphError("the stored coloring of the Petersen graph must use 3 colors")
     return tuple(sorted(assign.items()))
 
 
@@ -173,7 +166,7 @@ def _merge_on_cutset(left: dict[int, int], right: dict[int, int], cutset) -> tup
     return merged, perm
 
 
-def _color(sub: Graph, labels: tuple[int, ...], case_fn) -> tuple[dict[int, int], int, list[dict]]:
+def _color(sub: Graph, labels: tuple[int, ...], class_name: str) -> tuple[dict[int, int], int, list[dict]]:
     if sub.n == 1:
         return {labels[0]: 1}, 1, [{"step": "single-vertex", "vertex": labels[0]}]
     comps = sub.components()
@@ -183,7 +176,7 @@ def _color(sub: Graph, labels: tuple[int, ...], case_fn) -> tuple[dict[int, int]
         steps: list[dict] = []
         for comp in sorted(comps, key=min):
             block = sorted(comp)
-            a, kk, ss = _color(induced_subgraph(sub, block), tuple(labels[b] for b in block), case_fn)
+            a, kk, ss = _color(induced_subgraph(sub, block), tuple(labels[b] for b in block), class_name)
             assign.update(a)
             k = max(k, kk)
             steps.extend(ss)
@@ -195,107 +188,66 @@ def _color(sub: Graph, labels: tuple[int, ...], case_fn) -> tuple[dict[int, int]
 
         def color_block(side):
             block = sorted(side | split.cutset)
-            return _color(induced_subgraph(sub, block), tuple(labels[b] for b in block), case_fn)
+            return _color(induced_subgraph(sub, block), tuple(labels[b] for b in block), class_name)
 
         la, ka, sa = color_block(split.side_a)
         lb, kb, sb = color_block(split.side_b)
         merged, perm = _merge_on_cutset(la, lb, cut_labels)
         steps = sa + sb + [{"step": "cutset-merge", "cutset": cut_labels, "permutation": perm}]
         return merged, max(merged.values()), steps
-    return case_fn(sub, labels)
+    return _color_case(sub, labels, class_name)
 
 
-def _exceptional_steps(sub: Graph, labels, name: str):
-    ref = petersen() if name == "Petersen" else graph_f()
-    iso = find_isomorphism(ref, sub)
-    assign = {labels[iso[v]]: c for v, c in _stored_coloring(name)}
-    step = {"step": "exceptional-graph", "name": name, "assignment": sorted(assign.items())}
+def _color_case(sub: Graph, labels: tuple[int, ...], class_name: str):
+    """Turn the structure theorem's verdict on a cutset-free block into steps."""
+    case = theorem_case(sub, class_name, max_clique_size(sub))
+    if case.kind == "petersen":
+        return _petersen_steps(case.iso, labels)
+    if case.kind == "clique-base":
+        assign = {labels[v]: v + 1 for v in range(sub.n)}
+        return assign, sub.n, [{"step": "clique-base", "assignment": sorted(assign.items())}]
+    if case.kind == "peeled-petersen":
+        rem = sorted(case.peel.remainder)
+        assign, _, steps = _petersen_steps(case.iso, tuple(labels[v] for v in rem))
+        peeled = sorted(set(range(sub.n)) - case.peel.remainder)
+        peel_items = [(labels[v], 4 + i) for i, v in enumerate(peeled)]
+        assign.update(dict(peel_items))
+        steps.append({"step": "peel", "assignment": peel_items})
+        return assign, 3 + case.peel.ell, steps
+    if case.kind == "petersen-blowup":
+        assign_local, k = _petersen_cover_assignment(case.blowup)
+        assign = {labels[v]: c for v, c in assign_local.items()}
+        return assign, k, [{"step": "blowup-color", "assignment": sorted(assign.items())}]
+    if case.kind == "eliminate":
+        return _eliminate(sub, labels, case.vertex, case.budget, class_name)
+    raise StructuralContradiction(class_name, sub, case.detail)
+
+
+def _petersen_steps(iso: dict[int, int], labels):
+    assign = {labels[iso[v]]: c for v, c in _stored_coloring()}
+    step = {"step": "exceptional-graph", "name": "Petersen", "assignment": sorted(assign.items())}
     return assign, 3, [step]
 
 
-def _eliminate(sub: Graph, labels, v: int, budget: int, case_fn):
+def _eliminate(sub: Graph, labels, v: int, budget: int, class_name: str):
     rest = [u for u in range(sub.n) if u != v]
     assign, k, steps = _color(
-        induced_subgraph(sub, rest), tuple(labels[u] for u in rest), case_fn
+        induced_subgraph(sub, rest), tuple(labels[u] for u in rest), class_name
     )
     used = {assign[labels[u]] for u in _bits(sub.adj[v])}
     c = 1
     while c in used:
         c += 1
-    assert c <= budget
+    if c > budget:
+        raise StructuralContradiction(
+            class_name, sub, f"vertex {labels[v]} needs color {c}, above the budget {budget}"
+        )
     assign[labels[v]] = c
     steps.append({"step": "eliminate-vertex", "vertex": labels[v], "color": c})
     return assign, max(k, c), steps
 
 
-def _diamond_case(sub: Graph, labels):
-    name = recognize_fixed(sub)
-    if name is not None:
-        return _exceptional_steps(sub, labels, name)
-    omega = max_clique_size(sub)
-    budget = max(3, omega)
-    v = min(range(sub.n), key=lambda u: (sub.degree(u), u))
-    if sub.degree(v) >= budget:
-        raise StructuralContradiction(
-            "diamond-class", sub,
-            f"connected cutset-free non-exceptional member has delta {sub.degree(v)}"
-            f" > max(2, omega-1) = {max(2, omega - 1)}",
-        )
-    return _eliminate(sub, labels, v, budget, _diamond_case)
-
-
-def _kite_case(sub: Graph, labels):
-    name = recognize_fixed(sub)
-    if name is not None:
-        return _exceptional_steps(sub, labels, name)
-    peel = peel_universal_clique(sub)
-    if peel.ell > 0:
-        peeled = sorted(set(range(sub.n)) - peel.remainder)
-        if not peel.remainder:
-            assign = {labels[v]: i + 1 for i, v in enumerate(peeled)}
-            return assign, peel.ell, [
-                {"step": "clique-base", "assignment": sorted(assign.items())}
-            ]
-        rem = sorted(peel.remainder)
-        rem_sub = induced_subgraph(sub, rem)
-        rem_name = recognize_fixed(rem_sub)
-        if rem_name is not None:
-            assign, _, steps = _exceptional_steps(rem_sub, tuple(labels[v] for v in rem), rem_name)
-            peel_items = [(labels[v], 4 + i) for i, v in enumerate(peeled)]
-            assign.update(dict(peel_items))
-            steps.append({"step": "peel", "assignment": peel_items})
-            return assign, 3 + peel.ell, steps
-    omega = max_clique_size(sub)
-    if sub.min_degree() <= omega:
-        v = min(range(sub.n), key=lambda u: (sub.degree(u), u))
-        return _eliminate(sub, labels, v, omega + 1, _kite_case)
-    raise StructuralContradiction(
-        "kite-class", sub,
-        f"connected cutset-free member with delta {sub.min_degree()} >= omega+1 = {omega + 1}"
-        " whose universal-clique peel leaves neither the Petersen graph nor F",
-    )
-
-
-def _gem_case(sub: Graph, labels):
-    cert = recognize_clique_blowup(sub, petersen())
-    if cert is not None:
-        assign_local, k = _petersen_cover_assignment(cert)
-        assign = {labels[v]: c for v, c in assign_local.items()}
-        return assign, k, [
-            {"step": "blowup-color", "assignment": sorted(assign.items())}
-        ]
-    bis = find_bisimplicial(sub)
-    if bis is None:
-        raise StructuralContradiction(
-            "gem-class", sub,
-            "connected cutset-free member is not a Petersen blowup and has no bisimplicial vertex",
-        )
-    omega = max_clique_size(sub)
-    # a bisimplicial vertex has degree <= 2*omega - 2, strictly under the bound
-    return _eliminate(sub, labels, bis.vertex, 2 * omega - 1, _gem_case)
-
-
-def _class_color(g: Graph, class_name: str, case_fn, bound_fn) -> ColoringCertificate:
+def _class_color(g: Graph, class_name: str) -> ColoringCertificate:
     if g.n == 0:
         raise GraphError("cannot color the empty graph")
     cert = class_membership(g, class_name)
@@ -303,8 +255,8 @@ def _class_color(g: Graph, class_name: str, case_fn, bound_fn) -> ColoringCertif
         raise GraphError(
             f"input is not {class_name}: contains {cert.witness.pattern} on {cert.witness.vertices}"
         )
-    assign, k, steps = _color(g, tuple(range(g.n)), case_fn)
-    bound = bound_fn(max_clique_size(g))
+    assign, k, steps = _color(g, tuple(range(g.n)), class_name)
+    bound = COLORING_BOUNDS[class_third_pattern(class_name)](max_clique_size(g))
     out = ColoringCertificate(
         assignment=assign,
         colors_used=k,
@@ -318,17 +270,17 @@ def _class_color(g: Graph, class_name: str, case_fn, bound_fn) -> ColoringCertif
 
 def color_diamond_class(g: Graph) -> ColoringCertificate:
     """Coloring of a (P7,C4,diamond)-free graph with at most max(3, omega) colors."""
-    return _class_color(g, "diamond-class", _diamond_case, lambda w: max(3, w))
+    return _class_color(g, "diamond-class")
 
 
 def color_kite_class(g: Graph) -> ColoringCertificate:
     """Coloring of a (P7,C4,kite)-free graph with at most omega+1 colors."""
-    return _class_color(g, "kite-class", _kite_case, lambda w: w + 1)
+    return _class_color(g, "kite-class")
 
 
 def color_gem_class(g: Graph) -> ColoringCertificate:
     """Coloring of a (P7,C4,gem)-free graph with at most 2*omega-1 colors."""
-    return _class_color(g, "gem-class", _gem_case, lambda w: 2 * w - 1)
+    return _class_color(g, "gem-class")
 
 
 # ---------------------------------------------------------------------------
@@ -446,61 +398,3 @@ def color_petersen_blowup(cert: BlowupCertificate) -> ColoringCertificate:
         trace=({"step": "blowup-color", "assignment": sorted(assign.items())},),
     )
 
-
-# ---------------------------------------------------------------------------
-# Public building blocks (also used internally by the recursion)
-
-
-def merge_across_cutset(
-    g: Graph,
-    split: CliqueCutsetSplit,
-    ca: ColoringCertificate,
-    cb: ColoringCertificate,
-) -> ColoringCertificate:
-    """Merge block colorings across a clique cutset of g.
-
-    ca must properly color G[side_a | cutset] and cb G[side_b | cutset];
-    cb's colors are permuted to agree on the cutset.
-    """
-    for side, cert in ((split.side_a, ca), (split.side_b, cb)):
-        block = sorted(side | split.cutset)
-        if set(cert.assignment) != set(block):
-            raise GraphError("block coloring does not cover its block")
-        for u in block:
-            for v in block:
-                if u < v and g.has_edge(u, v) and cert.assignment[u] == cert.assignment[v]:
-                    raise GraphError(f"block coloring not proper on its block: edge ({u},{v})")
-    merged, perm = _merge_on_cutset(ca.assignment, cb.assignment, sorted(split.cutset))
-    step = {"step": "cutset-merge", "cutset": sorted(split.cutset), "permutation": perm}
-    return ColoringCertificate(
-        assignment=merged,
-        colors_used=max(merged.values()),
-        class_name=ca.class_name,
-        claimed_bound=max(ca.claimed_bound, cb.claimed_bound),
-        trace=ca.trace + cb.trace + (step,),
-    )
-
-
-def greedy_extend(cert: ColoringCertificate, g: Graph, v: int, budget: int) -> ColoringCertificate:
-    """Extend a coloring of g - v to v with the least absent color.
-
-    The degree bound d(v) < budget is the caller's obligation from the
-    structure theorem; violating it is rejected, not patched.
-    """
-    if g.degree(v) >= budget:
-        raise GraphError(f"degree {g.degree(v)} of vertex {v} is not under the budget {budget}")
-    if set(cert.assignment) != set(range(g.n)) - {v}:
-        raise GraphError("certificate must color exactly g minus v")
-    used = {cert.assignment[u] for u in g.neighbors(v)}
-    c = 1
-    while c in used:
-        c += 1
-    assign = dict(cert.assignment)
-    assign[v] = c
-    return ColoringCertificate(
-        assignment=assign,
-        colors_used=max(cert.colors_used, c),
-        class_name=cert.class_name,
-        claimed_bound=max(cert.claimed_bound, budget),
-        trace=cert.trace + ({"step": "eliminate-vertex", "vertex": v, "color": c},),
-    )

@@ -9,35 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, _bits, write_graph6
+from .graphs import Graph, GraphError, _bits, _refine, write_graph6
 from .patterns import class_third_pattern, find_induced_pattern
-
-
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
-    while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        changed = False
-        out: list[list[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
-                out.append(cell)
-                continue
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                sig = tuple((adj[v] & m).bit_count() for m in masks)
-                groups.setdefault(sig, []).append(v)
-            if len(groups) > 1:
-                changed = True
-            for sig in sorted(groups):
-                out.append(groups[sig])
-        if not changed:
-            return out
-        cells = out
 
 
 def _perm_bits(adj: tuple[int, ...], perm: list[int], upto: int) -> int:
@@ -118,19 +91,33 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return Graph._from_adj(n, adj)
 
 
-@lru_cache(maxsize=None)
-def all_graphs(n: int) -> tuple[Graph, ...]:
-    """All graphs on exactly n vertices, one canonical copy per class."""
+def _grow(n: int, parents_of, first_mask: int, child_of) -> tuple[Graph, ...]:
+    """Canonical n-vertex graphs, sorted by graph6, from one-vertex extensions.
+
+    Each (n-1)-vertex graph of parents_of(n - 1) gains a vertex adjacent to
+    the vertex set of every mask from first_mask up; child_of(parent, mask)
+    builds the child, or returns None to reject it before canonicalization.
+    A hereditary family is closed under vertex deletion, so this reaches all
+    of its n-vertex members.
+    """
     if n < 1:
         raise GraphError("need at least one vertex")
     if n == 1:
         return (Graph(1),)
     found: dict[str, Graph] = {}
-    for parent in all_graphs(n - 1):
-        for mask in range(1 << (n - 1)):
-            child = canonical_form(_extend(parent, mask))
-            found.setdefault(write_graph6(child), child)
+    for parent in parents_of(n - 1):
+        for mask in range(first_mask, 1 << (n - 1)):
+            child = child_of(parent, mask)
+            if child is not None:
+                canon = canonical_form(child)
+                found.setdefault(write_graph6(canon), canon)
     return tuple(found[k] for k in sorted(found))
+
+
+@lru_cache(maxsize=None)
+def all_graphs(n: int) -> tuple[Graph, ...]:
+    """All graphs on exactly n vertices, one canonical copy per class."""
+    return _grow(n, all_graphs, 0, _extend)
 
 
 @lru_cache(maxsize=None)
@@ -140,16 +127,7 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     Extends connected parents by a vertex with a nonempty neighborhood:
     every connected graph has a non-cut vertex, so this reaches everything.
     """
-    if n < 1:
-        raise GraphError("need at least one vertex")
-    if n == 1:
-        return (Graph(1),)
-    found: dict[str, Graph] = {}
-    for parent in connected_graphs(n - 1):
-        for mask in range(1, 1 << (n - 1)):
-            child = canonical_form(_extend(parent, mask))
-            found.setdefault(write_graph6(child), child)
-    return tuple(found[k] for k in sorted(found))
+    return _grow(n, connected_graphs, 1, _extend)
 
 
 def _extension_keeps_p7c4_free(parent: Graph, mask: int) -> bool:
@@ -168,24 +146,17 @@ def _extension_keeps_p7c4_free(parent: Graph, mask: int) -> bool:
     return True
 
 
+def _p7c4_free_child(parent: Graph, mask: int) -> Graph | None:
+    if not _extension_keeps_p7c4_free(parent, mask):
+        return None
+    child = _extend(parent, mask)
+    return child if find_induced_pattern(child, "P7") is None else None
+
+
 @lru_cache(maxsize=None)
 def p7c4_free_graphs(n: int) -> tuple[Graph, ...]:
     """All (P7, C4)-free graphs on exactly n vertices (hereditary closure)."""
-    if n < 1:
-        raise GraphError("need at least one vertex")
-    if n == 1:
-        return (Graph(1),)
-    found: dict[str, Graph] = {}
-    for parent in p7c4_free_graphs(n - 1):
-        for mask in range(1 << (n - 1)):
-            if not _extension_keeps_p7c4_free(parent, mask):
-                continue
-            child = _extend(parent, mask)
-            if find_induced_pattern(child, "P7") is not None:
-                continue
-            canon = canonical_form(child)
-            found.setdefault(write_graph6(canon), canon)
-    return tuple(found[k] for k in sorted(found))
+    return _grow(n, p7c4_free_graphs, 0, _p7c4_free_child)
 
 
 @lru_cache(maxsize=None)

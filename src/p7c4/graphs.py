@@ -491,19 +491,37 @@ def exact_chromatic_number(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     return max(exact_coloring(g, limit).values())
 
 
-def _refinement_colors(g: Graph) -> tuple[int, ...]:
-    # iterated degree refinement: stable vertex classes, canonically numbered
-    colors = list(g.degrees())
+def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Coarsest equitable refinement of an ordered partition.
+
+    Cells split by how many neighbors each vertex has in every current cell;
+    the pieces are ordered by that signature, so the result is equivariant
+    under isomorphism, and vertices keep their order within each cell.
+    """
     while True:
-        keys = []
-        for v in range(g.n):
-            nb = tuple(sorted(colors[u] for u in _bits(g.adj[v])))
-            keys.append((colors[v], nb))
-        ranking = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = [ranking[k] for k in keys]
-        if new == colors:
-            return tuple(new)
-        colors = new
+        masks = []
+        for cell in cells:
+            m = 0
+            for v in cell:
+                m |= 1 << v
+            masks.append(m)
+        changed = False
+        out: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple((adj[v] & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) > 1:
+                changed = True
+            for sig in sorted(groups):
+                out.append(groups[sig])
+        if not changed:
+            return out
+        cells = out
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
@@ -513,13 +531,11 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """
     if g.n != h.n or g.edge_count() != h.edge_count():
         return None
-    cg = _refinement_colors(g)
-    ch = _refinement_colors(h)
-    if sorted(cg) != sorted(ch):
+    cells_g = _refine(g.adj, [list(range(g.n))])
+    by_color = _refine(h.adj, [list(range(h.n))])
+    if [len(c) for c in cells_g] != [len(c) for c in by_color]:
         return None
-    by_color: dict[int, list[int]] = {}
-    for v in range(h.n):
-        by_color.setdefault(ch[v], []).append(v)
+    cg = {v: i for i, cell in enumerate(cells_g) for v in cell}
     # map rarest classes first
     order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), v))
     mapping: dict[int, int] = {}

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _bits
+from .graphs import Graph, GraphError, _bits, _mask
+from .patterns import _search_induced_cycles
 
 MODES = ("diamond", "gem")
 
@@ -88,9 +89,7 @@ def partition_around_hole(g: Graph, hole: tuple[int, ...], mode: str) -> SevenHo
     if mode not in MODES:
         raise GraphError(f"unknown mode {mode!r}")
     _check_hole(g, hole)
-    amask = 0
-    for v in hole:
-        amask |= 1 << v
+    amask = _mask(hole)
     templates: dict[frozenset[int], tuple[str, int]] = {}
     for i in range(7):
         x_t = frozenset({hole[i], hole[(i + 3) % 7]})
@@ -140,15 +139,6 @@ def _first_pair(g: Graph, left: frozenset[int], right: frozenset[int], adjacent:
     return None
 
 
-def _clique_gap(g: Graph, vertices: frozenset[int]):
-    vs = sorted(vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if not g.has_edge(u, v):
-                return (u, v)
-    return None
-
-
 def _union(sets, idxs) -> frozenset[int]:
     out = set()
     for i in idxs:
@@ -165,6 +155,41 @@ def _dichotomy(sets_a, sets_b, offsets) -> tuple[int, ...] | None:
         if other:
             return (min(sets_a[i]), min(other))
     return None
+
+
+# Properties about pairs u in S_i, v in T_{i+o}: (S, T, offsets o, the
+# adjacency of u and v that violates the property). None marks a dichotomy:
+# S_i and the union of the T_{i+o} must not both be inhabited.
+_PAIR_RULES = {
+    "NA-4": ("X", "X", (2, 5), None),
+    "NA-5": ("Y", "Y", (3, 4), None),
+    "NA-6": ("X", "Y", (0, 1, 2, 3), None),
+    "M3": ("Y", "Y", (1, 6), False),
+    "M4": ("Y", "Y", (2, 3, 4, 5), True),
+    "M5": ("X", "X", (2, 5), None),
+    "M6": ("X", "X", (1, 3, 4, 6), True),
+    "M7": ("X", "Y", (2, 6), False),
+    "M8": ("X", "Y", (0, 1, 3, 4, 5), True),
+    "M9": ("Z", "Z", (3, 4), None),
+    "M10": ("Z", "Z", (1, 2, 5, 6), True),
+    "M11": ("Z", "X", (0, 4, 6), None),
+    "M12": ("Z", "X", (1, 2, 3, 5), True),
+    "M13": ("Z", "Y", (2, 3, 6), False),
+    "M14": ("Z", "Y", (0, 1, 4, 5), True),
+}
+
+
+def _pair_report(g: Graph, part: SevenHolePartition, pid: str) -> PropertyReport:
+    kind_a, kind_b, offsets, adjacent = _PAIR_RULES[pid]
+    sets_a, sets_b = getattr(part, kind_a), getattr(part, kind_b)
+    if adjacent is None:
+        ce = _dichotomy(sets_a, sets_b, offsets)
+    else:
+        for i in range(7):
+            ce = _first_pair(g, sets_a[i], _union(sets_b, [i + o for o in offsets]), adjacent)
+            if ce:
+                break
+    return PropertyReport(pid, ce is None, ce)
 
 
 def check_diamond_properties(g: Graph, part: SevenHolePartition) -> list[PropertyReport]:
@@ -195,17 +220,8 @@ def check_diamond_properties(g: Graph, part: SevenHolePartition) -> list[Propert
     ce = _first_pair(g, na, na, adjacent=True)
     reports.append(PropertyReport("NA-3", ce is None, ce))
 
-    # NA-4: X_i empty or X_{i+2} and X_{i+5} empty
-    ce = _dichotomy(X, X, (2, 5))
-    reports.append(PropertyReport("NA-4", ce is None, ce))
-
-    # NA-5: Y_i empty or Y_{i+3} and Y_{i+4} empty
-    ce = _dichotomy(Y, Y, (3, 4))
-    reports.append(PropertyReport("NA-5", ce is None, ce))
-
-    # NA-6: X_i empty or Y_i, Y_{i+1}, Y_{i+2}, Y_{i+3} all empty
-    ce = _dichotomy(X, Y, (0, 1, 2, 3))
-    reports.append(PropertyReport("NA-6", ce is None, ce))
+    # NA-4..NA-6: the dichotomies of _PAIR_RULES
+    reports += [_pair_report(g, part, pid) for pid in DIAMOND_PROPERTIES[3:]]
     return reports
 
 
@@ -216,24 +232,6 @@ def check_gem_properties(g: Graph, part: SevenHolePartition) -> list[PropertyRep
     X, Y, Z = part.X, part.Y, part.Z
     reports = []
 
-    def complete(pid, sets_a, sets_b, offsets):
-        ce = None
-        for i in range(7):
-            got = _first_pair(g, sets_a[i], _union(sets_b, [i + o for o in offsets]), adjacent=False)
-            if got:
-                ce = got
-                break
-        reports.append(PropertyReport(pid, ce is None, ce))
-
-    def anticomplete(pid, sets_a, sets_b, offsets):
-        ce = None
-        for i in range(7):
-            got = _first_pair(g, sets_a[i], _union(sets_b, [i + o for o in offsets]), adjacent=True)
-            if got:
-                ce = got
-                break
-        reports.append(PropertyReport(pid, ce is None, ce))
-
     # M1: coverage of N(A)
     bad = min(part.unclassified) if part.unclassified else None
     reports.append(PropertyReport("M1", bad is None, (bad,) if bad is not None else None))
@@ -241,27 +239,14 @@ def check_gem_properties(g: Graph, part: SevenHolePartition) -> list[PropertyRep
     # M2: X_i cup Z_i and Y_i are cliques
     ce = None
     for i in range(7):
-        ce = _clique_gap(g, X[i] | Z[i]) or _clique_gap(g, Y[i])
+        xz = X[i] | Z[i]
+        ce = _first_pair(g, xz, xz, adjacent=False) or _first_pair(g, Y[i], Y[i], adjacent=False)
         if ce:
             break
     reports.append(PropertyReport("M2", ce is None, ce))
 
-    def dichotomy(pid, sets_a, sets_b, offsets):
-        ce = _dichotomy(sets_a, sets_b, offsets)
-        reports.append(PropertyReport(pid, ce is None, ce))
-
-    complete("M3", Y, Y, (1, 6))
-    anticomplete("M4", Y, Y, (2, 3, 4, 5))
-    dichotomy("M5", X, X, (2, 5))
-    anticomplete("M6", X, X, (1, 3, 4, 6))
-    complete("M7", X, Y, (2, 6))
-    anticomplete("M8", X, Y, (0, 1, 3, 4, 5))
-    dichotomy("M9", Z, Z, (3, 4))
-    anticomplete("M10", Z, Z, (1, 2, 5, 6))
-    dichotomy("M11", Z, X, (0, 4, 6))
-    anticomplete("M12", Z, X, (1, 2, 3, 5))
-    complete("M13", Z, Y, (2, 3, 6))
-    anticomplete("M14", Z, Y, (0, 1, 4, 5))
+    # M3..M14: the complete, anticomplete and dichotomy rules of _PAIR_RULES
+    reports += [_pair_report(g, part, pid) for pid in GEM_PROPERTIES[2:]]
     return reports
 
 
@@ -297,26 +282,9 @@ def recheck_counterexample(g: Graph, part: SevenHolePartition, report: PropertyR
         same_clique = (pu[0] in "XZ" and pv[0] in "XZ") or (pu[0] == pv[0] == "Y")
         return same_clique and not g.has_edge(u, v)
 
-    rules = {
-        "NA-4": ("X", "X", (2, 5), None),
-        "NA-5": ("Y", "Y", (3, 4), None),
-        "NA-6": ("X", "Y", (0, 1, 2, 3), None),
-        "M3": ("Y", "Y", (1, 6), False),
-        "M4": ("Y", "Y", (2, 3, 4, 5), True),
-        "M5": ("X", "X", (2, 5), None),
-        "M6": ("X", "X", (1, 3, 4, 6), True),
-        "M7": ("X", "Y", (2, 6), False),
-        "M8": ("X", "Y", (0, 1, 3, 4, 5), True),
-        "M9": ("Z", "Z", (3, 4), None),
-        "M10": ("Z", "Z", (1, 2, 5, 6), True),
-        "M11": ("Z", "X", (0, 4, 6), None),
-        "M12": ("Z", "X", (1, 2, 3, 5), True),
-        "M13": ("Z", "Y", (2, 3, 6), False),
-        "M14": ("Z", "Y", (0, 1, 4, 5), True),
-    }
-    if pid not in rules:
+    if pid not in _PAIR_RULES:
         return False
-    kind_a, kind_b, offsets, adjacent = rules[pid]
+    kind_a, kind_b, offsets, adjacent = _PAIR_RULES[pid]
     u, v = ce
     pu, pv = locate(u), locate(v)
     if pu is None or pv is None or pu[0] != kind_a or pv[0] != kind_b:
@@ -330,31 +298,11 @@ def recheck_counterexample(g: Graph, part: SevenHolePartition, report: PropertyR
 
 def all_seven_holes(g: Graph) -> list[tuple[int, ...]]:
     """Every induced 7-cycle, one lex-least cycle-order tuple per vertex set."""
-    holes = []
-    seen = set()
-    adj = g.adj
-    k = 7
+    holes: list[tuple[int, ...]] = []
 
-    def extend(cyc, used, blocked):
-        start = cyc[0]
-        pos = len(cyc)
-        last = cyc[-1]
-        cand = adj[last] & ~used & ~blocked
-        if pos == k - 1:
-            cand &= adj[start]
-            cand &= ~((1 << (cyc[1] + 1)) - 1)
-        elif pos >= 2:
-            cand &= ~adj[start]
-        cand &= ~((1 << (start + 1)) - 1)
-        for v in _bits(cand):
-            if pos + 1 == k:
-                key = frozenset(cyc + [v])
-                if key not in seen:
-                    seen.add(key)
-                    holes.append(tuple(cyc + [v]))
-            else:
-                extend(cyc + [v], used | 1 << v, blocked | (adj[last] if pos >= 2 else 0))
+    def keep(hole: tuple[int, ...]) -> bool:
+        holes.append(hole)
+        return False
 
-    for start in range(g.n):
-        extend([start], 1 << start, 0)
+    _search_induced_cycles(g, 7, keep)
     return holes

@@ -168,11 +168,18 @@ def _find_induced_path(g: Graph, k: int) -> tuple[int, ...] | None:
 
 
 def _find_induced_cycle(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Lex-least induced C_k in cycle order.
+    """Lex-least induced C_k in cycle order."""
+    return _search_induced_cycles(g, k, lambda cycle: True)
+
+
+def _search_induced_cycles(g: Graph, k: int, stop) -> tuple[int, ...] | None:
+    """Visit every induced C_k once, as its lex-least cycle-order tuple, in
+    lexicographic order; returns the first cycle for which stop(cycle) is
+    true, or None once all are visited.
 
     The lex-least tuple starts at the cycle's smallest vertex with its
     smaller neighbor second, so searching ascending candidates above the
-    start vertex is exhaustive.
+    start vertex is exhaustive and meets each vertex set exactly once.
     """
     if g.n < k:
         return None
@@ -195,8 +202,9 @@ def _find_induced_cycle(g: Graph, k: int) -> tuple[int, ...] | None:
         for v in _bits(cand):
             cyc[pos] = v
             if pos + 1 == k:
-                return True
-            if extend(pos + 1, used | 1 << v, blocked | (adj[last] if pos >= 2 else 0)):
+                if stop(tuple(cyc)):
+                    return True
+            elif extend(pos + 1, used | 1 << v, blocked | (adj[last] if pos >= 2 else 0)):
                 return True
         return False
 

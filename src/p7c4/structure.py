@@ -1,5 +1,6 @@
 """Decomposition toolbox: clique cutsets and atoms, universal-clique peeling,
-bisimplicial vertices, clique-blowup recognition, fixed-graph recognition.
+bisimplicial vertices, clique-blowup recognition, fixed-graph recognition,
+and the theorem engine that combines them into the three structure theorems.
 
 All searches break ties toward the lowest vertex index, so results are
 deterministic and test-stable.
@@ -11,7 +12,8 @@ import heapq
 from dataclasses import dataclass
 
 from .families import graph_f, petersen
-from .graphs import Graph, GraphError, _bits, find_isomorphism, induced_subgraph, is_clique
+from .graphs import Graph, GraphError, _bits, _mask, find_isomorphism, induced_subgraph, is_clique
+from .patterns import class_third_pattern
 
 
 @dataclass(frozen=True)
@@ -39,9 +41,7 @@ def validate_split(g: Graph, split: CliqueCutsetSplit) -> None:
         raise GraphError("cutset split must partition the vertex set")
     if not is_clique(g, split.cutset):
         raise GraphError("cutset is not a clique")
-    bmask = 0
-    for v in split.side_b:
-        bmask |= 1 << v
+    bmask = _mask(split.side_b)
     if any(g.adj[a] & bmask for a in split.side_a):
         raise GraphError("edges cross between the two sides")
 
@@ -103,7 +103,7 @@ def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
     for v in sigma:
         later ^= 1 << v
         cmask = fill_adj[v] & later
-        if not _mask_is_clique(g, cmask):
+        if not is_clique(g, _bits(cmask)):
             continue
         # component of v in g minus the candidate cutset
         comp = 1 << v
@@ -127,16 +127,6 @@ def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
     return None
 
 
-def _mask_is_clique(g: Graph, mask: int) -> bool:
-    m = mask
-    while m:
-        v = (m & -m).bit_length() - 1
-        m ^= 1 << v
-        if (g.adj[v] & mask) != mask ^ (1 << v):
-            return False
-    return True
-
-
 def has_clique_cutset_bruteforce(g: Graph) -> bool:
     """Exhaustive oracle: some clique K with g - K disconnected. Small n only."""
     if not g.is_connected():
@@ -145,7 +135,7 @@ def has_clique_cutset_bruteforce(g: Graph) -> bool:
     for mask in range(1 << n):
         if mask == 0 or mask == g.full_mask():
             continue
-        if not _mask_is_clique(g, mask):
+        if not is_clique(g, _bits(mask)):
             continue
         outside = [v for v in range(n) if not mask >> v & 1]
         if not induced_subgraph(g, outside).is_connected():
@@ -360,3 +350,88 @@ def recognize_fixed(g: Graph) -> str | None:
         if find_isomorphism(g, graph_f()) is not None:
             return "F"
     return None
+
+
+# the colouring bound each structure theorem yields, as a function of omega
+COLORING_BOUNDS = {
+    "diamond": lambda omega: max(3, omega),
+    "kite": lambda omega: omega + 1,
+    "gem": lambda omega: 2 * omega - 1,
+}
+
+
+@dataclass(frozen=True)
+class TheoremCase:
+    """What a structure theorem says about one connected class member
+    without a clique cutset.
+
+    kind is one of
+      "petersen"         the Petersen graph; iso maps Petersen onto it
+      "clique-base"      a clique, all of it peeled (kite)
+      "peeled-petersen"  a clique joined to the Petersen graph; iso maps
+                         Petersen onto the peel remainder (kite)
+      "petersen-blowup"  a clique blowup of the Petersen graph, with its
+                         certificate in blowup (gem)
+      "eliminate"        vertex sees fewer than budget (the class bound)
+                         colors once the rest is colored: its degree is
+                         under budget, or it is bisimplicial (gem)
+      "contradiction"    no case applies, so the theorem is falsified;
+                         detail says how
+    peel is the universal-clique peel, computed for the kite class only.
+    """
+
+    kind: str
+    peel: PeelResult | None = None
+    iso: dict[int, int] | None = None
+    blowup: BlowupCertificate | None = None
+    vertex: int | None = None
+    budget: int | None = None
+    detail: str = ""
+
+
+def _petersen_iso(g: Graph) -> dict[int, int] | None:
+    return find_isomorphism(petersen(), g) if g.n == 10 else None
+
+
+def theorem_case(sub: Graph, class_name: str, omega: int) -> TheoremCase:
+    """Apply the class's structure theorem to sub, whose clique number is omega.
+
+    sub must be a connected member of the class with no clique cutset:
+      diamond: the Petersen graph, or delta <= max(2, omega-1);
+      kite:    if delta >= omega+1, a clique joined to the Petersen graph;
+      gem:     a clique blowup of the Petersen graph, or a bisimplicial vertex.
+    """
+    third = class_third_pattern(class_name)
+    budget = COLORING_BOUNDS[third](omega)
+    if third == "gem":
+        cert = recognize_clique_blowup(sub, petersen())
+        if cert is not None:
+            return TheoremCase("petersen-blowup", blowup=cert)
+        bis = find_bisimplicial(sub)
+        if bis is None:
+            return TheoremCase("contradiction", detail=(
+                "connected cutset-free member is not a Petersen blowup and has no bisimplicial vertex"
+            ))
+        # a bisimplicial vertex has degree <= 2*omega - 2, strictly under the bound
+        return TheoremCase("eliminate", vertex=bis.vertex, budget=budget)
+    peel = peel_universal_clique(sub) if third == "kite" else None
+    iso = _petersen_iso(sub)
+    if iso is not None:
+        return TheoremCase("petersen", peel=peel, iso=iso)
+    if peel is not None and peel.ell > 0:
+        if not peel.remainder:
+            return TheoremCase("clique-base", peel=peel)
+        iso = _petersen_iso(induced_subgraph(sub, sorted(peel.remainder)))
+        if iso is not None:
+            return TheoremCase("peeled-petersen", peel=peel, iso=iso)
+    v = min(range(sub.n), key=lambda u: (sub.degree(u), u))
+    delta = sub.degree(v)
+    if delta < budget:
+        return TheoremCase("eliminate", peel=peel, vertex=v, budget=budget)
+    if third == "diamond":
+        detail = (f"connected cutset-free non-exceptional member has delta {delta}"
+                  f" > max(2, omega-1) = {max(2, omega - 1)}")
+    else:
+        detail = (f"connected cutset-free member with delta {delta} >= omega+1 = {omega + 1}"
+                  " whose universal-clique peel leaves neither the Petersen graph nor F")
+    return TheoremCase("contradiction", peel=peel, detail=detail)

@@ -2,7 +2,8 @@
 
 For each graph the hypotheses of the selected theorem are checked one by
 one; graphs failing any hypothesis count as vacuous (counted, never
-hidden). A violation is a hypothesis-satisfying graph whose conclusion
+hidden). The conclusion comes from structure.theorem_case, the engine the
+colorings run on. A violation is a hypothesis-satisfying graph whose conclusion
 fails, reported with enough detail to replay from its graph6 string.
 """
 
@@ -17,16 +18,10 @@ from .coloring import (
     color_kite_class,
     validate_certificate,
 )
-from .families import generate, petersen
-from .graphs import Graph, GraphError, induced_subgraph, max_clique_size, write_graph6
+from .families import generate
+from .graphs import Graph, GraphError, max_clique_size, write_graph6
 from .patterns import class_membership
-from .structure import (
-    find_bisimplicial,
-    find_clique_cutset,
-    peel_universal_clique,
-    recognize_clique_blowup,
-    recognize_fixed,
-)
+from .structure import find_clique_cutset, theorem_case
 
 THEOREMS = ("T1", "T2", "T3", "C1", "C2", "C3")
 
@@ -84,65 +79,52 @@ def check_theorem(g: Graph, theorem: str) -> dict:
     diag["member"] = cert.free
     if not cert.free:
         diag["witness"] = cert.witness.to_json()
-        diag["status"] = "vacuous"
-        diag["reason"] = f"not a {cls} member"
-        return diag
+        return _vacuous(diag, f"not a {cls} member")
     if theorem.startswith("C"):
         return _check_coloring_bound(g, theorem, diag)
     return _check_structure_theorem(g, theorem, diag)
 
 
+def _vacuous(diag: dict, reason: str) -> dict:
+    diag["status"] = "vacuous"
+    diag["reason"] = reason
+    return diag
+
+
 def _check_structure_theorem(g: Graph, theorem: str, diag: dict) -> dict:
     if not g.is_connected():
-        diag["status"] = "vacuous"
-        diag["reason"] = "disconnected"
-        return diag
+        return _vacuous(diag, "disconnected")
     omega = max_clique_size(g)
     delta = g.min_degree()
     diag["omega"] = omega
     diag["delta"] = delta
 
     if theorem == "T2" and delta < omega + 1:
-        diag["status"] = "vacuous"
-        diag["reason"] = f"delta {delta} < omega+1 = {omega + 1}"
-        return diag
+        return _vacuous(diag, f"delta {delta} < omega+1 = {omega + 1}")
 
     split = find_clique_cutset(g)
     if split is not None:
-        diag["status"] = "vacuous"
-        diag["reason"] = "has a clique cutset"
+        _vacuous(diag, "has a clique cutset")
         diag["cutset"] = sorted(split.cutset)
         return diag
 
+    case = theorem_case(g, _THEOREM_CLASS[theorem], omega)
     if theorem == "T1":
-        name = recognize_fixed(g)
-        if name is not None:
-            diag["status"] = "vacuous"
-            diag["reason"] = f"exceptional graph {name}"
-            return diag
-        ok = delta <= max(2, omega - 1)
+        if case.kind == "petersen":
+            return _vacuous(diag, "exceptional graph Petersen")
+        ok = case.kind == "eliminate"
         diag["conclusion"] = f"delta {delta} <= max(2, omega-1) = {max(2, omega - 1)}"
     elif theorem == "T2":
-        peel = peel_universal_clique(g)
-        diag["ell"] = peel.ell
-        if peel.remainder:
-            rem = induced_subgraph(g, sorted(peel.remainder))
-            name = recognize_fixed(rem)
-        else:
-            name = None
+        diag["ell"] = case.peel.ell
+        name = "Petersen" if case.kind in ("petersen", "peeled-petersen") else None
         diag["remainder"] = name
         ok = name is not None
         diag["conclusion"] = f"peel remainder is {name or 'neither Petersen nor F'}"
     else:  # T3
-        if recognize_clique_blowup(g, petersen()) is not None:
-            diag["status"] = "vacuous"
-            diag["reason"] = "clique blowup of the Petersen graph"
-            return diag
-        bis = find_bisimplicial(g)
-        ok = bis is not None
-        diag["conclusion"] = (
-            f"bisimplicial vertex {bis.vertex}" if ok else "no bisimplicial vertex"
-        )
+        if case.kind == "petersen-blowup":
+            return _vacuous(diag, "clique blowup of the Petersen graph")
+        ok = case.kind == "eliminate"
+        diag["conclusion"] = f"bisimplicial vertex {case.vertex}" if ok else "no bisimplicial vertex"
     diag["status"] = "verified" if ok else "violated"
     return diag
 

@@ -4,15 +4,12 @@ from p7c4.coloring import (
     ColoringCertificate,
     StructuralContradiction,
     _color,
-    _diamond_case,
-    _gem_case,
-    _kite_case,
+    _eliminate,
+    _merge_on_cutset,
     color_diamond_class,
     color_gem_class,
     color_kite_class,
     color_petersen_blowup,
-    greedy_extend,
-    merge_across_cutset,
     replay_trace,
     validate_certificate,
 )
@@ -25,12 +22,11 @@ from p7c4.graphs import (
     complete_graph,
     cycle_graph,
     exact_chromatic_number,
-    induced_subgraph,
     join_with_clique,
     max_clique_size,
     path_graph,
 )
-from p7c4.structure import find_clique_cutset, recognize_clique_blowup
+from p7c4.structure import recognize_clique_blowup
 
 COLORERS = {
     "diamond-class": color_diamond_class,
@@ -154,66 +150,12 @@ def test_blowup_coloring_requires_petersen_base():
         color_petersen_blowup(cert)
 
 
-def test_merge_across_cutset():
-    g = path_graph(3)
-    split = find_clique_cutset(g)
-    block_a = sorted(split.side_a | split.cutset)
-    block_b = sorted(split.side_b | split.cutset)
-    certs = {}
-    for name, block in (("a", block_a), ("b", block_b)):
-        sub = induced_subgraph(g, block)
-        sub_cert = color_diamond_class(sub)
-        assignment = {block[v]: c for v, c in sub_cert.assignment.items()}
-        certs[name] = ColoringCertificate(
-            assignment=assignment,
-            colors_used=sub_cert.colors_used,
-            class_name="diamond-class",
-            claimed_bound=3,
-            trace=(
-                {"step": "exceptional-graph", "name": "block", "assignment": sorted(assignment.items())},
-            ),
-        )
-    merged = merge_across_cutset(g, split, certs["a"], certs["b"])
-    validate_certificate(g, merged)
-    assert merged.colors_used == 2
-
-
 def test_merge_rejects_improper_blocks():
-    g = path_graph(3)
-    split = find_clique_cutset(g)
-    block_a = sorted(split.side_a | split.cutset)
-    bad = ColoringCertificate(
-        assignment={v: 1 for v in block_a},
-        colors_used=1,
-        class_name="diamond-class",
-        claimed_bound=3,
-        trace=(),
-    )
-    ok = ColoringCertificate(
-        assignment={v: i + 1 for i, v in enumerate(sorted(split.side_b | split.cutset))},
-        colors_used=2,
-        class_name="diamond-class",
-        claimed_bound=3,
-        trace=(),
-    )
+    # a block coloring that repeats a color on the cutset cannot be merged
     with pytest.raises(GraphError):
-        merge_across_cutset(g, split, bad, ok)
-
-
-def test_greedy_extend_least_absent():
-    g = path_graph(3)
-    cert = ColoringCertificate({0: 1, 2: 2}, 2, "diamond-class", 3,
-                               ({"step": "exceptional-graph", "name": "block",
-                                 "assignment": [(0, 1), (2, 2)]},))
-    out = greedy_extend(cert, g, 1, 3)
-    assert out.assignment[1] == 3
-    cert = ColoringCertificate({0: 2, 2: 3}, 3, "diamond-class", 4,
-                               ({"step": "exceptional-graph", "name": "block",
-                                 "assignment": [(0, 2), (2, 3)]},))
-    out = greedy_extend(cert, g, 1, 4)
-    assert out.assignment[1] == 1
+        _merge_on_cutset({0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}, [0, 1])
     with pytest.raises(GraphError):
-        greedy_extend(cert, g, 1, 2)  # degree 2 is not under budget 2
+        _merge_on_cutset({0: 1, 1: 2}, {0: 2, 1: 2, 2: 1}, [0, 1])
 
 
 def test_structural_contradiction_surfaces_loudly():
@@ -221,11 +163,16 @@ def test_structural_contradiction_surfaces_loudly():
     # recursions simulates a falsified theorem: each must raise with the
     # offending graph attached rather than miscolor quietly
     g = g2([2] * 7)
-    for case in (_diamond_case, _kite_case, _gem_case):
+    for class_name in COLORERS:
         with pytest.raises(StructuralContradiction) as exc:
-            _color(g, tuple(range(g.n)), case)
+            _color(g, tuple(range(g.n)), class_name)
         assert exc.value.graph6
         assert exc.value.detail
+    # an elimination whose greedy color overshoots its budget is refused too,
+    # also under python -O
+    with pytest.raises(StructuralContradiction) as exc:
+        _eliminate(path_graph(3), (0, 1, 2), 1, 1, "diamond-class")
+    assert "budget 1" in exc.value.detail
 
 
 def test_validate_certificate_rejects_bad_bound():

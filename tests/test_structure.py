@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p7c4.families import g3, graph_f, petersen
+from p7c4.families import g2, g3, graph_f, petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
@@ -14,6 +14,7 @@ from p7c4.graphs import (
     induced_subgraph,
     isomorphic,
     join_with_clique,
+    max_clique_size,
     path_graph,
 )
 from p7c4.patterns import class_membership
@@ -26,6 +27,7 @@ from p7c4.structure import (
     recognize_clique_blowup,
     recognize_fixed,
     split_into_two_cliques,
+    theorem_case,
     validate_split,
 )
 
@@ -222,3 +224,31 @@ def test_recognize_fixed():
     assert recognize_fixed(shuffled_f) == "F"
     assert recognize_fixed(cycle_graph(7)) is None
     assert recognize_fixed(complete_graph(10)) is None
+
+
+def test_theorem_case_outcomes():
+    def case(g, cls):
+        return theorem_case(g, cls, max_clique_size(g))
+
+    p = petersen()
+    for cls in ("diamond-class", "kite-class"):
+        got = case(p, cls)
+        assert got.kind == "petersen"
+        assert all(p.has_edge(u, v) == p.has_edge(got.iso[u], got.iso[v])
+                   for u in range(10) for v in range(10))
+    got = case(join_with_clique(p, 2), "kite-class")
+    assert got.kind == "peeled-petersen" and got.peel.ell == 2
+    assert got.iso is not None
+    assert case(complete_graph(4), "kite").kind == "clique-base"
+    got = case(clique_blowup(p, [2] + [1] * 9), "gem-class")
+    assert got.kind == "petersen-blowup" and got.blowup.weights()[0] == 2
+    # C7: delta 2 is under every class bound at omega 2
+    for cls, budget in (("diamond-class", 3), ("kite-class", 3), ("gem-class", 3)):
+        got = case(cycle_graph(7), cls)
+        assert (got.kind, got.vertex, got.budget) == ("eliminate", 0, budget)
+    # G2 is no class member; it satisfies no theorem case
+    for cls in ("diamond-class", "kite-class", "gem-class"):
+        got = case(g2([2] * 7), cls)
+        assert got.kind == "contradiction" and got.detail
+    with pytest.raises(GraphError):
+        case(p, "bull-class")
