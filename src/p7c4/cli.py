@@ -3,7 +3,7 @@ theorems, generate named families, and cross-check against the exact
 oracles. One JSON object per input graph on stdout.
 
 Exit status: 0 on success, 1 if a verification found a violation, 2 on
-usage errors or malformed input.
+usage errors or malformed input, 3 on an internal error (a bug).
 """
 
 from __future__ import annotations
@@ -221,6 +221,11 @@ def cli_main(argv=None) -> int:
     except (GraphError, OSError, KeyError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    except Exception as exc:
+        # anything else is a bug, never a verdict, so it must not exit 1
+        print(json.dumps({"error": "internal", "type": type(exc).__name__, "detail": str(exc)}),
+              file=sys.stderr)
+        return 3
 
 
 def _verify(args) -> int:

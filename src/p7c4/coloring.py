@@ -248,13 +248,18 @@ def _eliminate(sub: Graph, labels, v: int, budget: int, class_name: str):
 
 
 def _class_color(g: Graph, class_name: str) -> ColoringCertificate:
-    if g.n == 0:
-        raise GraphError("cannot color the empty graph")
     cert = class_membership(g, class_name)
     if not cert.free:
         raise GraphError(
             f"input is not {class_name}: contains {cert.witness.pattern} on {cert.witness.vertices}"
         )
+    return _color_member(g, class_name)
+
+
+def _color_member(g: Graph, class_name: str) -> ColoringCertificate:
+    """Validated certificate for a graph already known to be a class member."""
+    if g.n == 0:
+        raise GraphError("cannot color the empty graph")
     assign, k, steps = _color(g, tuple(range(g.n)), class_name)
     bound = COLORING_BOUNDS[class_third_pattern(class_name)](max_clique_size(g))
     out = ColoringCertificate(

@@ -1,8 +1,18 @@
-"""Small-graph corpora: orderly generation with isomorph rejection.
+"""Small-graph corpora: generation by canonical deletion with isomorph rejection.
+
+Each corpus on n vertices grows from the one on n - 1 by adding a vertex in
+every possible way. A child is kept only if its new vertex could be the one a
+canonical rule deletes: it must lie in the last cell of the degree
+refinement that holds a vertex whose deletion stays in the family (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998). The rule is
+an isomorphism invariant, so every class is still reached, and most children
+are dropped before the costly membership test and canonical form.
 
 Canonical forms come from adjacency-string minimization guided by iterated
 degree refinement: candidate labelings are explored cell by cell and pruned
-against the best prefix found so far. Desk scale only, by design.
+against the best prefix found so far. Distinct children of one class can
+survive the test, so the canonical form still removes duplicates. Desk
+scale only, by design.
 """
 
 from __future__ import annotations
@@ -91,33 +101,77 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return Graph._from_adj(n, adj)
 
 
-def _grow(n: int, parents_of, first_mask: int, child_of) -> tuple[Graph, ...]:
-    """Canonical n-vertex graphs, sorted by graph6, from one-vertex extensions.
+def _non_cut_vertex(adj: tuple[int, ...], v: int) -> bool:
+    # without its edges v is isolated, and the rest must stay in one piece
+    cut = tuple(0 if u == v else a & ~(1 << v) for u, a in enumerate(adj))
+    return len(Graph._from_adj(len(adj), cut).components()) == 2
 
-    Each (n-1)-vertex graph of parents_of(n - 1) gains a vertex adjacent to
-    the vertex set of every mask from first_mask up; child_of(parent, mask)
-    builds the child, or returns None to reject it before canonicalization.
-    A hereditary family is closed under vertex deletion, so this reaches all
-    of its n-vertex members.
+
+def _newest_vertex_is_canonical(adj: tuple[int, ...], deletable) -> bool:
+    # the last refinement cell holding a deletable vertex is an isomorphism
+    # invariant; vertices ascend within a cell, so the newest one is its last
+    cells = _refine(adj, [list(range(len(adj)))])
+    last = next(c for c in reversed(cells) if any(deletable(adj, v) for v in c))
+    return last[-1] == len(adj) - 1
+
+
+def _grow(n: int, family, first_mask: int, deletable, keeps) -> tuple[Graph, ...]:
+    """Canonical n-vertex members of a family closed under deleting some vertex.
+
+    Each graph of family(n - 1) gains a vertex x adjacent to the vertex set
+    of every mask from first_mask up. deletable(adj, v) says whether deleting
+    v leaves a member; a vertex deletable in a parent must stay so in each
+    child unless it is x's only neighbour. keeps(child) is the rest of the
+    membership test, given that the parent is a member.
+
+    A child is kept only if x lies in the last cell of the refinement
+    (graphs._refine) that holds a deletable vertex: the canonical deletion.
+    Refinement is equivariant and its cell order canonical, so every
+    n-vertex member G has a deletable v in that cell of its own; G - v is a
+    member, isomorphic to some parent, and the mask of v's neighbours on that
+    parent gives a child isomorphic to G in which x is the image of v and so
+    passes. Hence every isomorphism class is still reached, most children
+    are rejected before keeps and canonical_form, and the found dict removes
+    the remaining duplicates.
+
+    Cells are ordered by degree first, so x's degree k = |mask| must be the
+    largest among the child's deletable vertices. A deletable vertex of the
+    parent keeps its degree outside the mask and gains one inside it, so one
+    of degree above k, or of degree k inside a mask of two or more vertices,
+    rejects the mask before the child is built.
     """
     if n < 1:
         raise GraphError("need at least one vertex")
     if n == 1:
         return (Graph(1),)
     found: dict[str, Graph] = {}
-    for parent in parents_of(n - 1):
+    for parent in family(n - 1):
+        adj = parent.adj
+        # heavier[k]: the parent's deletable vertices of degree above k
+        heavier = [0] * n
+        for v in range(n - 1):
+            if deletable(adj, v):
+                for k in range(adj[v].bit_count()):
+                    heavier[k] |= 1 << v
         for mask in range(first_mask, 1 << (n - 1)):
-            child = child_of(parent, mask)
-            if child is not None:
+            k = mask.bit_count()
+            if heavier[k] & ~mask or (k > 1 and heavier[k - 1] & mask):
+                continue
+            child = _extend(parent, mask)
+            if _newest_vertex_is_canonical(child.adj, deletable) and keeps(child):
                 canon = canonical_form(child)
                 found.setdefault(write_graph6(canon), canon)
     return tuple(found[k] for k in sorted(found))
 
 
+def _always(*_) -> bool:
+    return True
+
+
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices, one canonical copy per class."""
-    return _grow(n, all_graphs, 0, _extend)
+    return _grow(n, all_graphs, 0, _always, _always)
 
 
 @lru_cache(maxsize=None)
@@ -125,17 +179,20 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, canonical copies.
 
     Extends connected parents by a vertex with a nonempty neighborhood:
-    every connected graph has a non-cut vertex, so this reaches everything.
+    deleting a non-cut vertex keeps a graph connected, and every connected
+    graph has one, so this reaches everything.
     """
-    return _grow(n, connected_graphs, 1, _extend)
+    return _grow(n, connected_graphs, 1, _non_cut_vertex, _always)
 
 
-def _extension_keeps_p7c4_free(parent: Graph, mask: int) -> bool:
-    # any new induced C4 goes through the new vertex x: either some outside
-    # vertex sees two nonadjacent members of M, or x plus a common neighbor
-    # closes a 4-cycle; both reduce to "adj[v] & mask is a clique" checks
-    adj = parent.adj
-    for v in range(parent.n):
+def _newest_vertex_keeps_p7c4_free(g: Graph) -> bool:
+    # g minus its newest vertex x is (P7, C4)-free, so any induced C4 or P7
+    # goes through x. A new C4 means some other vertex sees two nonadjacent
+    # neighbours of x, or x plus a common neighbour closes a 4-cycle; both
+    # reduce to "adj[v] & mask is a clique" checks
+    adj = g.adj
+    mask = adj[-1]
+    for v in range(g.n - 1):
         if mask >> v & 1:
             continue
         common = adj[v] & mask
@@ -143,20 +200,13 @@ def _extension_keeps_p7c4_free(parent: Graph, mask: int) -> bool:
             for u in _bits(common):
                 if (adj[u] & common) != common ^ (1 << u):
                     return False
-    return True
-
-
-def _p7c4_free_child(parent: Graph, mask: int) -> Graph | None:
-    if not _extension_keeps_p7c4_free(parent, mask):
-        return None
-    child = _extend(parent, mask)
-    return child if find_induced_pattern(child, "P7") is None else None
+    return find_induced_pattern(g, "P7") is None
 
 
 @lru_cache(maxsize=None)
 def p7c4_free_graphs(n: int) -> tuple[Graph, ...]:
     """All (P7, C4)-free graphs on exactly n vertices (hereditary closure)."""
-    return _grow(n, p7c4_free_graphs, 0, _p7c4_free_child)
+    return _grow(n, p7c4_free_graphs, 0, _always, _newest_vertex_keeps_p7c4_free)
 
 
 @lru_cache(maxsize=None)

@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coloring import (
-    StructuralContradiction,
-    color_diamond_class,
-    color_gem_class,
-    color_kite_class,
-    validate_certificate,
-)
+from .coloring import StructuralContradiction, _color_member
 from .families import generate
 from .graphs import Graph, GraphError, max_clique_size, write_graph6
 from .patterns import class_membership
@@ -32,12 +26,6 @@ _THEOREM_CLASS = {
     "C1": "diamond-class",
     "C2": "kite-class",
     "C3": "gem-class",
-}
-
-_COLORER = {
-    "C1": color_diamond_class,
-    "C2": color_kite_class,
-    "C3": color_gem_class,
 }
 
 
@@ -131,8 +119,8 @@ def _check_structure_theorem(g: Graph, theorem: str, diag: dict) -> dict:
 
 def _check_coloring_bound(g: Graph, theorem: str, diag: dict) -> dict:
     try:
-        cert = _COLORER[theorem](g)
-        validate_certificate(g, cert)
+        # check_theorem has already established membership
+        cert = _color_member(g, _THEOREM_CLASS[theorem])
     except StructuralContradiction as exc:
         diag["status"] = "violated"
         diag["reason"] = f"structural contradiction: {exc.detail}"

@@ -4,9 +4,9 @@ pass/fail line per criterion.
 Run with:  pytest tests/test_acceptance.py -v -s
 
 Criterion 6 contains one deliberately failing leg: the G5 construction is
-not (P7,C4)-free as claimed of it (see the decisions ledger for the
-exhaustive analysis); that assertion is implemented faithfully rather than
-weakened, so it stays red.
+not (P7,C4)-free as claimed of it (it contains the induced P7
+(0, 1, 8, 4, 3, 13, 9), i.e. z1 z2 a2 z5 z4 a7 a3); that assertion is
+implemented faithfully rather than weakened, so it stays red.
 """
 
 import time
@@ -252,9 +252,9 @@ def test_criterion_6_g5_freeness_as_stated():
     """G5 must be (P7,C4)-free and fail exactly the gem hypothesis.
 
     This leg is implemented exactly as the criterion states it. It FAILS:
-    the literal construction contains induced P7s, and no graph in its
-    template is (P7,C4)-free (exhaustive analysis in the decisions ledger).
-    Kept red on purpose rather than weakened.
+    the literal construction (families.g5) contains induced P7s, the
+    lex-least being (0, 1, 8, 4, 3, 13, 9). Kept red on purpose rather than
+    weakened.
     """
     G5 = g5()
     present = {p for p in ("P7", "C4", "gem") if find_induced_pattern(G5, p) is not None}
@@ -262,7 +262,7 @@ def test_criterion_6_g5_freeness_as_stated():
     _line(6, ok, f"G5 stated freeness: patterns present {sorted(present)}, expected only ['gem']")
     assert find_induced_pattern(G5, "P7") is None, (
         "spec/paper defect: G5 contains an induced P7 "
-        f"{find_induced_pattern(G5, 'P7').vertices}; see decisions ledger"
+        f"{find_induced_pattern(G5, 'P7').vertices}; the construction as stated is not P7-free"
     )
 
 

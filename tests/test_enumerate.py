@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import brute_has_pattern
 from p7c4.enumerate import (
     all_graphs,
     canonical_form,
@@ -13,10 +14,15 @@ from p7c4.graphs import Graph, GraphError, complete_graph, cycle_graph, isomorph
 
 # unlabeled-graph counts (classical enumeration values)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
-# derived here twice by independent enumerators (see decisions ledger)
-P7C4_FREE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 28, 6: 100, 7: 440, 8: 2537}
+CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
+# no published sequence to compare with: these counts come from this
+# generator, and agree with filtering all_graphs by the brute-force pattern
+# oracle (n <= 7, test below) and with a generator that canonicalized every
+# child without the canonical-deletion test (n <= 9)
+P7C4_FREE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 28, 6: 100, 7: 440, 8: 2537, 9: 18722}
 DIAMOND_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 9, 5: 21, 6: 54, 7: 149, 8: 445}
+# members on 1..9 vertices in total, same provenance
+CLASS_TOTALS_UP_TO_9 = {"diamond-class": 2069, "kite-class": 5024, "gem-class": 7578}
 
 
 @pytest.mark.parametrize("n,count", sorted(ALL_COUNTS.items()))
@@ -39,6 +45,26 @@ def test_p7c4_free_counts(n, count):
 @pytest.mark.parametrize("n,count", sorted(DIAMOND_CLASS_COUNTS.items()))
 def test_diamond_class_counts(n, count):
     assert len(class_members("diamond-class", n)) == count
+
+
+@pytest.mark.parametrize("cls,total", sorted(CLASS_TOTALS_UP_TO_9.items()))
+def test_class_totals_up_to_9(cls, total):
+    assert sum(len(class_members(cls, n)) for n in range(1, 10)) == total
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_p7c4_free_graphs_match_bruteforce_filter(n):
+    expected = {
+        canonical_key(g) for g in all_graphs(n)
+        if not brute_has_pattern(g, "P7") and not brute_has_pattern(g, "C4")
+    }
+    assert [canonical_key(g) for g in p7c4_free_graphs(n)] == sorted(expected)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_connected_graphs_contain_every_connected_graph(n):
+    keys = {canonical_key(g) for g in connected_graphs(n)}
+    assert {canonical_key(g) for g in all_graphs(n) if g.is_connected()} <= keys
 
 
 def test_canonical_key_is_isomorphism_invariant():

@@ -49,7 +49,7 @@ def test_f_shape():
     assert max_clique_size(f) == 3
     assert exact_chromatic_number(f) == 3
     assert free_of(f, "C4", "diamond")
-    # the literal construction is not P7-free (see decisions ledger)
+    # the literal construction is not P7-free: (0, 6, 9, 2, 3, 4, 8) is an induced P7
     assert contains(f, "P7")
 
 
@@ -111,7 +111,7 @@ def test_g5_shape():
         )
     assert free_of(g, "C4")
     assert contains(g, "gem")
-    # the literal construction is not P7-free (see decisions ledger)
+    # the literal construction is not P7-free: (0, 1, 8, 4, 3, 13, 9) is an induced P7
     assert contains(g, "P7")
 
 

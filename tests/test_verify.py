@@ -22,7 +22,7 @@ def test_check_t1_diagnoses():
     diag = check_theorem(g1(2), "T1")
     assert diag["status"] == "vacuous"
     assert diag["witness"]["pattern"] == "diamond"
-    # F is vacuous as a non-member (the literal F contains P7; see ledger)
+    # F is vacuous as a non-member: it contains the induced P7 (0, 6, 9, 2, 3, 4, 8)
     diag = check_theorem(graph_f(), "T1")
     assert diag["status"] == "vacuous" and diag["member"] is False
 
@@ -183,6 +183,19 @@ def test_cli_exit_codes(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "verify_corpus", fake_verify)
     assert cli_main(["verify", "--theorem", "T1", "--exhaustive", "2"]) == 1
     capsys.readouterr()
+
+
+def test_cli_internal_error_is_not_a_violation(capsys, monkeypatch):
+    def crash(g):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "decompose_into_atoms", crash)
+    assert cli_main(["decompose", "--family", "P", "--param", "k=5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "internal", "type": "RecursionError", "detail": "maximum recursion depth exceeded",
+    }
 
 
 def test_cli_reads_stdin(capsys, monkeypatch):
