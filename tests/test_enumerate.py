@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import brute_has_pattern
@@ -10,7 +12,14 @@ from p7c4.enumerate import (
     p7c4_free_graphs,
 )
 from p7c4.families import petersen
-from p7c4.graphs import Graph, GraphError, complete_graph, cycle_graph, isomorphic
+from p7c4.graphs import (
+    Graph,
+    GraphError,
+    complete_graph,
+    cycle_graph,
+    isomorphic,
+    write_graph6,
+)
 
 # unlabeled-graph counts (classical enumeration values)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -23,6 +32,15 @@ P7C4_FREE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 28, 6: 100, 7: 440, 8: 2537, 9: 
 DIAMOND_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 9, 5: 21, 6: 54, 7: 149, 8: 445}
 # members on 1..9 vertices in total, same provenance
 CLASS_TOTALS_UP_TO_9 = {"diamond-class": 2069, "kite-class": 5024, "gem-class": 7578}
+# sha256 of the graph6 lines of each corpus for n = 1..top, in output order;
+# pinned before the generator lost its connected-graph hooks, so any change
+# in which graphs come out, their canonical labelling or their order shows
+GENERATOR_DIGESTS = {
+    "all_graphs": (7, "2707648d72ebd98b9de4de74523cd690fb82f4970d2c632fc3ad82dca6752bce"),
+    "connected_graphs": (8, "0ee0e0390c2379dce29772eeddd37e4c9b5e869bc6f4c6e352b9a16a852cb712"),
+    "p7c4_free_graphs": (9, "a8c8c7f2548dc9788695b0bdbf5cc4603f1842383f4f271a61592f89d15f721f"),
+}
+GENERATORS = {f.__name__: f for f in (all_graphs, connected_graphs, p7c4_free_graphs)}
 
 
 @pytest.mark.parametrize("n,count", sorted(ALL_COUNTS.items()))
@@ -63,8 +81,18 @@ def test_p7c4_free_graphs_match_bruteforce_filter(n):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_connected_graphs_contain_every_connected_graph(n):
-    keys = {canonical_key(g) for g in connected_graphs(n)}
-    assert {canonical_key(g) for g in all_graphs(n) if g.is_connected()} <= keys
+    expected = {canonical_key(g) for g in all_graphs(n) if g.is_connected()}
+    assert [canonical_key(g) for g in connected_graphs(n)] == sorted(expected)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATOR_DIGESTS))
+def test_generator_outputs_are_pinned(name):
+    top, digest = GENERATOR_DIGESTS[name]
+    h = hashlib.sha256()
+    for n in range(1, top + 1):
+        for g in GENERATORS[name](n):
+            h.update(write_graph6(g).encode() + b"\n")
+    assert h.hexdigest() == digest
 
 
 def test_canonical_key_is_isomorphism_invariant():
