@@ -167,21 +167,22 @@ def _merge_on_cutset(left: dict[int, int], right: dict[int, int], cutset) -> tup
 
 
 def _color(sub: Graph, labels: tuple[int, ...], class_name: str) -> tuple[dict[int, int], int, list[dict]]:
+    """Coloring of sub under labels, the clique number of sub, trace steps."""
     if sub.n == 1:
         return {labels[0]: 1}, 1, [{"step": "single-vertex", "vertex": labels[0]}]
     comps = sub.components()
     if len(comps) > 1:
         assign: dict[int, int] = {}
-        k = 0
+        omega = 0
         steps: list[dict] = []
         for comp in sorted(comps, key=min):
             block = sorted(comp)
-            a, kk, ss = _color(induced_subgraph(sub, block), tuple(labels[b] for b in block), class_name)
+            a, w, ss = _color(induced_subgraph(sub, block), tuple(labels[b] for b in block), class_name)
             assign.update(a)
-            k = max(k, kk)
+            omega = max(omega, w)
             steps.extend(ss)
         steps.append({"step": "components-merge", "count": len(comps)})
-        return assign, k, steps
+        return assign, omega, steps
     split = find_clique_cutset(sub)
     if split is not None:
         cut_labels = sorted(labels[v] for v in split.cutset)
@@ -190,50 +191,50 @@ def _color(sub: Graph, labels: tuple[int, ...], class_name: str) -> tuple[dict[i
             block = sorted(side | split.cutset)
             return _color(induced_subgraph(sub, block), tuple(labels[b] for b in block), class_name)
 
-        la, ka, sa = color_block(split.side_a)
-        lb, kb, sb = color_block(split.side_b)
+        # every clique lies inside one of the two blocks
+        la, wa, sa = color_block(split.side_a)
+        lb, wb, sb = color_block(split.side_b)
         merged, perm = _merge_on_cutset(la, lb, cut_labels)
         steps = sa + sb + [{"step": "cutset-merge", "cutset": cut_labels, "permutation": perm}]
-        return merged, max(merged.values()), steps
+        return merged, max(wa, wb), steps
     return _color_case(sub, labels, class_name)
 
 
 def _color_case(sub: Graph, labels: tuple[int, ...], class_name: str):
     """Turn the structure theorem's verdict on a cutset-free block into steps."""
-    case = theorem_case(sub, class_name, max_clique_size(sub))
+    omega = max_clique_size(sub)
+    case = theorem_case(sub, class_name, omega)
     if case.kind == "petersen":
-        return _petersen_steps(case.iso, labels)
-    if case.kind == "clique-base":
+        assign, steps = _petersen_steps(case.iso, labels)
+    elif case.kind == "clique-base":
         assign = {labels[v]: v + 1 for v in range(sub.n)}
-        return assign, sub.n, [{"step": "clique-base", "assignment": sorted(assign.items())}]
-    if case.kind == "peeled-petersen":
+        steps = [{"step": "clique-base", "assignment": sorted(assign.items())}]
+    elif case.kind == "peeled-petersen":
         rem = sorted(case.peel.remainder)
-        assign, _, steps = _petersen_steps(case.iso, tuple(labels[v] for v in rem))
+        assign, steps = _petersen_steps(case.iso, tuple(labels[v] for v in rem))
         peeled = sorted(set(range(sub.n)) - case.peel.remainder)
         peel_items = [(labels[v], 4 + i) for i, v in enumerate(peeled)]
         assign.update(dict(peel_items))
         steps.append({"step": "peel", "assignment": peel_items})
-        return assign, 3 + case.peel.ell, steps
-    if case.kind == "petersen-blowup":
-        assign_local, k = _petersen_cover_assignment(case.blowup)
+    elif case.kind == "petersen-blowup":
+        assign_local, _ = _petersen_cover_assignment(case.blowup)
         assign = {labels[v]: c for v, c in assign_local.items()}
-        return assign, k, [{"step": "blowup-color", "assignment": sorted(assign.items())}]
-    if case.kind == "eliminate":
-        return _eliminate(sub, labels, case.vertex, case.budget, class_name)
-    raise StructuralContradiction(class_name, sub, case.detail)
+        steps = [{"step": "blowup-color", "assignment": sorted(assign.items())}]
+    elif case.kind == "eliminate":
+        assign, steps = _eliminate(sub, labels, case.vertex, case.budget, class_name)
+    else:
+        raise StructuralContradiction(class_name, sub, case.detail)
+    return assign, omega, steps
 
 
 def _petersen_steps(iso: dict[int, int], labels):
     assign = {labels[iso[v]]: c for v, c in _stored_coloring()}
-    step = {"step": "exceptional-graph", "name": "Petersen", "assignment": sorted(assign.items())}
-    return assign, 3, [step]
+    return assign, [{"step": "exceptional-graph", "name": "Petersen", "assignment": sorted(assign.items())}]
 
 
 def _eliminate(sub: Graph, labels, v: int, budget: int, class_name: str):
     rest = [u for u in range(sub.n) if u != v]
-    assign, k, steps = _color(
-        induced_subgraph(sub, rest), tuple(labels[u] for u in rest), class_name
-    )
+    assign, _, steps = _color(induced_subgraph(sub, rest), tuple(labels[u] for u in rest), class_name)
     used = {assign[labels[u]] for u in _bits(sub.adj[v])}
     c = 1
     while c in used:
@@ -244,7 +245,7 @@ def _eliminate(sub: Graph, labels, v: int, budget: int, class_name: str):
         )
     assign[labels[v]] = c
     steps.append({"step": "eliminate-vertex", "vertex": labels[v], "color": c})
-    return assign, max(k, c), steps
+    return assign, steps
 
 
 def _class_color(g: Graph, class_name: str) -> ColoringCertificate:
@@ -260,13 +261,12 @@ def _color_member(g: Graph, class_name: str) -> ColoringCertificate:
     """Validated certificate for a graph already known to be a class member."""
     if g.n == 0:
         raise GraphError("cannot color the empty graph")
-    assign, k, steps = _color(g, tuple(range(g.n)), class_name)
-    bound = COLORING_BOUNDS[class_third_pattern(class_name)](max_clique_size(g))
+    assign, omega, steps = _color(g, tuple(range(g.n)), class_name)
     out = ColoringCertificate(
         assignment=assign,
-        colors_used=k,
+        colors_used=max(assign.values()),
         class_name=class_name,
-        claimed_bound=bound,
+        claimed_bound=COLORING_BOUNDS[class_third_pattern(class_name)](omega),
         trace=tuple(steps),
     )
     validate_certificate(g, out)

@@ -1,12 +1,14 @@
 """Small-graph corpora: generation by canonical deletion with isomorph rejection.
 
-Each corpus on n vertices grows from the one on n - 1 by adding a vertex in
-every possible way. A child is kept only if its new vertex could be the one a
-canonical rule deletes: it must lie in the last cell of the degree
-refinement that holds a vertex whose deletion stays in the family (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998). The rule is
-an isomorphism invariant, so every class is still reached, and most children
-are dropped before the costly membership test and canonical form.
+Each corpus on n vertices grows from a hereditary family on n - 1 vertices
+(all graphs, or the (P7, C4)-free graphs) by adding a vertex in every
+possible way; connected graphs grow from all graphs. A child is kept only
+if its new vertex is the one a canonical rule deletes: the last vertex of
+the last cell of the degree refinement (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998). Any vertex of a graph in a hereditary
+family can be deleted without leaving it, and the rule is an isomorphism
+invariant, so every class is still reached, and most children are dropped
+before the costly membership test and canonical form.
 
 Canonical forms come from adjacency-string minimization guided by iterated
 degree refinement: candidate labelings are explored cell by cell and pruned
@@ -101,88 +103,65 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return Graph._from_adj(n, adj)
 
 
-def _non_cut_vertex(adj: tuple[int, ...], v: int) -> bool:
-    # without its edges v is isolated, and the rest must stay in one piece
-    cut = tuple(0 if u == v else a & ~(1 << v) for u, a in enumerate(adj))
-    return len(Graph._from_adj(len(adj), cut).components()) == 2
+def _grow(n: int, parents, keeps) -> tuple[Graph, ...]:
+    """Canonical n-vertex graphs G with keeps(G) whose vertex-deleted
+    subgraphs lie in parents(n - 1), a hereditary family.
 
-
-def _newest_vertex_is_canonical(adj: tuple[int, ...], deletable) -> bool:
-    # the last refinement cell holding a deletable vertex is an isomorphism
-    # invariant; vertices ascend within a cell, so the newest one is its last
-    cells = _refine(adj, [list(range(len(adj)))])
-    last = next(c for c in reversed(cells) if any(deletable(adj, v) for v in c))
-    return last[-1] == len(adj) - 1
-
-
-def _grow(n: int, family, first_mask: int, deletable, keeps) -> tuple[Graph, ...]:
-    """Canonical n-vertex members of a family closed under deleting some vertex.
-
-    Each graph of family(n - 1) gains a vertex x adjacent to the vertex set
-    of every mask from first_mask up. deletable(adj, v) says whether deleting
-    v leaves a member; a vertex deletable in a parent must stay so in each
-    child unless it is x's only neighbour. keeps(child) is the rest of the
-    membership test, given that the parent is a member.
-
-    A child is kept only if x lies in the last cell of the refinement
-    (graphs._refine) that holds a deletable vertex: the canonical deletion.
-    Refinement is equivariant and its cell order canonical, so every
-    n-vertex member G has a deletable v in that cell of its own; G - v is a
-    member, isomorphic to some parent, and the mask of v's neighbours on that
-    parent gives a child isomorphic to G in which x is the image of v and so
-    passes. Hence every isomorphism class is still reached, most children
-    are rejected before keeps and canonical_form, and the found dict removes
-    the remaining duplicates.
+    Each graph of parents(n - 1) gains a vertex x adjacent to the vertex set
+    of every mask; keeps(child) is the rest of the membership test, given
+    that the parent is in the family. A child is kept only if x is the last
+    vertex of the last cell of the refinement (graphs._refine): the
+    canonical deletion. Refinement is equivariant and its cell order
+    canonical, so every wanted G has a vertex v in that cell of its own.
+    G - v is isomorphic to some parent, and the mask of v's neighbours on it
+    gives a child isomorphic to G in which x, the image of v, is last in its
+    cell (vertices ascend within a cell) and so passes. Hence every
+    isomorphism class is reached, most children are rejected before keeps
+    and canonical_form, and the found dict removes the remaining duplicates.
 
     Cells are ordered by degree first, so x's degree k = |mask| must be the
-    largest among the child's deletable vertices. A deletable vertex of the
-    parent keeps its degree outside the mask and gains one inside it, so one
-    of degree above k, or of degree k inside a mask of two or more vertices,
-    rejects the mask before the child is built.
+    largest in the child. A parent vertex keeps its degree outside the mask
+    and gains one inside it, so one of degree above k outside the mask, or
+    of degree k or more inside it, rejects the mask before the child is
+    built.
     """
     if n < 1:
         raise GraphError("need at least one vertex")
     if n == 1:
         return (Graph(1),)
     found: dict[str, Graph] = {}
-    for parent in family(n - 1):
+    for parent in parents(n - 1):
         adj = parent.adj
-        # heavier[k]: the parent's deletable vertices of degree above k
+        # heavier[k]: the parent's vertices of degree above k
         heavier = [0] * n
         for v in range(n - 1):
-            if deletable(adj, v):
-                for k in range(adj[v].bit_count()):
-                    heavier[k] |= 1 << v
-        for mask in range(first_mask, 1 << (n - 1)):
+            for k in range(adj[v].bit_count()):
+                heavier[k] |= 1 << v
+        for mask in range(1 << (n - 1)):
             k = mask.bit_count()
-            if heavier[k] & ~mask or (k > 1 and heavier[k - 1] & mask):
+            if heavier[k] & ~mask or (k and heavier[k - 1] & mask):
                 continue
             child = _extend(parent, mask)
-            if _newest_vertex_is_canonical(child.adj, deletable) and keeps(child):
+            if _refine(child.adj, [list(range(n))])[-1][-1] == n - 1 and keeps(child):
                 canon = canonical_form(child)
                 found.setdefault(write_graph6(canon), canon)
     return tuple(found[k] for k in sorted(found))
 
 
-def _always(*_) -> bool:
+def _always(_) -> bool:
     return True
 
 
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices, one canonical copy per class."""
-    return _grow(n, all_graphs, 0, _always, _always)
+    return _grow(n, all_graphs, _always)
 
 
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> tuple[Graph, ...]:
-    """All connected graphs on exactly n vertices, canonical copies.
-
-    Extends connected parents by a vertex with a nonempty neighborhood:
-    deleting a non-cut vertex keeps a graph connected, and every connected
-    graph has one, so this reaches everything.
-    """
-    return _grow(n, connected_graphs, 1, _non_cut_vertex, _always)
+    """All connected graphs on exactly n vertices, canonical copies."""
+    return _grow(n, all_graphs, Graph.is_connected)
 
 
 def _newest_vertex_keeps_p7c4_free(g: Graph) -> bool:
@@ -206,7 +185,7 @@ def _newest_vertex_keeps_p7c4_free(g: Graph) -> bool:
 @lru_cache(maxsize=None)
 def p7c4_free_graphs(n: int) -> tuple[Graph, ...]:
     """All (P7, C4)-free graphs on exactly n vertices (hereditary closure)."""
-    return _grow(n, p7c4_free_graphs, 0, _always, _newest_vertex_keeps_p7c4_free)
+    return _grow(n, p7c4_free_graphs, _newest_vertex_keeps_p7c4_free)
 
 
 @lru_cache(maxsize=None)

@@ -283,11 +283,6 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
     return all((g.adj[v] & vm) == vm ^ (1 << v) for v in _bits(vm))
 
 
-def is_stable_set(g: Graph, vertices: Iterable[int]) -> bool:
-    vm = _mask(vertices)
-    return all(not (g.adj[v] & vm & ~(1 << v)) for v in _bits(vm))
-
-
 # ---------------------------------------------------------------------------
 # Derived graphs
 

@@ -109,10 +109,7 @@ def find_induced_pattern(g: Graph, pattern: str) -> PatternWitness | None:
 
 def find_hole(g: Graph, k: int) -> PatternWitness | None:
     """A k-hole in cycle order, or None with an exhaustive-search guarantee."""
-    if k < 4:
-        raise GraphError("holes have length at least 4")
-    got = _find_induced_cycle(g, k)
-    return PatternWitness(f"hole({k})", got) if got is not None else None
+    return find_induced_pattern(g, f"hole({k})")
 
 
 def _find_fixed_pattern(g: Graph, pat: Graph) -> tuple[int, ...] | None:

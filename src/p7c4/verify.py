@@ -68,6 +68,8 @@ def check_theorem(g: Graph, theorem: str) -> dict:
     if not cert.free:
         diag["witness"] = cert.witness.to_json()
         return _vacuous(diag, f"not a {cls} member")
+    if g.n == 0:
+        return _vacuous(diag, "empty graph")
     if theorem.startswith("C"):
         return _check_coloring_bound(g, theorem, diag)
     return _check_structure_theorem(g, theorem, diag)

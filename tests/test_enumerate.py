@@ -32,9 +32,9 @@ P7C4_FREE_COUNTS = {1: 1, 2: 2, 3: 4, 4: 10, 5: 28, 6: 100, 7: 440, 8: 2537, 9: 
 DIAMOND_CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 9, 5: 21, 6: 54, 7: 149, 8: 445}
 # members on 1..9 vertices in total, same provenance
 CLASS_TOTALS_UP_TO_9 = {"diamond-class": 2069, "kite-class": 5024, "gem-class": 7578}
-# sha256 of the graph6 lines of each corpus for n = 1..top, in output order;
-# pinned before the generator lost its connected-graph hooks, so any change
-# in which graphs come out, their canonical labelling or their order shows
+# sha256 of the graph6 lines of each corpus for n = 1..top, in output order,
+# so any change in which graphs come out, their canonical labelling or their
+# order shows
 GENERATOR_DIGESTS = {
     "all_graphs": (7, "2707648d72ebd98b9de4de74523cd690fb82f4970d2c632fc3ad82dca6752bce"),
     "connected_graphs": (8, "0ee0e0390c2379dce29772eeddd37e4c9b5e869bc6f4c6e352b9a16a852cb712"),

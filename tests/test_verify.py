@@ -4,8 +4,9 @@ import p7c4.cli as cli
 from p7c4.cli import cli_main
 from p7c4.enumerate import connected_graphs
 from p7c4.families import g1, g2, g3, g5, generate, graph_f, petersen
-from p7c4.graphs import cycle_graph, join_with_clique, write_graph6
+from p7c4.graphs import Graph, cycle_graph, join_with_clique, write_graph6
 from p7c4.verify import (
+    THEOREMS,
     VerificationRun,
     check_theorem,
     standard_blowup_corpus,
@@ -56,6 +57,13 @@ def test_check_corollaries():
         assert diag["colors_used"] <= diag["claimed_bound"]
     diag = check_theorem(g3(), "C1")
     assert diag["status"] == "vacuous"
+
+
+def test_empty_graph_is_vacuous_under_every_theorem():
+    for thm in THEOREMS:
+        diag = check_theorem(Graph(0), thm)
+        assert diag["member"] is True
+        assert (diag["status"], diag["reason"]) == ("vacuous", "empty graph")
 
 
 def test_verify_corpus_counts():
@@ -208,6 +216,18 @@ def test_cli_reads_stdin(capsys, monkeypatch):
     code = cli_main(["classify", "--class", "diamond"])
     out = capsys.readouterr().out
     assert code == 0 and json.loads(out)["result"]["free"]
+
+
+def test_cli_verify_empty_graph_from_stdin(capsys, monkeypatch):
+    import io
+
+    stdin = io.StringIO("?\n")
+    stdin.isatty = lambda: False
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = cli_main(["verify", "--theorem", "C1"])
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert code == 0
+    assert (result["total"], result["vacuous"], result["violated"]) == (1, 1, 0)
 
 
 def test_cli_family_param_passthrough(capsys):
