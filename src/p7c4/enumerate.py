@@ -12,9 +12,12 @@ before the costly membership test and canonical form.
 
 Canonical forms come from adjacency-string minimization guided by iterated
 degree refinement: candidate labelings are explored cell by cell and pruned
-against the best prefix found so far. Distinct children of one class can
-survive the test, so the canonical form still removes duplicates. Desk
-scale only, by design.
+against the best prefix found so far (McKay, "Practical graph isomorphism",
+1981). A branch vertex that is a twin of an earlier one in its cell is
+skipped: swapping the two is an automorphism fixing the partition, so its
+subtree repeats leaf strings already met and cannot change the result.
+Distinct children of one class can survive the test, so the canonical form
+still removes duplicates. Desk scale only, by design.
 """
 
 from __future__ import annotations
@@ -43,21 +46,20 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
 
     Refinement is equivariant under isomorphism, so the minimized string is
     a canonical key: two graphs get the same string iff they are isomorphic.
+    The search skips a branch vertex v that is a twin of an earlier branch
+    vertex u of the same cell (same neighbours outside {u, v}): swapping u
+    and v is an automorphism that fixes the partition, so v's subtree holds
+    the leaf strings of u's, none of them below the best already met, and
+    the permutation returned is the one the unpruned search returns.
     """
     n = g.n
-    if n <= 1:
-        return tuple(range(n))
     adj = g.adj
-    m = g.edge_count()
-    if m == 0 or m == n * (n - 1) // 2:
-        return tuple(range(n))  # empty and complete graphs are label-invariant
     best_bits: int | None = None
     best_perm: list[int] | None = None
     total = n * (n - 1) // 2
 
-    def search(cells: list[list[int]]) -> None:
+    def search(cells) -> None:
         nonlocal best_bits, best_perm
-        cells = _refine(adj, cells)
         prefix: list[int] = []
         for cell in cells:
             if len(cell) > 1:
@@ -74,12 +76,23 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
                 best_perm = prefix
             return
         pivot = next(i for i, c in enumerate(cells) if len(c) > 1)
+        branched: list[int] = []
         for v in cells[pivot]:
+            if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in branched):
+                continue
+            branched.append(v)
             rest = [u for u in cells[pivot] if u != v]
-            search(cells[:pivot] + [[v], rest] + cells[pivot + 1:])
+            search(_refine(adj, [*cells[:pivot], [v], rest, *cells[pivot + 1:]]))
 
-    search([list(range(n))])
+    search(_root_cells(adj))
     return tuple(best_perm)
+
+
+@lru_cache(maxsize=1)
+def _root_cells(adj: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    # the refinement of the unit partition, which _grow's deletion test and
+    # then canonical_form ask for, one child after the other
+    return tuple(map(tuple, _refine(adj, [list(range(len(adj)))])))
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -118,6 +131,8 @@ def _grow(n: int, parents, keeps) -> tuple[Graph, ...]:
     cell (vertices ascend within a cell) and so passes. Hence every
     isomorphism class is reached, most children are rejected before keeps
     and canonical_form, and the found dict removes the remaining duplicates.
+    As the parent is in the family, keeps looks only through x: for the
+    (P7, C4)-free graphs, at the C4s and P7s that contain x.
 
     Cells are ordered by degree first, so x's degree k = |mask| must be the
     largest in the child. A parent vertex keeps its degree outside the mask
@@ -142,7 +157,7 @@ def _grow(n: int, parents, keeps) -> tuple[Graph, ...]:
             if heavier[k] & ~mask or (k and heavier[k - 1] & mask):
                 continue
             child = _extend(parent, mask)
-            if _refine(child.adj, [list(range(n))])[-1][-1] == n - 1 and keeps(child):
+            if _root_cells(child.adj)[-1][-1] == n - 1 and keeps(child):
                 canon = canonical_form(child)
                 found.setdefault(write_graph6(canon), canon)
     return tuple(found[k] for k in sorted(found))
@@ -179,7 +194,25 @@ def _newest_vertex_keeps_p7c4_free(g: Graph) -> bool:
             for u in _bits(common):
                 if (adj[u] & common) != common ^ (1 << u):
                     return False
-    return find_induced_pattern(g, "P7") is None
+    return not _has_induced_p7_through(adj, g.n - 1)
+
+
+def _has_induced_p7_through(adj: tuple[int, ...], x: int) -> bool:
+    # an induced P7 through x has three or more vertices on one side of x:
+    # grow that arm from x first, then the other arm from x. inner is the
+    # union of the neighbourhoods of the path's inner vertices; a vertex
+    # joins at end if it sees end and no other vertex of the path
+    def grow(end: int, other: int, used: int, inner: int, size: int, first: bool) -> bool:
+        if size == 7:
+            return True
+        if first and size >= 4 and grow(other, end, used, inner, size, False):
+            return True
+        for w in _bits(adj[end] & ~adj[other] & ~used & ~inner):
+            if grow(w, other, used | 1 << w, inner | adj[end], size + 1, first):
+                return True
+        return False
+
+    return any(grow(w, x, 1 << x | 1 << w, 0, 2, True) for w in _bits(adj[x]))
 
 
 @lru_cache(maxsize=None)

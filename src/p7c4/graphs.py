@@ -245,45 +245,6 @@ def write_edge_list(g: Graph) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Vertex-set operations: N(X), M(X), complete/anticomplete
-
-
-def set_neighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """N(X): vertices outside X with a neighbor in X."""
-    xm = _mask(vertices)
-    nm = 0
-    for v in _bits(xm):
-        nm |= g.adj[v]
-    return frozenset(_bits(nm & ~xm))
-
-
-def set_nonneighborhood(g: Graph, vertices: Iterable[int]) -> frozenset[int]:
-    """M(X): vertices outside X with no neighbor in X."""
-    xm = _mask(vertices)
-    nm = 0
-    for v in _bits(xm):
-        nm |= g.adj[v]
-    return frozenset(_bits(g.full_mask() & ~xm & ~nm))
-
-
-def is_complete_to(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> bool:
-    """Every vertex of xs adjacent to every vertex of ys (self pairs ignored)."""
-    ym = _mask(ys)
-    return all((g.adj[x] & ym) == (ym & ~(1 << x)) for x in set(xs))
-
-
-def is_anticomplete_to(g: Graph, xs: Iterable[int], ys: Iterable[int]) -> bool:
-    """No edges between xs and ys (self pairs ignored)."""
-    ym = _mask(ys)
-    return all(not (g.adj[x] & ym & ~(1 << x)) for x in set(xs))
-
-
-def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    vm = _mask(vertices)
-    return all((g.adj[v] & vm) == vm ^ (1 << v) for v in _bits(vm))
-
-
-# ---------------------------------------------------------------------------
 # Derived graphs
 
 
@@ -366,6 +327,11 @@ def clique_blowup(base: Graph, sizes: list[int]) -> Graph:
 
 # ---------------------------------------------------------------------------
 # Exact oracles: clique number, chromatic number, isomorphism
+
+
+def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
+    vm = _mask(vertices)
+    return all((g.adj[v] & vm) == vm ^ (1 << v) for v in _bits(vm))
 
 
 def max_clique_size(g: Graph) -> int:

@@ -2,14 +2,16 @@
 
 The oracles here deliberately avoid the library's own search paths: pattern
 presence is decided by trying every vertex subset, cutsets by trying every
-clique, bisimplicial vertices by trying every 2-partition of a neighborhood.
+clique, bisimplicial vertices by trying every 2-partition of a neighborhood,
+and the canonical labelling by the refinement-guided search without any
+automorphism pruning.
 """
 
 from itertools import combinations
 
 import pytest
 
-from p7c4.graphs import Graph, induced_subgraph, isomorphic
+from p7c4.graphs import Graph, _refine, induced_subgraph, isomorphic
 from p7c4.patterns import pattern_graph
 
 
@@ -21,6 +23,75 @@ def brute_has_pattern(g: Graph, pattern: str) -> bool:
         isomorphic(induced_subgraph(g, subset), pat)
         for subset in combinations(range(g.n), pat.n)
     )
+
+
+def brute_p7_cover(g: Graph) -> int:
+    """Mask of the vertices that lie on some induced P7: a 7-subset induces
+    a path iff it is connected with 6 edges and maximum degree 2."""
+    cover = 0
+    for subset in combinations(range(g.n), 7):
+        m = sum(1 << v for v in subset)
+        degs = [(g.adj[v] & m).bit_count() for v in subset]
+        if sum(degs) == 12 and max(degs) == 2 and _mask_is_connected(g, m):
+            cover |= m
+    return cover
+
+
+def _mask_is_connected(g: Graph, m: int) -> bool:
+    seen = frontier = m & -m
+    while frontier:
+        v = frontier.bit_length() - 1
+        frontier &= ~(1 << v)
+        new = g.adj[v] & m & ~seen
+        seen |= new
+        frontier |= new
+    return seen == m
+
+
+def reference_canonical_permutation(g: Graph) -> tuple[int, ...]:
+    """The canonical labelling search with no pruning but by a worse prefix:
+    every vertex of a pivot cell is branched on."""
+    n = g.n
+    if n <= 1:
+        return tuple(range(n))
+    adj = g.adj
+    m = g.edge_count()
+    if m == 0 or m == n * (n - 1) // 2:
+        return tuple(range(n))
+    best_bits = best_perm = None
+    total = n * (n - 1) // 2
+
+    def perm_bits(perm, upto):
+        bits = 0
+        for j in range(1, upto):
+            for i in range(j):
+                bits = bits << 1 | (adj[perm[j]] >> perm[i] & 1)
+        return bits
+
+    def search(cells):
+        nonlocal best_bits, best_perm
+        cells = _refine(adj, cells)
+        prefix = []
+        for cell in cells:
+            if len(cell) > 1:
+                break
+            prefix.append(cell[0])
+        if best_bits is not None and len(prefix) > 1:
+            plen = len(prefix) * (len(prefix) - 1) // 2
+            if perm_bits(prefix, len(prefix)) > best_bits >> (total - plen):
+                return
+        if len(prefix) == n:
+            bits = perm_bits(prefix, n)
+            if best_bits is None or bits < best_bits:
+                best_bits, best_perm = bits, prefix
+            return
+        pivot = next(i for i, c in enumerate(cells) if len(c) > 1)
+        for v in cells[pivot]:
+            rest = [u for u in cells[pivot] if u != v]
+            search(cells[:pivot] + [[v], rest] + cells[pivot + 1:])
+
+    search([list(range(n))])
+    return tuple(best_perm)
 
 
 def brute_max_clique(g: Graph) -> int:

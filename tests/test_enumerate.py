@@ -2,11 +2,14 @@ import hashlib
 
 import pytest
 
-from conftest import brute_has_pattern
+import p7c4.enumerate as enumerate_module
+from conftest import brute_has_pattern, brute_p7_cover, reference_canonical_permutation
 from p7c4.enumerate import (
+    _has_induced_p7_through,
     all_graphs,
     canonical_form,
     canonical_key,
+    canonical_permutation,
     class_members,
     connected_graphs,
     p7c4_free_graphs,
@@ -15,6 +18,7 @@ from p7c4.families import petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
+    clique_blowup,
     complete_graph,
     cycle_graph,
     isomorphic,
@@ -107,6 +111,57 @@ def test_canonical_key_is_isomorphism_invariant():
     assert canonical_key(cycle_graph(6)) != canonical_key(
         Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     )
+
+
+def _star(k):
+    return Graph(k + 1, [(0, i) for i in range(1, k + 1)])
+
+
+def _complete_multipartite(*sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
+
+
+TWIN_RICH = (
+    [_star(k) for k in range(1, 8)]
+    + [_complete_multipartite(*sizes) for sizes in ((3, 3), (2, 2, 2), (1, 2, 3), (2, 3, 3), (1, 1, 2, 3))]
+    + [clique_blowup(cycle_graph(5), [3, 1, 2, 1, 2]), clique_blowup(cycle_graph(5), [2] * 5)]
+)
+
+
+def test_twin_pruning_keeps_the_canonical_permutation():
+    # the pruned search must return the very labelling the unpruned one does,
+    # also when the input is not already in canonical order
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)] + TWIN_RICH
+    for g in graphs:
+        flipped = Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+        for h in (g, flipped):
+            assert canonical_permutation(h) == reference_canonical_permutation(h), write_graph6(h)
+
+
+@pytest.mark.parametrize("k", [9, 20, 100])
+def test_star_canonical_form_refines_linearly(k, monkeypatch):
+    # the leaves of K1,k are pairwise twins: one branch per level, where the
+    # unpruned search made 623,530 refinements for K1,9 alone
+    real = enumerate_module._refine
+    calls = []
+
+    def counting(adj, cells):
+        calls.append(1)
+        return real(adj, cells)
+
+    monkeypatch.setattr(enumerate_module, "_refine", counting)
+    assert canonical_form(_star(k)).degrees() == (1,) * k + (k,)
+    assert len(calls) <= k + 1
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_anchored_p7_search_matches_bruteforce(n):
+    for g in connected_graphs(n):
+        cover = brute_p7_cover(g)
+        for x in range(n):
+            assert _has_induced_p7_through(g.adj, x) == bool(cover >> x & 1), (write_graph6(g), x)
 
 
 def test_canonical_form_is_isomorphic_relabeling(small_graphs):

@@ -15,16 +15,12 @@ from p7c4.graphs import (
     find_isomorphism,
     graph_stats,
     induced_subgraph,
-    is_anticomplete_to,
-    is_complete_to,
     isomorphic,
     join_with_clique,
     max_clique_size,
     parse_edge_list,
     parse_graph6,
     path_graph,
-    set_neighborhood,
-    set_nonneighborhood,
     write_edge_list,
     write_graph6,
 )
@@ -257,15 +253,6 @@ def test_isomorphic_petersen_vs_f():
     f = graph_f()
     assert sorted(f.degrees()) == [3] * 8 + [4, 4]
     assert not isomorphic(petersen(), f)
-
-
-def test_vertex_set_operations():
-    c7 = cycle_graph(7)
-    assert set_neighborhood(c7, [0]) == {1, 6}
-    assert set_nonneighborhood(c7, [0]) == {2, 3, 4, 5}
-    assert is_complete_to(complete_graph(4), [0, 1], [2, 3])
-    assert is_anticomplete_to(empty_graph(4), [0, 1], [2, 3])
-    assert not is_complete_to(c7, [0], [1, 2])
 
 
 def test_graph_stats():
