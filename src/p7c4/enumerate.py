@@ -199,9 +199,9 @@ def _newest_vertex_keeps_p7c4_free(g: Graph) -> bool:
 
 def _has_induced_p7_through(adj: tuple[int, ...], x: int) -> bool:
     # an induced P7 through x has three or more vertices on one side of x:
-    # grow that arm from x first, then the other arm from x. inner is the
-    # union of the neighbourhoods of the path's inner vertices; a vertex
-    # joins at end if it sees end and no other vertex of the path
+    # grow that arm from x first, then the other arm from x. A vertex joins
+    # at end if it is off the path, sees end and sees neither the far end
+    # other nor an inner vertex (inner: the union of their neighbourhoods)
     def grow(end: int, other: int, used: int, inner: int, size: int, first: bool) -> bool:
         if size == 7:
             return True
