@@ -25,13 +25,14 @@ from .graphs import (
     Graph,
     GraphError,
     _bits,
+    _components,
     exact_coloring,
     induced_subgraph,
     max_clique_size,
     write_graph6,
 )
 from .patterns import class_membership, class_third_pattern
-from .structure import COLORING_BOUNDS, BlowupCertificate, find_clique_cutset, theorem_case
+from .structure import COLORING_BOUNDS, BlowupCertificate, TheoremCase, _find_cutset, theorem_case
 
 
 class StructuralContradiction(RuntimeError):
@@ -166,44 +167,73 @@ def _merge_on_cutset(left: dict[int, int], right: dict[int, int], cutset) -> tup
     return merged, perm
 
 
-def _color(sub: Graph, labels: tuple[int, ...], class_name: str) -> tuple[dict[int, int], int, list[dict]]:
-    """Coloring of sub under labels, the clique number of sub, trace steps."""
-    if sub.n == 1:
-        return {labels[0]: 1}, 1, [{"step": "single-vertex", "vertex": labels[0]}]
-    comps = sub.components()
-    if len(comps) > 1:
-        assign: dict[int, int] = {}
-        omega = 0
-        steps: list[dict] = []
-        for comp in sorted(comps, key=min):
-            block = sorted(comp)
-            a, w, ss = _color(induced_subgraph(sub, block), tuple(labels[b] for b in block), class_name)
-            assign.update(a)
-            omega = max(omega, w)
-            steps.extend(ss)
-        steps.append({"step": "components-merge", "count": len(comps)})
-        return assign, omega, steps
-    split = find_clique_cutset(sub)
-    if split is not None:
-        cut_labels = sorted(labels[v] for v in split.cutset)
+def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, list[dict]]:
+    """Coloring of the vertex mask block of g, its clique number, trace steps.
 
-        def color_block(side):
-            block = sorted(side | split.cutset)
-            return _color(induced_subgraph(sub, block), tuple(labels[b] for b in block), class_name)
+    One work stack stands in for the recursion over components, clique
+    cutsets and eliminated vertices. A finished block leaves its coloring
+    and clique number on the done stack, for the task pushed below its
+    children to merge; trace steps come out in post-order.
+    """
+    adj = g.adj
+    steps: list[dict] = []
+    done: list[tuple[dict[int, int], int]] = []
+    work: list[tuple] = [("block", block)]
+    while work:
+        kind, mask, *rest = work.pop()
+        if kind == "components":
+            parts = done[-mask:]
+            del done[-mask:]
+            done.append(({v: c for a, _ in parts for v, c in a.items()}, max(w for _, w in parts)))
+            steps.append({"step": "components-merge", "count": mask})
+            continue
+        if kind == "cutset":
+            (la, wa), (lb, wb) = done.pop(-2), done.pop()
+            cut_labels = list(_bits(mask))
+            merged, perm = _merge_on_cutset(la, lb, cut_labels)
+            done.append((merged, max(wa, wb)))
+            steps.append({"step": "cutset-merge", "cutset": cut_labels, "permutation": perm})
+            continue
+        if kind == "eliminate":
+            v, budget, omega = rest
+            assign = done[-1][0]
+            assign[v] = _eliminate(g, mask, assign, v, budget, class_name)
+            done[-1] = (assign, omega)
+            steps.append({"step": "eliminate-vertex", "vertex": v, "color": assign[v]})
+            continue
+        if not mask & mask - 1:
+            v = mask.bit_length() - 1
+            done.append(({v: 1}, 1))
+            steps.append({"step": "single-vertex", "vertex": v})
+            continue
+        comps = _components(adj, mask)
+        if len(comps) > 1:
+            work.append(("components", len(comps)))
+            work += [("block", c) for c in reversed(comps)]
+            continue
+        found = _find_cutset(adj, mask)
+        if found is not None:
+            # every clique lies inside one of the two blocks
+            cut, side_a, side_b = found
+            work += [("cutset", cut), ("block", side_b | cut), ("block", side_a | cut)]
+            continue
+        labels = list(_bits(mask))
+        sub = induced_subgraph(g, labels)
+        omega = max_clique_size(sub)
+        case = theorem_case(sub, class_name, omega)
+        if case.kind == "eliminate":
+            v = labels[case.vertex]
+            work += [("eliminate", mask, v, case.budget, omega), ("block", mask ^ 1 << v)]
+        else:
+            assign, atom_steps = _color_case(sub, labels, case, class_name)
+            done.append((assign, omega))
+            steps += atom_steps
+    (assign, omega), = done
+    return assign, omega, steps
 
-        # every clique lies inside one of the two blocks
-        la, wa, sa = color_block(split.side_a)
-        lb, wb, sb = color_block(split.side_b)
-        merged, perm = _merge_on_cutset(la, lb, cut_labels)
-        steps = sa + sb + [{"step": "cutset-merge", "cutset": cut_labels, "permutation": perm}]
-        return merged, max(wa, wb), steps
-    return _color_case(sub, labels, class_name)
 
-
-def _color_case(sub: Graph, labels: tuple[int, ...], class_name: str):
+def _color_case(sub: Graph, labels: list[int], case: TheoremCase, class_name: str):
     """Turn the structure theorem's verdict on a cutset-free block into steps."""
-    omega = max_clique_size(sub)
-    case = theorem_case(sub, class_name, omega)
     if case.kind == "petersen":
         assign, steps = _petersen_steps(case.iso, labels)
     elif case.kind == "clique-base":
@@ -211,7 +241,7 @@ def _color_case(sub: Graph, labels: tuple[int, ...], class_name: str):
         steps = [{"step": "clique-base", "assignment": sorted(assign.items())}]
     elif case.kind == "peeled-petersen":
         rem = sorted(case.peel.remainder)
-        assign, steps = _petersen_steps(case.iso, tuple(labels[v] for v in rem))
+        assign, steps = _petersen_steps(case.iso, [labels[v] for v in rem])
         peeled = sorted(set(range(sub.n)) - case.peel.remainder)
         peel_items = [(labels[v], 4 + i) for i, v in enumerate(peeled)]
         assign.update(dict(peel_items))
@@ -220,11 +250,9 @@ def _color_case(sub: Graph, labels: tuple[int, ...], class_name: str):
         assign_local, _ = _petersen_cover_assignment(case.blowup)
         assign = {labels[v]: c for v, c in assign_local.items()}
         steps = [{"step": "blowup-color", "assignment": sorted(assign.items())}]
-    elif case.kind == "eliminate":
-        assign, steps = _eliminate(sub, labels, case.vertex, case.budget, class_name)
     else:
         raise StructuralContradiction(class_name, sub, case.detail)
-    return assign, omega, steps
+    return assign, steps
 
 
 def _petersen_steps(iso: dict[int, int], labels):
@@ -232,20 +260,16 @@ def _petersen_steps(iso: dict[int, int], labels):
     return assign, [{"step": "exceptional-graph", "name": "Petersen", "assignment": sorted(assign.items())}]
 
 
-def _eliminate(sub: Graph, labels, v: int, budget: int, class_name: str):
-    rest = [u for u in range(sub.n) if u != v]
-    assign, _, steps = _color(induced_subgraph(sub, rest), tuple(labels[u] for u in rest), class_name)
-    used = {assign[labels[u]] for u in _bits(sub.adj[v])}
+def _eliminate(g: Graph, block: int, assign: dict[int, int], v: int, budget: int, class_name: str) -> int:
+    """Greedy color of v once the rest of the block is colored by assign."""
+    used = {assign[u] for u in _bits(g.adj[v] & block)}
     c = 1
     while c in used:
         c += 1
     if c > budget:
-        raise StructuralContradiction(
-            class_name, sub, f"vertex {labels[v]} needs color {c}, above the budget {budget}"
-        )
-    assign[labels[v]] = c
-    steps.append({"step": "eliminate-vertex", "vertex": labels[v], "color": c})
-    return assign, steps
+        sub = induced_subgraph(g, _bits(block))
+        raise StructuralContradiction(class_name, sub, f"vertex {v} needs color {c}, above the budget {budget}")
+    return c
 
 
 def _class_color(g: Graph, class_name: str) -> ColoringCertificate:
@@ -261,7 +285,7 @@ def _color_member(g: Graph, class_name: str) -> ColoringCertificate:
     """Validated certificate for a graph already known to be a class member."""
     if g.n == 0:
         raise GraphError("cannot color the empty graph")
-    assign, omega, steps = _color(g, tuple(range(g.n)), class_name)
+    assign, omega, steps = _color(g, g.full_mask(), class_name)
     out = ColoringCertificate(
         assignment=assign,
         colors_used=max(assign.values()),

@@ -80,22 +80,7 @@ class Graph:
         return (1 << self.n) - 1
 
     def components(self) -> list[frozenset[int]]:
-        seen = 0
-        out = []
-        for s in range(self.n):
-            if seen >> s & 1:
-                continue
-            comp = 1 << s
-            frontier = comp
-            while frontier:
-                grow = 0
-                for v in _bits(frontier):
-                    grow |= self.adj[v]
-                frontier = grow & ~comp
-                comp |= grow
-            seen |= comp
-            out.append(frozenset(_bits(comp)))
-        return out
+        return [frozenset(_bits(c)) for c in _components(self.adj, self.full_mask())]
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
@@ -120,6 +105,27 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _component(adj, start: int, allowed: int) -> int:
+    """Mask of the vertices reached from the mask start inside the mask allowed."""
+    comp = frontier = start
+    while frontier:
+        grow = 0
+        for v in _bits(frontier):
+            grow |= adj[v]
+        frontier = grow & allowed & ~comp
+        comp |= frontier
+    return comp
+
+
+def _components(adj, mask: int) -> list[int]:
+    """Masks of the components of the subgraph induced on mask, by lowest vertex."""
+    out = []
+    while mask:
+        out.append(_component(adj, mask & -mask, mask))
+        mask &= ~out[-1]
+    return out
 
 
 def _mask(vertices: Iterable[int]) -> int:
@@ -330,8 +336,11 @@ def clique_blowup(base: Graph, sizes: list[int]) -> Graph:
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    vm = _mask(vertices)
-    return all((g.adj[v] & vm) == vm ^ (1 << v) for v in _bits(vm))
+    return _is_clique_mask(g.adj, _mask(vertices))
+
+
+def _is_clique_mask(adj, mask: int) -> bool:
+    return all(adj[v] & mask == mask ^ 1 << v for v in _bits(mask))
 
 
 def max_clique_size(g: Graph) -> int:

@@ -8,11 +8,20 @@ deterministic and test-stable.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .families import graph_f, petersen
-from .graphs import Graph, GraphError, _bits, _mask, find_isomorphism, induced_subgraph, is_clique
+from .graphs import (
+    Graph,
+    GraphError,
+    _bits,
+    _component,
+    _is_clique_mask,
+    _mask,
+    find_isomorphism,
+    induced_subgraph,
+    is_clique,
+)
 from .patterns import class_third_pattern
 
 
@@ -46,45 +55,90 @@ def validate_split(g: Graph, split: CliqueCutsetSplit) -> None:
         raise GraphError("edges cross between the two sides")
 
 
-def _mcsm(g: Graph) -> tuple[list[int], list[int]]:
-    """MCS-M: a minimal elimination ordering plus its fill-in.
+def _mcsm(adj, block: int) -> tuple[list[int], list[int]]:
+    """MCS-M on the vertices of the mask block: a minimal elimination
+    ordering plus its fill-in (Berry, Blair, Heggernes & Peyton, 2004).
 
-    Returns (sigma, fill_adj) where sigma[k] is the vertex at position k+1
-    of the ordering and fill_adj are adjacency masks of the filled graph.
+    adj holds one adjacency mask per vertex of the whole graph. Returns
+    (sigma, fill) where sigma lists block's vertices, sigma[k] at position
+    k+1 of the ordering, and fill[v] is v's adjacency mask in the filled
+    graph for each v in block. The next vertex is the lowest one of the
+    highest non-empty weight bucket. An unnumbered u gains weight (and a
+    fill edge to v) iff some path from v to u has all its internal vertices
+    unnumbered and lighter than u. The search for such paths visits weight
+    levels upwards and stops below the heaviest unnumbered weight, which
+    no path can beat.
     """
-    n = g.n
-    weights = [0] * n
-    numbered = [False] * n
-    sigma = [0] * n
-    fill_adj = list(g.adj)
-    for slot in range(n - 1, -1, -1):
-        v = max((u for u in range(n) if not numbered[u]), key=lambda u: (weights[u], -u))
-        # minimax internal weight of unnumbered paths into v
-        best = {}
-        heap = []
-        for u in _bits(g.adj[v]):
-            if not numbered[u]:
-                best[u] = -1
-                heapq.heappush(heap, (-1, u))
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > best.get(u, n):
-                continue
-            for w in _bits(g.adj[u]):
-                if numbered[w] or w == v:
-                    continue
-                nd = max(d, weights[u])
-                if nd < best.get(w, n):
-                    best[w] = nd
-                    heapq.heappush(heap, (nd, w))
-        for u, d in best.items():
-            if d < weights[u]:
-                weights[u] += 1
-                fill_adj[u] |= 1 << v
-                fill_adj[v] |= 1 << u
-        numbered[v] = True
-        sigma[slot] = v
-    return sigma, fill_adj
+    fill = list(adj)
+    weight = [0] * len(adj)
+    buckets = [0] * (block.bit_count() + 1)  # buckets[w]: the unnumbered vertices of weight w
+    buckets[0] = unnumbered = block
+    top = 0
+    order = []
+    while unnumbered:
+        bit = buckets[top] & -buckets[top]
+        v = bit.bit_length() - 1
+        buckets[top] ^= bit
+        unnumbered ^= bit
+        while top and not buckets[top]:
+            top -= 1
+        reached = gain = adj[v] & unnumbered
+        lighter = expanded = 0
+        for level in range(top):
+            lighter |= buckets[level]
+            frontier = reached & lighter & ~expanded
+            while frontier:
+                expanded |= frontier
+                grow = 0
+                while frontier:
+                    low = frontier & -frontier
+                    grow |= adj[low.bit_length() - 1]
+                    frontier ^= low
+                new = grow & unnumbered & ~reached
+                reached |= new
+                gain |= new & ~lighter
+                frontier = new & lighter
+        fill[v] |= gain
+        while gain:
+            low = gain & -gain
+            u = low.bit_length() - 1
+            gain ^= low
+            w = weight[u]
+            weight[u] = w + 1
+            buckets[w] ^= low
+            buckets[w + 1] |= low
+            fill[u] |= bit
+        if buckets[top + 1]:
+            top += 1
+        order.append(v)
+    order.reverse()
+    return order, fill
+
+
+def _find_cutset(adj, block: int) -> tuple[int, int, int] | None:
+    """Masks (cutset, side_a, side_b) of a clique cutset of the connected
+    vertex mask block, or None.
+
+    Scans a minimal elimination ordering (Tarjan, "Decomposition by clique
+    separators", 1985): the first v in sigma whose later filled neighbours
+    form a clique that cuts v's component off from the rest gives the split,
+    and by the classical decomposition theorem the scan finds a clique
+    separator whenever one exists. side_a is the component of v.
+    """
+    if _is_clique_mask(adj, block):
+        return None
+    sigma, fill = _mcsm(adj, block)
+    later = block
+    for v in sigma:
+        later ^= 1 << v
+        cut = fill[v] & later
+        if not _is_clique_mask(adj, cut):
+            continue
+        comp = _component(adj, 1 << v, block & ~cut)
+        rest = block & ~comp & ~cut
+        if rest:
+            return cut, comp, rest
+    return None
 
 
 def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
@@ -95,36 +149,12 @@ def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
     """
     if not g.is_connected():
         raise GraphError("clique cutset search requires a connected graph")
-    n = g.n
-    if n <= 2:
+    found = _find_cutset(g.adj, g.full_mask())
+    if found is None:
         return None
-    sigma, fill_adj = _mcsm(g)
-    later = g.full_mask()
-    for v in sigma:
-        later ^= 1 << v
-        cmask = fill_adj[v] & later
-        if not is_clique(g, _bits(cmask)):
-            continue
-        # component of v in g minus the candidate cutset
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            grow = 0
-            for u in _bits(frontier):
-                grow |= g.adj[u]
-            grow &= ~cmask
-            frontier = grow & ~comp
-            comp |= grow
-        rest = g.full_mask() & ~comp & ~cmask
-        if rest:
-            split = CliqueCutsetSplit(
-                cutset=frozenset(_bits(cmask)),
-                side_a=frozenset(_bits(comp)),
-                side_b=frozenset(_bits(rest)),
-            )
-            validate_split(g, split)
-            return split
-    return None
+    split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in found))
+    validate_split(g, split)
+    return split
 
 
 def has_clique_cutset_bruteforce(g: Graph) -> bool:
@@ -148,7 +178,8 @@ class AtomDecomposition:
     """Binary tree of clique-cutset splits; leaves are cutset-free atoms.
 
     All vertex sets refer to the original graph's labels. An internal node
-    has split/left/right set; a leaf has atom set.
+    has split/left/right set; a leaf has atom set. Deep inputs give trees
+    deeper than Python's recursion limit, so the walks below use a stack.
     """
 
     split: CliqueCutsetSplit | None = None
@@ -156,52 +187,54 @@ class AtomDecomposition:
     right: "AtomDecomposition | None" = None
     atom: frozenset[int] | None = None
 
+    def _preorder(self):
+        """(node, depth) pairs, each left subtree before its right one."""
+        stack = [(self, 0)]
+        while stack:
+            node, d = stack.pop()
+            yield node, d
+            if node.atom is None:
+                stack += ((node.right, d + 1), (node.left, d + 1))
+
     def leaves(self) -> list[frozenset[int]]:
-        if self.atom is not None:
-            return [self.atom]
-        return self.left.leaves() + self.right.leaves()
+        return [node.atom for node, _ in self._preorder() if node.atom is not None]
 
     def depth(self) -> int:
-        if self.atom is not None:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+        return max(d for _, d in self._preorder())
 
     def to_json(self) -> dict:
-        if self.atom is not None:
-            return {"atom": sorted(self.atom)}
-        return {
-            "split": self.split.to_json(),
-            "left": self.left.to_json(),
-            "right": self.right.to_json(),
-        }
+        root: dict = {}
+        stack = [(self, root)]
+        while stack:
+            node, out = stack.pop()
+            if node.atom is not None:
+                out["atom"] = sorted(node.atom)
+                continue
+            out["split"] = node.split.to_json()
+            out["left"], out["right"] = {}, {}
+            stack += ((node.left, out["left"]), (node.right, out["right"]))
+        return root
 
 
 def decompose_into_atoms(g: Graph) -> AtomDecomposition:
-    """Recursive clique-cutset decomposition down to cutset-free atoms."""
+    """Clique-cutset decomposition of a connected graph down to cutset-free
+    atoms: split by the first cutset of the MCS-M scan, then decompose
+    side_a plus the cutset (left) and side_b plus the cutset (right)."""
     if not g.is_connected():
         raise GraphError("atom decomposition requires a connected graph")
-    return _decompose(g, tuple(range(g.n)))
-
-
-def _decompose(sub: Graph, labels: tuple[int, ...]) -> AtomDecomposition:
-    split = find_clique_cutset(sub)
-    if split is None:
-        return AtomDecomposition(atom=frozenset(labels))
-    lifted = CliqueCutsetSplit(
-        cutset=frozenset(labels[v] for v in split.cutset),
-        side_a=frozenset(labels[v] for v in split.side_a),
-        side_b=frozenset(labels[v] for v in split.side_b),
-    )
-
-    def block_child(side: frozenset[int]) -> AtomDecomposition:
-        block = sorted(side | split.cutset)
-        return _decompose(induced_subgraph(sub, block), tuple(labels[v] for v in block))
-
-    return AtomDecomposition(
-        split=lifted,
-        left=block_child(split.side_a),
-        right=block_child(split.side_b),
-    )
+    root = AtomDecomposition()
+    stack = [(root, g.full_mask())]
+    while stack:
+        node, block = stack.pop()
+        found = _find_cutset(g.adj, block)
+        if found is None:
+            node.atom = frozenset(_bits(block))
+            continue
+        cut, side_a, side_b = found
+        node.split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in found))
+        node.left, node.right = AtomDecomposition(), AtomDecomposition()
+        stack += ((node.right, side_b | cut), (node.left, side_a | cut))
+    return root
 
 
 @dataclass(frozen=True)

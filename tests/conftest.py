@@ -4,14 +4,17 @@ The oracles here deliberately avoid the library's own search paths: pattern
 presence is decided by trying every vertex subset, cutsets by trying every
 clique, bisimplicial vertices by trying every 2-partition of a neighborhood,
 and the canonical labelling by the refinement-guided search without any
-automorphism pruning.
+automorphism pruning. MCS-M and the atom decomposition have references in
+their first, plainer form: a heap search over every unnumbered vertex, and
+one recursion per split on relabelled induced subgraphs.
 """
 
+import heapq
 from itertools import combinations
 
 import pytest
 
-from p7c4.graphs import Graph, _refine, induced_subgraph, isomorphic
+from p7c4.graphs import Graph, _bits, _refine, induced_subgraph, is_clique, isomorphic
 from p7c4.patterns import pattern_graph
 
 
@@ -94,6 +97,89 @@ def reference_canonical_permutation(g: Graph) -> tuple[int, ...]:
     return tuple(best_perm)
 
 
+def reference_mcsm(g: Graph) -> tuple[list[int], list[int]]:
+    """MCS-M with a linear scan for the heaviest vertex (ties to the lowest
+    index) and an unpruned minimax path search from each numbered vertex."""
+    n = g.n
+    weights = [0] * n
+    numbered = [False] * n
+    sigma = [0] * n
+    fill_adj = list(g.adj)
+    for slot in range(n - 1, -1, -1):
+        v = max((u for u in range(n) if not numbered[u]), key=lambda u: (weights[u], -u))
+        best = {}
+        heap = []
+        for u in _bits(g.adj[v]):
+            if not numbered[u]:
+                best[u] = -1
+                heapq.heappush(heap, (-1, u))
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > best.get(u, n):
+                continue
+            for w in _bits(g.adj[u]):
+                if numbered[w] or w == v:
+                    continue
+                nd = max(d, weights[u])
+                if nd < best.get(w, n):
+                    best[w] = nd
+                    heapq.heappush(heap, (nd, w))
+        for u, d in best.items():
+            if d < weights[u]:
+                weights[u] += 1
+                fill_adj[u] |= 1 << v
+                fill_adj[v] |= 1 << u
+        numbered[v] = True
+        sigma[slot] = v
+    return sigma, fill_adj
+
+
+def _reference_cutset(g: Graph):
+    """(cutset, side_a, side_b) vertex lists from the scan of reference_mcsm."""
+    if g.n <= 2:
+        return None
+    sigma, fill_adj = reference_mcsm(g)
+    later = g.full_mask()
+    for v in sigma:
+        later ^= 1 << v
+        cmask = fill_adj[v] & later
+        if not is_clique(g, _bits(cmask)):
+            continue
+        comp = frontier = 1 << v
+        while frontier:
+            grow = 0
+            for u in _bits(frontier):
+                grow |= g.adj[u]
+            grow &= ~cmask
+            frontier = grow & ~comp
+            comp |= grow
+        rest = g.full_mask() & ~comp & ~cmask
+        if rest:
+            return list(_bits(cmask)), list(_bits(comp)), list(_bits(rest))
+    return None
+
+
+def reference_decompose(g: Graph, labels=None) -> dict:
+    """The atom tree of a connected graph as AtomDecomposition.to_json gives
+    it, by recursion on induced subgraphs relabelled 0..k-1."""
+    labels = tuple(range(g.n)) if labels is None else labels
+    split = _reference_cutset(g)
+    if split is None:
+        return {"atom": sorted(labels)}
+    cutset, side_a, side_b = split
+
+    def block_child(side):
+        block = sorted(side + cutset)
+        return reference_decompose(induced_subgraph(g, block), tuple(labels[v] for v in block))
+
+    return {
+        "split": {name: sorted(labels[v] for v in part)
+                  for name, part in (("cutset", cutset), ("side_a", side_a), ("side_b", side_b))},
+        "left": block_child(side_a),
+        "right": block_child(side_b),
+    }
+
+
 def brute_max_clique(g: Graph) -> int:
     best = 1
     for k in range(2, g.n + 1):
@@ -119,6 +205,17 @@ def brute_is_bisimplicial(g: Graph, v: int) -> bool:
 
 def _is_clique(g: Graph, vs) -> bool:
     return all(g.has_edge(u, v) for u, v in combinations(vs, 2))
+
+
+def spider(legs: int) -> Graph:
+    """A centre 0 with `legs` paths of two edges: 0 - 2i+1 - 2i+2."""
+    return Graph(1 + 2 * legs, [e for i in range(legs) for e in ((0, 2 * i + 1), (2 * i + 1, 2 * i + 2))])
+
+
+def windmill(blades: int) -> Graph:
+    """`blades` triangles sharing the centre 0."""
+    return Graph(1 + 2 * blades, [e for i in range(blades)
+                                  for e in ((0, 2 * i + 1), (0, 2 * i + 2), (2 * i + 1, 2 * i + 2))])
 
 
 def c7_plus(*attachments, extra_edges=()):

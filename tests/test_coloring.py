@@ -165,13 +165,13 @@ def test_structural_contradiction_surfaces_loudly():
     g = g2([2] * 7)
     for class_name in COLORERS:
         with pytest.raises(StructuralContradiction) as exc:
-            _color(g, tuple(range(g.n)), class_name)
+            _color(g, g.full_mask(), class_name)
         assert exc.value.graph6
         assert exc.value.detail
     # an elimination whose greedy color overshoots its budget is refused too,
-    # also under python -O
+    # also under python -O: vertex 1 of the path 0-1-2 sees color 1 twice
     with pytest.raises(StructuralContradiction) as exc:
-        _eliminate(path_graph(3), (0, 1, 2), 1, 1, "diamond-class")
+        _eliminate(path_graph(3), 0b111, {0: 1, 2: 1}, 1, 1, "diamond-class")
     assert "budget 1" in exc.value.detail
 
 

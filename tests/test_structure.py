@@ -26,12 +26,13 @@ from p7c4.structure import (
     peel_universal_clique,
     recognize_clique_blowup,
     recognize_fixed,
+    _mcsm,
     split_into_two_cliques,
     theorem_case,
     validate_split,
 )
 
-from conftest import brute_is_bisimplicial
+from conftest import brute_is_bisimplicial, reference_decompose, reference_mcsm, spider, windmill
 
 
 def test_cutset_examples():
@@ -110,6 +111,25 @@ def test_decompose_children_cover_split():
     assert left_vertices == tree.split.side_a | tree.split.cutset
     assert right_vertices == tree.split.side_b | tree.split.cutset
     assert tree.depth() >= 1
+
+
+def _reference_cases():
+    yield from (path_graph(k) for k in range(1, 41))
+    yield from (cycle_graph(k) for k in range(3, 41))
+    yield from (spider(k) for k in range(1, 41))
+    yield from (windmill(k) for k in range(1, 41))
+    for sizes in ([1] * 7, [2] * 7, [1, 2, 3, 1, 2, 3, 4], [3, 1, 1, 2, 1, 1, 2]):
+        yield clique_blowup(cycle_graph(7), sizes)
+    for sizes in ([1] * 10, [2] * 10, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1], [3, 1, 1, 1, 2, 1, 1, 1, 1, 2]):
+        yield clique_blowup(petersen(), sizes)
+
+
+def test_mcsm_and_atoms_match_reference(connected_upto7):
+    # the bucket queue and the pruned search give the reference ordering and
+    # fill, and the stacked decomposition its split tree
+    for g in [*connected_upto7, *_reference_cases()]:
+        assert _mcsm(g.adj, g.full_mask()) == reference_mcsm(g), g
+        assert decompose_into_atoms(g).to_json() == reference_decompose(g), g
 
 
 def test_g3_is_a_single_atom():
