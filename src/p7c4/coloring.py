@@ -1,6 +1,6 @@
 """Certified colorings realizing the three class bounds.
 
-The recursion mirrors the inductive structure of the bound proofs:
+The coloring mirrors the inductive structure of the bound proofs:
 components are colored independently, clique cutsets split and merge, and
 each cutset-free block is handed to structure.theorem_case, the same engine
 verify checks: the Petersen graph gets a stored coloring, a peeled clique or
@@ -180,27 +180,29 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     done: list[tuple[dict[int, int], int]] = []
     work: list[tuple] = [("block", block)]
     while work:
-        kind, mask, *rest = work.pop()
+        kind, *args = work.pop()
         if kind == "components":
-            parts = done[-mask:]
-            del done[-mask:]
+            (count,) = args
+            parts = done[-count:]
+            del done[-count:]
             done.append(({v: c for a, _ in parts for v, c in a.items()}, max(w for _, w in parts)))
-            steps.append({"step": "components-merge", "count": mask})
+            steps.append({"step": "components-merge", "count": count})
             continue
         if kind == "cutset":
             (la, wa), (lb, wb) = done.pop(-2), done.pop()
-            cut_labels = list(_bits(mask))
+            cut_labels = list(_bits(args[0]))
             merged, perm = _merge_on_cutset(la, lb, cut_labels)
             done.append((merged, max(wa, wb)))
             steps.append({"step": "cutset-merge", "cutset": cut_labels, "permutation": perm})
             continue
         if kind == "eliminate":
-            v, budget, omega = rest
+            atom, v, budget, omega = args
             assign = done[-1][0]
-            assign[v] = _eliminate(g, mask, assign, v, budget, class_name)
+            assign[v] = _eliminate(g, atom, assign, v, budget, class_name)
             done[-1] = (assign, omega)
             steps.append({"step": "eliminate-vertex", "vertex": v, "color": assign[v]})
             continue
+        (mask,) = args
         if not mask & mask - 1:
             v = mask.bit_length() - 1
             done.append(({v: 1}, 1))

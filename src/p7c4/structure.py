@@ -120,7 +120,7 @@ def _find_cutset(adj, block: int) -> tuple[int, int, int] | None:
     vertex mask block, or None.
 
     Scans a minimal elimination ordering (Tarjan, "Decomposition by clique
-    separators", 1985): the first v in sigma whose later filled neighbours
+    separators", 1985): the first v in sigma whose later filled neighbors
     form a clique that cuts v's component off from the rest gives the split,
     and by the classical decomposition theorem the scan finds a clique
     separator whenever one exists. side_a is the component of v.

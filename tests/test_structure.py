@@ -19,6 +19,7 @@ from p7c4.graphs import (
 )
 from p7c4.patterns import class_membership
 from p7c4.structure import (
+    _mcsm,
     decompose_into_atoms,
     find_bisimplicial,
     find_clique_cutset,
@@ -26,7 +27,6 @@ from p7c4.structure import (
     peel_universal_clique,
     recognize_clique_blowup,
     recognize_fixed,
-    _mcsm,
     split_into_two_cliques,
     theorem_case,
     validate_split,
