@@ -113,29 +113,40 @@ def find_hole(g: Graph, k: int) -> PatternWitness | None:
 
 
 def _find_fixed_pattern(g: Graph, pat: Graph) -> tuple[int, ...] | None:
-    """Backtracking over partial maps with adjacency/non-adjacency pruning."""
+    """Backtracking over partial maps with forward checking.
+
+    Every pattern vertex keeps a candidate mask; placing a vertex narrows the
+    mask of each later pattern vertex to its neighbours or non-neighbours, and
+    a branch stops as soon as one later mask is empty. Plain backtracking
+    would visit the same candidates in the same order and only fail deeper,
+    so the first complete map, the lex-least one, is unchanged. A tree is
+    rejected for the gem at the second vertex (the apex has no candidate)
+    instead of after every induced P4, and a clique for the diamond and kite
+    at the first (vertex 3 has no non-neighbour of vertex 0).
+    """
     k = pat.n
     if g.n < k:
         return None
     gadj = g.adj
-    full = g.full_mask()
     padj = pat.adj
+    # links[pos]: for each later pattern vertex, whether it is adjacent to pos
+    links = [tuple(padj[j] >> pos & 1 for j in range(pos + 1, k)) for pos in range(k)]
     chosen = [0] * k
 
-    def place(pos: int, used: int) -> bool:
-        cand = full & ~used
-        for i in range(pos):
-            if padj[pos] >> i & 1:
-                cand &= gadj[chosen[i]]
-            else:
-                cand &= ~gadj[chosen[i]]
-        for v in _bits(cand):
+    def place(pos: int, masks: list[int]) -> bool:
+        # masks[j - pos]: the candidates for pattern vertex j >= pos
+        for v in _bits(masks[0]):
             chosen[pos] = v
-            if pos + 1 == k or place(pos + 1, used | 1 << v):
+            if pos + 1 == k:
+                return True
+            near = gadj[v]
+            far = ~(near | 1 << v)
+            rest = [m & (near if linked else far) for m, linked in zip(masks[1:], links[pos])]
+            if all(rest) and place(pos + 1, rest):
                 return True
         return False
 
-    return tuple(chosen) if place(0, 0) else None
+    return tuple(chosen) if place(0, [g.full_mask()] * k) else None
 
 
 def _find_induced_path(g: Graph, k: int) -> tuple[int, ...] | None:

@@ -6,7 +6,9 @@ clique, bisimplicial vertices by trying every 2-partition of a neighborhood,
 and the canonical labelling by the refinement-guided search without any
 automorphism pruning. MCS-M and the atom decomposition have references in
 their first, plainer form: a heap search over every unnumbered vertex, and
-one recursion per split on relabelled induced subgraphs.
+one recursion per split on relabelled induced subgraphs. The fixed-pattern
+search has one too: backtracking that checks each pattern vertex only
+against the vertices already placed.
 """
 
 import heapq
@@ -26,6 +28,28 @@ def brute_has_pattern(g: Graph, pattern: str) -> bool:
         isomorphic(induced_subgraph(g, subset), pat)
         for subset in combinations(range(g.n), pat.n)
     )
+
+
+def reference_fixed_pattern(g: Graph, pattern: str):
+    """The lex-least induced copy of a small fixed pattern, as a tuple in the
+    pattern's vertex order, by backtracking without forward checking."""
+    pat = pattern_graph(pattern)
+    k = pat.n
+    if g.n < k:
+        return None
+    chosen = [0] * k
+
+    def place(pos: int, used: int) -> bool:
+        cand = g.full_mask() & ~used
+        for i in range(pos):
+            cand &= g.adj[chosen[i]] if pat.adj[pos] >> i & 1 else ~g.adj[chosen[i]]
+        for v in _bits(cand):
+            chosen[pos] = v
+            if pos + 1 == k or place(pos + 1, used | 1 << v):
+                return True
+        return False
+
+    return tuple(chosen) if place(0, 0) else None
 
 
 def brute_p7_cover(g: Graph) -> int:

@@ -6,10 +6,12 @@ from p7c4.families import g1, g4, graph_f, petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
+    clique_blowup,
     complete_graph,
     cycle_graph,
     induced_subgraph,
     isomorphic,
+    join_with_clique,
     path_graph,
 )
 from p7c4.patterns import (
@@ -20,7 +22,7 @@ from p7c4.patterns import (
     pattern_graph,
 )
 
-from conftest import brute_has_pattern
+from conftest import brute_has_pattern, reference_fixed_pattern, spider, windmill
 
 
 def test_pattern_graphs_have_documented_shapes():
@@ -81,6 +83,20 @@ def test_witness_is_lex_least():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 3)])
     w = find_induced_pattern(g, "C4")
     assert w.vertices == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("pattern", ("diamond", "kite", "gem", "bull"))
+def test_fixed_pattern_forward_checking_keeps_the_witness(small_graphs, connected_upto7, pattern):
+    # pruning on empty later candidate sets must return the reference's
+    # lex-least witness, and None exactly where it does
+    cases = [*small_graphs, *connected_upto7, complete_graph(12),
+             *(spider(k) for k in (3, 8, 20)), *(windmill(k) for k in (3, 8, 20)),
+             clique_blowup(cycle_graph(7), [2, 3, 2, 2, 4, 2, 3]),
+             clique_blowup(petersen(), [2, 3, 2, 2, 2, 3, 2, 2, 2, 2]),
+             join_with_clique(petersen(), 4)]
+    for g in cases:
+        got = find_induced_pattern(g, pattern)
+        assert (got.vertices if got else None) == reference_fixed_pattern(g, pattern), g
 
 
 @pytest.mark.parametrize("pattern", PATTERN_NAMES + ("hole(5)", "hole(6)"))
