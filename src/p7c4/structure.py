@@ -178,14 +178,29 @@ class AtomDecomposition:
     """Binary tree of clique-cutset splits; leaves are cutset-free atoms.
 
     All vertex sets refer to the original graph's labels. An internal node
-    has split/left/right set; a leaf has atom set. Deep inputs give trees
-    deeper than Python's recursion limit, so the walks below use a stack.
+    has split/left/right set; a leaf has atom set. A node keeps its vertex
+    sets as masks (cutset, side_a, side_b at a split, the atom at a leaf) and
+    builds split and atom when they are read: a path or spider on n vertices
+    has about n splits whose sides hold O(n) vertices each, so stored
+    frozensets would take quadratic memory. Deep inputs give trees deeper
+    than Python's recursion limit, so the walks below use a stack.
     """
 
-    split: CliqueCutsetSplit | None = None
     left: "AtomDecomposition | None" = None
     right: "AtomDecomposition | None" = None
-    atom: frozenset[int] | None = None
+    masks: tuple[int, ...] = ()
+
+    @property
+    def split(self) -> CliqueCutsetSplit | None:
+        if self.left is None:
+            return None
+        return CliqueCutsetSplit(*(frozenset(_bits(m)) for m in self.masks))
+
+    @property
+    def atom(self) -> frozenset[int] | None:
+        if self.left is not None:
+            return None
+        return frozenset(_bits(self.masks[0]))
 
     def _preorder(self):
         """(node, depth) pairs, each left subtree before its right one."""
@@ -193,11 +208,11 @@ class AtomDecomposition:
         while stack:
             node, d = stack.pop()
             yield node, d
-            if node.atom is None:
+            if node.left is not None:
                 stack += ((node.right, d + 1), (node.left, d + 1))
 
     def leaves(self) -> list[frozenset[int]]:
-        return [node.atom for node, _ in self._preorder() if node.atom is not None]
+        return [node.atom for node, _ in self._preorder() if node.left is None]
 
     def depth(self) -> int:
         return max(d for _, d in self._preorder())
@@ -207,12 +222,12 @@ class AtomDecomposition:
         stack = [(self, root)]
         while stack:
             node, out = stack.pop()
-            if node.atom is not None:
-                out["atom"] = sorted(node.atom)
+            if node.left is None:
+                out["atom"] = list(_bits(node.masks[0]))
                 continue
             out["split"] = node.split.to_json()
             out["left"], out["right"] = {}, {}
-            stack += ((node.left, out["left"]), (node.right, out["right"]))
+            stack += ((node.right, out["right"]), (node.left, out["left"]))
         return root
 
 
@@ -228,10 +243,10 @@ def decompose_into_atoms(g: Graph) -> AtomDecomposition:
         node, block = stack.pop()
         found = _find_cutset(g.adj, block)
         if found is None:
-            node.atom = frozenset(_bits(block))
+            node.masks = (block,)
             continue
         cut, side_a, side_b = found
-        node.split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in found))
+        node.masks = found
         node.left, node.right = AtomDecomposition(), AtomDecomposition()
         stack += ((node.right, side_b | cut), (node.left, side_a | cut))
     return root

@@ -2,6 +2,7 @@
 blocks deep: they must finish under the default recursion limit."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -42,6 +43,21 @@ def test_path_512_decomposes():
     assert _validate_tree(g, tree) == 510
     assert tree.leaves() == [frozenset({v, v + 1}) for v in range(510, -1, -1)]
     assert tree.depth() == 510
+
+
+def test_path_512_tree_memory_is_linear():
+    # 510 splits whose sides hold up to 511 vertices: stored as frozensets
+    # they took about 10 MB, as masks about 0.3 MB
+    g = path_graph(512)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = decompose_into_atoms(g)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tree.depth() == 510
+    assert held < 2**20
 
 
 def test_spider_511_decomposes_and_colors():
