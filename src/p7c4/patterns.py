@@ -119,10 +119,10 @@ def _find_fixed_pattern(g: Graph, pat: Graph) -> tuple[int, ...] | None:
     mask of each later pattern vertex to its neighbours or non-neighbours, and
     a branch stops as soon as one later mask is empty. Plain backtracking
     would visit the same candidates in the same order and only fail deeper,
-    so the first complete map, the lex-least one, is unchanged. A tree is
-    rejected for the gem at the second vertex (the apex has no candidate)
-    instead of after every induced P4, and a clique for the diamond and kite
-    at the first (vertex 3 has no non-neighbour of vertex 0).
+    so the first complete map, the lex-least one, is unchanged. A tree fails
+    the gem at its second vertex (the apex has no candidate), and a clique
+    fails the diamond and kite at the first (vertex 3 has no non-neighbour
+    of vertex 0).
     """
     k = pat.n
     if g.n < k:
