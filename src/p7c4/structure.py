@@ -227,7 +227,7 @@ class AtomDecomposition:
                 continue
             out["split"] = node.split.to_json()
             out["left"], out["right"] = {}, {}
-            stack += ((node.right, out["right"]), (node.left, out["left"]))
+            stack += ((node.left, out["left"]), (node.right, out["right"]))
         return root
 
 

@@ -46,8 +46,8 @@ def test_path_512_decomposes():
 
 
 def test_path_512_tree_memory_is_linear():
-    # 510 splits whose sides hold up to 511 vertices: stored as frozensets
-    # they took about 10 MB, as masks about 0.3 MB
+    # 510 splits whose sides hold up to 511 vertices each: the tree must
+    # not store them as sets (that took about 10 MB)
     g = path_graph(512)
     tracemalloc.start()
     try:
