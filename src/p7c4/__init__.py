@@ -73,7 +73,6 @@ from .structure import (
     decompose_into_atoms,
     find_bisimplicial,
     find_clique_cutset,
-    has_clique_cutset_bruteforce,
     peel_universal_clique,
     recognize_clique_blowup,
     recognize_fixed,

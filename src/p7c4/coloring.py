@@ -26,9 +26,9 @@ from .graphs import (
     GraphError,
     _bits,
     _components,
+    _max_clique_size,
     exact_coloring,
     induced_subgraph,
-    max_clique_size,
     write_graph6,
 )
 from .patterns import class_membership, class_third_pattern
@@ -190,10 +190,10 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             continue
         if kind == "cutset":
             (la, wa), (lb, wb) = done.pop(-2), done.pop()
-            cut_labels = list(_bits(args[0]))
-            merged, perm = _merge_on_cutset(la, lb, cut_labels)
+            cutset = list(_bits(args[0]))
+            merged, perm = _merge_on_cutset(la, lb, cutset)
             done.append((merged, max(wa, wb)))
-            steps.append({"step": "cutset-merge", "cutset": cut_labels, "permutation": perm})
+            steps.append({"step": "cutset-merge", "cutset": cutset, "permutation": perm})
             continue
         if kind == "eliminate":
             atom, v, budget, omega = args
@@ -219,46 +219,40 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             cut, side_a, side_b = found
             work += [("cutset", cut), ("block", side_b | cut), ("block", side_a | cut)]
             continue
-        labels = list(_bits(mask))
-        sub = induced_subgraph(g, labels)
-        omega = max_clique_size(sub)
-        case = theorem_case(sub, class_name, omega)
+        omega = _max_clique_size(adj, mask)
+        case = theorem_case(g, mask, class_name, omega)
         if case.kind == "eliminate":
-            v = labels[case.vertex]
-            work += [("eliminate", mask, v, case.budget, omega), ("block", mask ^ 1 << v)]
+            work += [("eliminate", mask, case.vertex, case.budget, omega), ("block", mask ^ 1 << case.vertex)]
         else:
-            assign, atom_steps = _color_case(sub, labels, case, class_name)
+            assign, atom_steps = _color_case(g, mask, case, class_name)
             done.append((assign, omega))
             steps += atom_steps
     (assign, omega), = done
     return assign, omega, steps
 
 
-def _color_case(sub: Graph, labels: list[int], case: TheoremCase, class_name: str):
+def _color_case(g: Graph, block: int, case: TheoremCase, class_name: str):
     """Turn the structure theorem's verdict on a cutset-free block into steps."""
     if case.kind == "petersen":
-        assign, steps = _petersen_steps(case.iso, labels)
+        assign, steps = _petersen_steps(case.iso)
     elif case.kind == "clique-base":
-        assign = {labels[v]: v + 1 for v in range(sub.n)}
+        assign = {v: c for c, v in enumerate(_bits(block), start=1)}
         steps = [{"step": "clique-base", "assignment": sorted(assign.items())}]
     elif case.kind == "peeled-petersen":
-        rem = sorted(case.peel.remainder)
-        assign, steps = _petersen_steps(case.iso, [labels[v] for v in rem])
-        peeled = sorted(set(range(sub.n)) - case.peel.remainder)
-        peel_items = [(labels[v], 4 + i) for i, v in enumerate(peeled)]
-        assign.update(dict(peel_items))
+        assign, steps = _petersen_steps(case.iso)
+        peel_items = [(v, c) for c, v in enumerate(sorted(set(_bits(block)) - case.peel.remainder), start=4)]
+        assign.update(peel_items)
         steps.append({"step": "peel", "assignment": peel_items})
     elif case.kind == "petersen-blowup":
-        assign_local, _ = _petersen_cover_assignment(case.blowup)
-        assign = {labels[v]: c for v, c in assign_local.items()}
+        assign, _ = _petersen_cover_assignment(case.blowup)
         steps = [{"step": "blowup-color", "assignment": sorted(assign.items())}]
     else:
-        raise StructuralContradiction(class_name, sub, case.detail)
+        raise StructuralContradiction(class_name, induced_subgraph(g, _bits(block)), case.detail)
     return assign, steps
 
 
-def _petersen_steps(iso: dict[int, int], labels):
-    assign = {labels[iso[v]]: c for v, c in _stored_coloring()}
+def _petersen_steps(iso: dict[int, int]):
+    assign = {iso[v]: c for v, c in _stored_coloring()}
     return assign, [{"step": "exceptional-graph", "name": "Petersen", "assignment": sorted(assign.items())}]
 
 

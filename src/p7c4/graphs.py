@@ -85,11 +85,6 @@ class Graph:
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 
-    def complement(self) -> "Graph":
-        full = self.full_mask()
-        adj = tuple((full & ~m & ~(1 << v)) for v, m in enumerate(self.adj))
-        return Graph._from_adj(self.n, adj)
-
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
@@ -133,6 +128,25 @@ def _mask(vertices: Iterable[int]) -> int:
     for v in vertices:
         m |= 1 << v
     return m
+
+
+def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
+    """Mask of vertices of g; GraphError if one lies outside range(g.n)."""
+    m = 0
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise GraphError(f"vertex {v} out of range for a graph on {g.n} vertices")
+        m |= 1 << v
+    return m
+
+
+def _true_twin_classes(adj, block: int) -> list[int]:
+    """Masks of the classes of equal closed neighborhood inside block, by lowest vertex."""
+    groups: dict[int, int] = {}
+    for v in _bits(block):
+        key = adj[v] & block | 1 << v
+        groups[key] = groups.get(key, 0) | 1 << v
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -260,20 +274,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     The sorted order is the recorded index mapping: new index i corresponds
     to sorted(vertices)[i].
     """
-    vs = sorted(set(vertices))
-    if not vs:
+    block = _vertex_mask(g, vertices)
+    if not block:
         raise GraphError("induced subgraph of the empty set")
-    if vs[0] < 0 or vs[-1] >= g.n:
-        raise GraphError("induced subgraph vertex out of range")
+    vs = list(_bits(block))
     pos = {v: i for i, v in enumerate(vs)}
-    adj = [0] * len(vs)
-    for i, v in enumerate(vs):
-        m = g.adj[v]
-        for w in vs[i + 1:]:
-            if m >> w & 1:
-                adj[i] |= 1 << pos[w]
-                adj[pos[w]] |= 1 << i
-    return Graph._from_adj(len(vs), tuple(adj))
+    return Graph._from_adj(len(vs), tuple(_mask(pos[w] for w in _bits(g.adj[v] & block)) for v in vs))
 
 
 def join_with_clique(g: Graph, ell: int) -> Graph:
@@ -336,7 +342,7 @@ def clique_blowup(base: Graph, sizes: list[int]) -> Graph:
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
-    return _is_clique_mask(g.adj, _mask(vertices))
+    return _is_clique_mask(g.adj, _vertex_mask(g, vertices))
 
 
 def _is_clique_mask(adj, mask: int) -> bool:
@@ -347,7 +353,11 @@ def max_clique_size(g: Graph) -> int:
     """Exact clique number by branch and bound with a greedy coloring bound."""
     if g.n == 0:
         raise GraphError("clique number of the empty graph")
-    adj = g.adj
+    return _max_clique_size(g.adj, g.full_mask())
+
+
+def _max_clique_size(adj, block: int) -> int:
+    """Clique number of the subgraph induced on the nonempty mask block."""
     best = 0
 
     def color_order(cand: int) -> list[tuple[int, int]]:
@@ -379,7 +389,7 @@ def max_clique_size(g: Graph) -> int:
                 best = size + 1
             cand ^= 1 << v
 
-    expand(g.full_mask(), 0)
+    expand(block, 0)
     return best
 
 

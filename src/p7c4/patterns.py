@@ -93,13 +93,13 @@ def find_induced_pattern(g: Graph, pattern: str) -> PatternWitness | None:
     if pattern == "P7":
         got = _find_induced_path(g, 7)
     elif pattern in ("C4", "C7"):
-        got = _find_induced_cycle(g, int(pattern[1]))
+        got = _search_induced_cycles(g, int(pattern[1]), lambda cycle: True)
     else:
         k = _parse_hole(pattern)
         if k is not None:
             if k < 4:
                 raise GraphError("holes have length at least 4")
-            got = _find_induced_cycle(g, k)
+            got = _search_induced_cycles(g, k, lambda cycle: True)
         else:
             got = _find_fixed_pattern(g, pattern_graph(pattern))
     if got is None:
@@ -173,11 +173,6 @@ def _find_induced_path(g: Graph, k: int) -> tuple[int, ...] | None:
         if k == 1 or extend(1, 1 << start, 0):
             return tuple(path[:k])
     return None
-
-
-def _find_induced_cycle(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Lex-least induced C_k in cycle order."""
-    return _search_induced_cycles(g, k, lambda cycle: True)
 
 
 def _search_induced_cycles(g: Graph, k: int, stop) -> tuple[int, ...] | None:

@@ -18,6 +18,8 @@ from .graphs import (
     _component,
     _is_clique_mask,
     _mask,
+    _true_twin_classes,
+    _vertex_mask,
     find_isomorphism,
     induced_subgraph,
     is_clique,
@@ -157,22 +159,6 @@ def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
     return split
 
 
-def has_clique_cutset_bruteforce(g: Graph) -> bool:
-    """Exhaustive oracle: some clique K with g - K disconnected. Small n only."""
-    if not g.is_connected():
-        raise GraphError("oracle requires a connected graph")
-    n = g.n
-    for mask in range(1 << n):
-        if mask == 0 or mask == g.full_mask():
-            continue
-        if not is_clique(g, _bits(mask)):
-            continue
-        outside = [v for v in range(n) if not mask >> v & 1]
-        if not induced_subgraph(g, outside).is_connected():
-            return True
-    return False
-
-
 @dataclass
 class AtomDecomposition:
     """Binary tree of clique-cutset splits; leaves are cutset-free atoms.
@@ -268,42 +254,44 @@ class BisimplicialCertificate:
         }
 
 
-def split_into_two_cliques(g: Graph, vertices: frozenset[int]) -> tuple[frozenset[int], frozenset[int]] | None:
-    """Partition the set into two cliques of g if possible.
+def _two_cliques(adj, block: int) -> tuple[int, int] | None:
+    """Masks of two cliques that partition the mask block, or None: a
+    breadth-first 2-coloring of the complement, each component's lowest
+    vertex on the first side, which is proper iff both sides are cliques."""
+    sides = [0, 0]
+    rest = block
+    while rest:
+        frontier, parity = rest & -rest, 0
+        while frontier:
+            sides[parity] |= frontier
+            rest &= ~frontier
+            grow = 0
+            for u in _bits(frontier):
+                grow |= ~adj[u]  # complement edges are the non-adjacent pairs
+            frontier, parity = grow & rest, parity ^ 1
+    return tuple(sides) if all(_is_clique_mask(adj, side) for side in sides) else None
 
-    Works by 2-coloring the complement of the induced subgraph: the set is a
-    union of two cliques iff that complement is bipartite.
-    """
-    vs = sorted(vertices)
-    if not vs:
-        return frozenset(), frozenset()
-    color = {}
-    for start in vs:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for w in vs:
-                if w == u or g.has_edge(u, w):
-                    continue  # complement edges are the non-adjacent pairs
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    side0 = frozenset(v for v in vs if color[v] == 0)
-    return side0, frozenset(vertices) - side0
+
+def split_into_two_cliques(g: Graph, vertices: frozenset[int]) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Partition the set into two cliques of g if possible."""
+    got = _two_cliques(g.adj, _vertex_mask(g, vertices))
+    return None if got is None else tuple(frozenset(_bits(side)) for side in got)
+
+
+def _bisimplicial(adj, block: int) -> tuple[int, int, int] | None:
+    """Lowest vertex of the mask block whose neighborhood in block splits
+    into two cliques, with the masks of the two cliques, or None."""
+    for v in _bits(block):
+        got = _two_cliques(adj, adj[v] & block)
+        if got is not None:
+            return v, *got
+    return None
 
 
 def find_bisimplicial(g: Graph) -> BisimplicialCertificate | None:
     """Lowest-index vertex whose neighborhood splits into two cliques."""
-    for v in range(g.n):
-        got = split_into_two_cliques(g, frozenset(_bits(g.adj[v])))
-        if got is not None:
-            return BisimplicialCertificate(v, got[0], got[1])
-    return None
+    got = _bisimplicial(g.adj, g.full_mask())
+    return None if got is None else BisimplicialCertificate(got[0], *(frozenset(_bits(m)) for m in got[1:]))
 
 
 @dataclass(frozen=True)
@@ -324,10 +312,13 @@ def peel_universal_clique(g: Graph) -> PeelResult:
     remainder can contain no universal-in-remainder vertex (such a vertex
     would have been universal in g already).
     """
-    full = g.full_mask()
-    universal = [v for v in range(g.n) if g.adj[v] == full ^ (1 << v)]
-    remainder = frozenset(range(g.n)) - set(universal)
-    return PeelResult(ell=len(universal), remainder=remainder)
+    return _peel(g.adj, g.full_mask())
+
+
+def _peel(adj, block: int) -> PeelResult:
+    """peel_universal_clique on the subgraph induced on the mask block."""
+    universal = [v for v in _bits(block) if adj[v] & block == block ^ 1 << v]
+    return PeelResult(ell=len(universal), remainder=frozenset(_bits(block)) - set(universal))
 
 
 @dataclass(frozen=True)
@@ -349,45 +340,33 @@ class BlowupCertificate:
 
 
 def recognize_clique_blowup(g: Graph, base: Graph) -> BlowupCertificate | None:
-    """Decide whether g is a clique blowup of the twin-free base.
+    """Decide whether g is a clique blowup of the twin-free base. Bases with
+    true twins are rejected: their quotient would be ambiguous."""
+    if len(_true_twin_classes(base.adj, base.full_mask())) != base.n:
+        raise GraphError("blowup base must be twin-free")
+    return _blowup(g.adj, g.full_mask(), base)
+
+
+def _blowup(adj, block: int, base: Graph) -> BlowupCertificate | None:
+    """Certificate that the mask block induces a clique blowup of the
+    twin-free base, or None.
 
     True-twin classes (equal closed neighborhoods) are the only possible
-    blowup classes; the quotient on them is compared against the base by
-    isomorphism. Bases with true twins are rejected: their quotient would
-    be ambiguous.
+    blowup classes. True twins are adjacent, so each class is a clique, and
+    two classes are complete or anticomplete to each other; so the block is
+    a blowup iff the quotient on the classes is isomorphic to the base.
     """
-    for u in range(base.n):
-        for v in range(u + 1, base.n):
-            if base.adj[u] | 1 << u == base.adj[v] | 1 << v:
-                raise GraphError("blowup base must be twin-free")
-    if g.n == 0 or g.n < base.n:
+    if not block or block.bit_count() < base.n:
         return None
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(g.adj[v] | 1 << v, []).append(v)
-    classes = tuple(frozenset(c) for c in sorted(groups.values()))
+    classes = _true_twin_classes(adj, block)
     if len(classes) != base.n:
         return None
-    if not all(is_clique(g, c) for c in classes):
-        return None
-    reps = [min(c) for c in classes]
-    quotient = Graph(len(reps), [
-        (i, j)
-        for i in range(len(reps))
-        for j in range(i + 1, len(reps))
-        if g.has_edge(reps[i], reps[j])
-    ])
+    nbs = [adj[(c & -c).bit_length() - 1] for c in classes]  # neighborhoods of the lowest vertices c & -c
+    quotient = Graph._from_adj(base.n, tuple(_mask(j for j, c in enumerate(classes) if nb & c & -c) for nb in nbs))
     iso = find_isomorphism(base, quotient)
     if iso is None:
         return None
-    # confirm the inter-class relations really are uniform per base adjacency
-    for i in range(base.n):
-        for j in range(i + 1, base.n):
-            want = base.has_edge(i, j)
-            ci, cj = classes[iso[i]], classes[iso[j]]
-            if any(g.has_edge(u, w) != want for u in ci for w in cj):
-                return None
-    return BlowupCertificate(base=base, classes=classes, class_map=dict(iso))
+    return BlowupCertificate(base, tuple(frozenset(_bits(c)) for c in classes), dict(iso))
 
 
 def recognize_fixed(g: Graph) -> str | None:
@@ -437,43 +416,51 @@ class TheoremCase:
     detail: str = ""
 
 
-def _petersen_iso(g: Graph) -> dict[int, int] | None:
-    return find_isomorphism(petersen(), g) if g.n == 10 else None
+def _petersen_iso(g: Graph, block: int) -> dict[int, int] | None:
+    """An isomorphism from the Petersen graph onto the mask block, in g's labels."""
+    if block.bit_count() != 10:
+        return None
+    labels = list(_bits(block))
+    iso = find_isomorphism(petersen(), induced_subgraph(g, labels))
+    return None if iso is None else {v: labels[i] for v, i in iso.items()}
 
 
-def theorem_case(sub: Graph, class_name: str, omega: int) -> TheoremCase:
-    """Apply the class's structure theorem to sub, whose clique number is omega.
+def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCase:
+    """Apply the class's structure theorem to the subgraph of g induced on
+    the vertex mask block, whose clique number is omega; the answer is in
+    g's labels.
 
-    sub must be a connected member of the class with no clique cutset:
+    The block must induce a connected member of the class with no clique cutset:
       diamond: the Petersen graph, or delta <= max(2, omega-1);
       kite:    if delta >= omega+1, a clique joined to the Petersen graph;
       gem:     a clique blowup of the Petersen graph, or a bisimplicial vertex.
     """
+    adj = g.adj
     third = class_third_pattern(class_name)
     budget = COLORING_BOUNDS[third](omega)
     if third == "gem":
-        cert = recognize_clique_blowup(sub, petersen())
+        cert = _blowup(adj, block, petersen())
         if cert is not None:
             return TheoremCase("petersen-blowup", blowup=cert)
-        bis = find_bisimplicial(sub)
+        bis = _bisimplicial(adj, block)
         if bis is None:
             return TheoremCase("contradiction", detail=(
                 "connected cutset-free member is not a Petersen blowup and has no bisimplicial vertex"
             ))
         # a bisimplicial vertex has degree <= 2*omega - 2, strictly under the bound
-        return TheoremCase("eliminate", vertex=bis.vertex, budget=budget)
-    peel = peel_universal_clique(sub) if third == "kite" else None
-    iso = _petersen_iso(sub)
+        return TheoremCase("eliminate", vertex=bis[0], budget=budget)
+    peel = _peel(adj, block) if third == "kite" else None
+    iso = _petersen_iso(g, block)
     if iso is not None:
         return TheoremCase("petersen", peel=peel, iso=iso)
     if peel is not None and peel.ell > 0:
         if not peel.remainder:
             return TheoremCase("clique-base", peel=peel)
-        iso = _petersen_iso(induced_subgraph(sub, sorted(peel.remainder)))
+        iso = _petersen_iso(g, _mask(peel.remainder))
         if iso is not None:
             return TheoremCase("peeled-petersen", peel=peel, iso=iso)
-    v = min(range(sub.n), key=lambda u: (sub.degree(u), u))
-    delta = sub.degree(v)
+    v = min(_bits(block), key=lambda u: (adj[u] & block).bit_count())
+    delta = (adj[v] & block).bit_count()
     if delta < budget:
         return TheoremCase("eliminate", peel=peel, vertex=v, budget=budget)
     if third == "diamond":

@@ -98,7 +98,7 @@ def _check_structure_theorem(g: Graph, theorem: str, diag: dict) -> dict:
         diag["cutset"] = sorted(split.cutset)
         return diag
 
-    case = theorem_case(g, _THEOREM_CLASS[theorem], omega)
+    case = theorem_case(g, g.full_mask(), _THEOREM_CLASS[theorem], omega)
     if theorem == "T1":
         if case.kind == "petersen":
             return _vacuous(diag, "exceptional graph Petersen")

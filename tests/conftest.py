@@ -30,6 +30,18 @@ def brute_has_pattern(g: Graph, pattern: str) -> bool:
     )
 
 
+def has_clique_cutset_bruteforce(g: Graph) -> bool:
+    """Some clique K with g - K disconnected, by trying every vertex subset."""
+    assert g.is_connected(), "the oracle takes a connected graph"
+    for mask in range(1, g.full_mask()):
+        if not is_clique(g, _bits(mask)):
+            continue
+        outside = [v for v in range(g.n) if not mask >> v & 1]
+        if not induced_subgraph(g, outside).is_connected():
+            return True
+    return False
+
+
 def reference_fixed_pattern(g: Graph, pattern: str):
     """The lex-least induced copy of a small fixed pattern, as a tuple in the
     pattern's vertex order, by backtracking without forward checking."""

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from p7c4.cli import cli_main
-from p7c4.coloring import _color_member, color_diamond_class, color_gem_class, color_kite_class, validate_certificate
+from p7c4.coloring import color_diamond_class, color_gem_class, color_kite_class, validate_certificate
 from p7c4.graphs import complete_graph, induced_subgraph, path_graph
 from p7c4.structure import COLORING_BOUNDS, CliqueCutsetSplit, decompose_into_atoms, validate_split
 
@@ -80,7 +80,8 @@ def test_cli_decompose_path_512(capsys):
 def test_clique_colors_within_bound(class_name):
     # a clique has no clique cutset: each elimination level skips MCS-M
     g = complete_graph(150)
-    cert = _color_member(g, class_name)
+    color = {"diamond-class": color_diamond_class, "kite-class": color_kite_class, "gem-class": color_gem_class}
+    cert = color[class_name](g)
     validate_certificate(g, cert)
     assert cert.colors_used == 150
     assert cert.claimed_bound == COLORING_BOUNDS[class_name.removesuffix("-class")](150)

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -12,18 +13,19 @@ from p7c4.graphs import (
     complete_graph,
     cycle_graph,
     induced_subgraph,
+    is_clique,
     isomorphic,
     join_with_clique,
     max_clique_size,
     path_graph,
 )
+from p7c4.enumerate import class_members
 from p7c4.patterns import class_membership
 from p7c4.structure import (
     _mcsm,
     decompose_into_atoms,
     find_bisimplicial,
     find_clique_cutset,
-    has_clique_cutset_bruteforce,
     peel_universal_clique,
     recognize_clique_blowup,
     recognize_fixed,
@@ -32,7 +34,14 @@ from p7c4.structure import (
     validate_split,
 )
 
-from conftest import brute_is_bisimplicial, reference_decompose, reference_mcsm, spider, windmill
+from conftest import (
+    brute_is_bisimplicial,
+    has_clique_cutset_bruteforce,
+    reference_decompose,
+    reference_mcsm,
+    spider,
+    windmill,
+)
 
 
 def test_cutset_examples():
@@ -178,6 +187,15 @@ def test_split_into_two_cliques_rejects_odd_structures():
     assert split_into_two_cliques(c5, frozenset({0, 1})) is not None
 
 
+def test_vertex_sets_out_of_range_raise():
+    c5 = cycle_graph(5)
+    for bad in ({99}, {-1, 0}, {5}):
+        with pytest.raises(GraphError):
+            split_into_two_cliques(c5, frozenset(bad))
+        with pytest.raises(GraphError):
+            is_clique(c5, sorted(bad))
+
+
 def test_peel_examples():
     assert peel_universal_clique(complete_graph(5)) .ell == 5
     assert peel_universal_clique(complete_graph(5)).remainder == frozenset()
@@ -248,7 +266,7 @@ def test_recognize_fixed():
 
 def test_theorem_case_outcomes():
     def case(g, cls):
-        return theorem_case(g, cls, max_clique_size(g))
+        return theorem_case(g, g.full_mask(), cls, max_clique_size(g))
 
     p = petersen()
     for cls in ("diamond-class", "kite-class"):
@@ -272,3 +290,52 @@ def test_theorem_case_outcomes():
         assert got.kind == "contradiction" and got.detail
     with pytest.raises(GraphError):
         case(p, "bull-class")
+
+
+def _shuffled_with_pendant(g):
+    """g plus one vertex adjacent to g's vertex 0, under a fixed shuffle of
+    the vertices, so that g's block holds scattered labels."""
+    n = g.n + 1
+    perm = random.Random(n).sample(range(n), n)
+    return Graph(n, [(perm[u], perm[v]) for u, v in [*g.edges(), (0, g.n)]])
+
+
+def _case_summary(case, label):
+    """Everything a TheoremCase says, with each vertex passed through label."""
+    return (
+        case.kind,
+        None if case.vertex is None else label(case.vertex),
+        case.budget,
+        None if case.peel is None else (case.peel.ell, {label(v) for v in case.peel.remainder}),
+        None if case.iso is None else {p: label(v) for p, v in case.iso.items()},
+        None if case.blowup is None else ([{label(v) for v in c} for c in case.blowup.classes],
+                                          case.blowup.class_map),
+        case.detail,
+    )
+
+
+def test_theorem_case_on_blocks_matches_relabelled_subgraphs():
+    # every proper atom of a member (or of an exceptional graph with a
+    # pendant vertex) is a connected cutset-free block; the verdict on the
+    # block must be the verdict on its relabelled subgraph, in g's labels
+    p = petersen()
+    exceptional = [p, join_with_clique(p, 1), join_with_clique(p, 3),
+                   clique_blowup(p, [2] + [1] * 9), clique_blowup(p, [1, 3, 1, 2, 1, 1, 1, 1, 2, 1])]
+    inputs = [(g, cls) for cls in ("diamond-class", "kite-class", "gem-class")
+              for n in range(1, 9) for g in class_members(cls, n) if g.is_connected()]
+    inputs += [(_shuffled_with_pendant(g), cls) for g in exceptional
+               for cls in ("diamond-class", "kite-class", "gem-class")]
+    kinds = set()
+    for g, cls in inputs:
+        for atom in decompose_into_atoms(g).leaves():
+            if len(atom) == g.n:
+                continue
+            labels = sorted(atom)
+            block = sum(1 << v for v in labels)
+            sub = induced_subgraph(g, labels)
+            omega = max_clique_size(sub)
+            got = theorem_case(g, block, cls, omega)
+            want = theorem_case(sub, sub.full_mask(), cls, omega)
+            assert _case_summary(got, lambda v: v) == _case_summary(want, labels.__getitem__), (g, atom, cls)
+            kinds.add(got.kind)
+    assert kinds >= {"eliminate", "clique-base", "petersen", "peeled-petersen", "petersen-blowup"}
