@@ -229,6 +229,8 @@ def cli_main(argv=None) -> int:
 
 
 def _verify(args) -> int:
+    if args.sample is not None and args.sample < 1:
+        raise GraphError("--sample needs K >= 1")
     labeled: list[tuple[str, Graph]] = []
     desc = []
     if args.exhaustive:

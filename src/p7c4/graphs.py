@@ -149,6 +149,25 @@ def _true_twin_classes(adj, block: int) -> list[int]:
     return list(groups.values())
 
 
+def _twin_representatives(adj, m: int) -> int:
+    """Mask of the m lowest vertices of each class of equal closed neighborhood.
+
+    One pass over adj; a graph whose classes all have at most m vertices
+    gets its full vertex mask.
+    """
+    room: dict[int, int] = {}  # closed neighborhood -> places left in its class
+    keep = 0
+    bit = 1
+    for nbrs in adj:
+        key = nbrs | bit
+        left = room.get(key, m)
+        if left:
+            keep |= bit
+            room[key] = left - 1
+        bit <<= 1
+    return keep
+
+
 # ---------------------------------------------------------------------------
 # Construction
 

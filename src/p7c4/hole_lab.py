@@ -304,5 +304,6 @@ def all_seven_holes(g: Graph) -> list[tuple[int, ...]]:
         holes.append(hole)
         return False
 
-    _search_induced_cycles(g, 7, keep)
+    # every vertex stays a candidate: twins of a hole's vertices make other holes
+    _search_induced_cycles(g, 7, keep, g.full_mask())
     return holes

@@ -4,6 +4,19 @@ A witness lists vertices in the pattern's canonical labeling order (path
 order for paths, cycle order for holes). Searches are exhaustive
 backtracking, so a None result proves absence. The returned witness is
 always the lexicographically least one, which keeps outputs deterministic.
+
+Each search runs only on the m lowest vertices of every true-twin class of
+the graph (vertices with the same closed neighborhood), where m is the size
+of the pattern's largest true-twin class: 1 for paths, holes, the gem and
+the bull, 2 for the diamond and the kite. This loses no witness. Let W be
+the lex-least witness, and suppose it uses v but not a lower twin u of v.
+Putting u in place of v still induces the pattern, and the tuple gets
+lex-smaller; for a cycle this holds in every rotation and reflection, so
+also for its canonical tuple. So W takes an initial segment of each twin
+class, and the pattern vertices that land in one class are twins inside
+the pattern, so there are at most m of them. The search therefore returns
+the same witness, or None, as a search over all vertices would, and clique
+blowups cost about as much as their base graph.
 """
 
 from __future__ import annotations
@@ -11,7 +24,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, cycle_graph, path_graph, _bits
+from .graphs import (
+    Graph,
+    GraphError,
+    _bits,
+    _true_twin_classes,
+    _twin_representatives,
+    cycle_graph,
+    path_graph,
+)
 
 # canonical adjacency for the small fixed patterns; vertex order defines the
 # witness labeling
@@ -91,20 +112,25 @@ class ClassCertificate:
 def find_induced_pattern(g: Graph, pattern: str) -> PatternWitness | None:
     """Lex-least induced copy of the pattern, or None (proof of absence)."""
     if pattern == "P7":
-        got = _find_induced_path(g, 7)
-    elif pattern in ("C4", "C7"):
-        got = _search_induced_cycles(g, int(pattern[1]), lambda cycle: True)
+        got = _find_induced_path(g, 7, _twin_representatives(g.adj, 1))
     else:
-        k = _parse_hole(pattern)
+        k = int(pattern[1]) if pattern in ("C4", "C7") else _parse_hole(pattern)
         if k is not None:
             if k < 4:
                 raise GraphError("holes have length at least 4")
-            got = _search_induced_cycles(g, k, lambda cycle: True)
+            got = _search_induced_cycles(g, k, lambda cycle: True, _twin_representatives(g.adj, 1))
         else:
-            got = _find_fixed_pattern(g, pattern_graph(pattern))
+            pat = pattern_graph(pattern)
+            got = _find_fixed_pattern(g, pat, _twin_representatives(g.adj, _largest_twin_class(pat)))
     if got is None:
         return None
     return PatternWitness(pattern, got)
+
+
+@lru_cache(maxsize=None)
+def _largest_twin_class(pat: Graph) -> int:
+    """Size of the pattern's largest true-twin class."""
+    return max(c.bit_count() for c in _true_twin_classes(pat.adj, pat.full_mask()))
 
 
 def find_hole(g: Graph, k: int) -> PatternWitness | None:
@@ -112,8 +138,9 @@ def find_hole(g: Graph, k: int) -> PatternWitness | None:
     return find_induced_pattern(g, f"hole({k})")
 
 
-def _find_fixed_pattern(g: Graph, pat: Graph) -> tuple[int, ...] | None:
-    """Backtracking over partial maps with forward checking.
+def _find_fixed_pattern(g: Graph, pat: Graph, allowed: int) -> tuple[int, ...] | None:
+    """Backtracking over partial maps into the vertex mask allowed, with
+    forward checking.
 
     Every pattern vertex keeps a candidate mask; placing a vertex narrows the
     mask of each later pattern vertex to its neighbours or non-neighbours, and
@@ -146,39 +173,41 @@ def _find_fixed_pattern(g: Graph, pat: Graph) -> tuple[int, ...] | None:
                 return True
         return False
 
-    return tuple(chosen) if place(0, [g.full_mask()] * k) else None
+    return tuple(chosen) if place(0, [allowed] * k) else None
 
 
-def _find_induced_path(g: Graph, k: int) -> tuple[int, ...] | None:
-    """Lex-least induced P_k as a path-ordered tuple."""
+def _find_induced_path(g: Graph, k: int, allowed: int) -> tuple[int, ...] | None:
+    """Lex-least induced P_k inside the vertex mask allowed, as a
+    path-ordered tuple."""
     if g.n < k:
         return None
     adj = g.adj
     path = [0] * k
 
-    def extend(pos: int, used: int, blocked: int) -> bool:
-        # blocked: union of neighborhoods of path[0..pos-2]
+    def extend(pos: int, free: int, blocked: int) -> bool:
+        # free: allowed minus the path; blocked: union of neighborhoods of
+        # path[0..pos-2]
         last = path[pos - 1]
-        cand = adj[last] & ~used & ~blocked
+        cand = adj[last] & free & ~blocked
         for v in _bits(cand):
             path[pos] = v
             if pos + 1 == k:
                 return True
-            if extend(pos + 1, used | 1 << v, blocked | adj[last]):
+            if extend(pos + 1, free & ~(1 << v), blocked | adj[last]):
                 return True
         return False
 
-    for start in range(g.n):
+    for start in _bits(allowed):
         path[0] = start
-        if k == 1 or extend(1, 1 << start, 0):
+        if k == 1 or extend(1, allowed & ~(1 << start), 0):
             return tuple(path[:k])
     return None
 
 
-def _search_induced_cycles(g: Graph, k: int, stop) -> tuple[int, ...] | None:
-    """Visit every induced C_k once, as its lex-least cycle-order tuple, in
-    lexicographic order; returns the first cycle for which stop(cycle) is
-    true, or None once all are visited.
+def _search_induced_cycles(g: Graph, k: int, stop, allowed: int) -> tuple[int, ...] | None:
+    """Visit every induced C_k inside the vertex mask allowed once, as its
+    lex-least cycle-order tuple, in lexicographic order; returns the first
+    cycle for which stop(cycle) is true, or None once all are visited.
 
     The lex-least tuple starts at the cycle's smallest vertex with its
     smaller neighbor second, so searching ascending candidates above the
@@ -189,12 +218,13 @@ def _search_induced_cycles(g: Graph, k: int, stop) -> tuple[int, ...] | None:
     adj = g.adj
     cyc = [0] * k
 
-    def extend(pos: int, used: int, blocked: int) -> bool:
-        # blocked: union of neighborhoods of cyc[1..pos-2]; the start vertex
-        # is handled separately since the final vertex must close the cycle
+    def extend(pos: int, free: int, blocked: int) -> bool:
+        # free: allowed minus the cycle so far; blocked: union of
+        # neighborhoods of cyc[1..pos-2]; the start vertex is handled
+        # separately since the final vertex must close the cycle
         start = cyc[0]
         last = cyc[pos - 1]
-        cand = adj[last] & ~used & ~blocked
+        cand = adj[last] & free & ~blocked
         if pos == k - 1:
             cand &= adj[start]
             cand &= ~((1 << (cyc[1] + 1)) - 1)  # mirror symmetry: c1 < c_{k-1}
@@ -207,13 +237,13 @@ def _search_induced_cycles(g: Graph, k: int, stop) -> tuple[int, ...] | None:
             if pos + 1 == k:
                 if stop(tuple(cyc)):
                     return True
-            elif extend(pos + 1, used | 1 << v, blocked | (adj[last] if pos >= 2 else 0)):
+            elif extend(pos + 1, free & ~(1 << v), blocked | (adj[last] if pos >= 2 else 0)):
                 return True
         return False
 
-    for start in range(g.n):
+    for start in _bits(allowed):
         cyc[0] = start
-        if extend(1, 1 << start, 0):
+        if extend(1, allowed & ~(1 << start), 0):
             return tuple(cyc)
     return None
 

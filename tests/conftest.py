@@ -8,7 +8,9 @@ automorphism pruning. MCS-M and the atom decomposition have references in
 their first, plainer form: a heap search over every unnumbered vertex, and
 one recursion per split on relabelled induced subgraphs. The fixed-pattern
 search has one too: backtracking that checks each pattern vertex only
-against the vertices already placed.
+against the vertices already placed. The path and cycle searches have
+theirs: the same backtracking over every vertex of the graph, without the
+library's restriction to a few vertices of each true-twin class.
 """
 
 import heapq
@@ -62,6 +64,58 @@ def reference_fixed_pattern(g: Graph, pattern: str):
         return False
 
     return tuple(chosen) if place(0, 0) else None
+
+
+def reference_induced_path(g: Graph, k: int):
+    """The lex-least induced P_k as a path-ordered tuple, trying every vertex
+    at every position."""
+    if g.n < k:
+        return None
+    path = [0] * k
+
+    def extend(pos: int, used: int, blocked: int) -> bool:
+        # blocked: union of neighborhoods of path[0..pos-2]
+        last = path[pos - 1]
+        for v in _bits(g.adj[last] & ~used & ~blocked):
+            path[pos] = v
+            if pos + 1 == k or extend(pos + 1, used | 1 << v, blocked | g.adj[last]):
+                return True
+        return False
+
+    for start in range(g.n):
+        path[0] = start
+        if k == 1 or extend(1, 1 << start, 0):
+            return tuple(path)
+    return None
+
+
+def reference_induced_cycle(g: Graph, k: int):
+    """The lex-least induced C_k as its canonical cycle-order tuple (smallest
+    vertex first, its smaller neighbor second), trying every vertex."""
+    if g.n < k:
+        return None
+    adj = g.adj
+    cyc = [0] * k
+
+    def extend(pos: int, used: int, blocked: int) -> bool:
+        # blocked: union of neighborhoods of cyc[1..pos-2]
+        start, last = cyc[0], cyc[pos - 1]
+        cand = adj[last] & ~used & ~blocked & ~((1 << (start + 1)) - 1)
+        if pos == k - 1:
+            cand &= adj[start] & ~((1 << (cyc[1] + 1)) - 1)
+        elif pos >= 2:
+            cand &= ~adj[start]
+        for v in _bits(cand):
+            cyc[pos] = v
+            if pos + 1 == k or extend(pos + 1, used | 1 << v, blocked | (adj[last] if pos >= 2 else 0)):
+                return True
+        return False
+
+    for start in range(g.n):
+        cyc[0] = start
+        if extend(1, 1 << start, 0):
+            return tuple(cyc)
+    return None
 
 
 def brute_p7_cover(g: Graph) -> int:

@@ -1,5 +1,6 @@
-"""Inputs at the vertex cap whose atom trees and colorings nest hundreds of
-blocks deep: they must finish under the default recursion limit."""
+"""Inputs at the vertex cap: atom trees and colorings that nest hundreds of
+blocks deep must finish under the default recursion limit, and clique
+blowups must be recognised about as fast as their base graphs."""
 
 import json
 import tracemalloc
@@ -8,7 +9,9 @@ import pytest
 
 from p7c4.cli import cli_main
 from p7c4.coloring import color_diamond_class, color_gem_class, color_kite_class, validate_certificate
-from p7c4.graphs import complete_graph, induced_subgraph, path_graph
+from p7c4.families import petersen
+from p7c4.graphs import clique_blowup, complete_graph, cycle_graph, induced_subgraph, path_graph
+from p7c4.patterns import class_membership
 from p7c4.structure import COLORING_BOUNDS, CliqueCutsetSplit, decompose_into_atoms, validate_split
 
 from conftest import spider
@@ -85,3 +88,16 @@ def test_clique_colors_within_bound(class_name):
     validate_certificate(g, cert)
     assert cert.colors_used == 150
     assert cert.claimed_bound == COLORING_BOUNDS[class_name.removesuffix("-class")](150)
+
+
+@pytest.mark.parametrize("base, size", [(cycle_graph(7), 73), (petersen(), 51)])
+def test_blowup_membership_at_the_cap(base, size):
+    # each pattern search keeps one or two vertices per clique class, so a
+    # 510-vertex blowup costs about what its base graph does
+    g = clique_blowup(base, [size] * base.n)
+    assert g.n in (510, 511)
+    assert class_membership(g, "gem-class").free
+    diamond = class_membership(g, "diamond-class").witness
+    assert (diamond.pattern, diamond.vertices) == ("diamond", (0, size, size + 1, 2 * size))
+    kite = class_membership(g, "kite-class").witness
+    assert (kite.pattern, kite.vertices) == ("kite", (0, size, size + 1, 2 * size, 3 * size))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from p7c4.families import g1, g4, graph_f, petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
+    _true_twin_classes,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -22,7 +25,14 @@ from p7c4.patterns import (
     pattern_graph,
 )
 
-from conftest import brute_has_pattern, reference_fixed_pattern, spider, windmill
+from conftest import (
+    brute_has_pattern,
+    reference_fixed_pattern,
+    reference_induced_cycle,
+    reference_induced_path,
+    spider,
+    windmill,
+)
 
 
 def test_pattern_graphs_have_documented_shapes():
@@ -97,6 +107,62 @@ def test_fixed_pattern_forward_checking_keeps_the_witness(small_graphs, connecte
     for g in cases:
         got = find_induced_pattern(g, pattern)
         assert (got.vertices if got else None) == reference_fixed_pattern(g, pattern), g
+
+
+def _reference(g: Graph, pattern: str):
+    if pattern == "P7":
+        return reference_induced_path(g, 7)
+    if pattern in ("C4", "C7"):
+        return reference_induced_cycle(g, int(pattern[1]))
+    if pattern.startswith("hole("):
+        return reference_induced_cycle(g, int(pattern[5:-1]))
+    return reference_fixed_pattern(g, pattern)
+
+
+def _random_with_twins(rng: random.Random) -> Graph:
+    """A G(n, p) graph plus a few true twins of random vertices (twins of
+    twins too), under a random relabelling."""
+    n = rng.randint(5, 10)
+    p = rng.choice((0.3, 0.5, 0.7))
+    nbrs = [{u for u in range(n) if u != v and rng.random() < p} for v in range(n)]
+    for u in range(n):
+        for v in nbrs[u]:
+            nbrs[v].add(u)
+    for _ in range(rng.randint(1, 5)):
+        v = rng.randrange(len(nbrs))
+        new = len(nbrs)
+        nbrs.append(nbrs[v] | {v})
+        for u in nbrs[new]:
+            nbrs[u].add(new)
+    perm = list(range(len(nbrs)))
+    rng.shuffle(perm)
+    return Graph(len(nbrs), [(perm[u], perm[v]) for u in range(len(nbrs)) for v in nbrs[u] if u < v])
+
+
+def _twin_heavy_graphs() -> list[Graph]:
+    rng = random.Random(12)
+    bases = (cycle_graph(7), petersen(), path_graph(7), cycle_graph(5), cycle_graph(4))
+    blowups = [clique_blowup(b, [rng.randint(1, 4) for _ in range(b.n)]) for b in bases for _ in range(4)]
+    return [*blowups, *(join_with_clique(petersen(), ell) for ell in (1, 3)),
+            *(spider(k) for k in (3, 8)), *(windmill(k) for k in (3, 8)),
+            *(_random_with_twins(rng) for _ in range(150))]
+
+
+@pytest.mark.parametrize("pattern", PATTERN_NAMES + ("hole(5)", "hole(6)"))
+def test_twin_restricted_search_keeps_the_witness(connected_upto7, pattern):
+    # the search skips all but the lowest vertices of each true-twin class;
+    # it must return the unrestricted search's lex-least witness, or None
+    # exactly where it does
+    twin_pairs = 0
+    for g in [*connected_upto7, *_twin_heavy_graphs()]:
+        got = find_induced_pattern(g, pattern)
+        assert (got.vertices if got else None) == _reference(g, pattern), (g, g.adj)
+        if got is not None:
+            classes = _true_twin_classes(g.adj, g.full_mask())
+            twin_pairs += any((c & sum(1 << v for v in got.vertices)).bit_count() > 1 for c in classes)
+    # the diamond and kite have a twin pair, so their witnesses may take two
+    # vertices of one class; the other patterns never do
+    assert (twin_pairs > 0) == (pattern in ("diamond", "kite")), twin_pairs
 
 
 @pytest.mark.parametrize("pattern", PATTERN_NAMES + ("hole(5)", "hole(6)"))

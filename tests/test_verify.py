@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import p7c4.cli as cli
 from p7c4.cli import cli_main
 from p7c4.enumerate import connected_graphs
@@ -164,6 +166,15 @@ def test_cli_verify_sample_is_seeded(capsys):
     assert code == 0 and out1[0]["result"]["total"] == 7
     _, out2 = run_cli(capsys, *args)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_cli_verify_sample_needs_a_positive_size(capsys, k):
+    # 0 used to run the whole corpus, -2 to fail inside random.sample
+    assert cli_main(["verify", "--theorem", "T1", "--exhaustive", "3", "--sample", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "--sample needs K >= 1"}
 
 
 def test_cli_edge_list_input(capsys, tmp_path):
