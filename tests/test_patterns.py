@@ -120,8 +120,8 @@ def _reference(g: Graph, pattern: str):
 
 
 def _random_with_twins(rng: random.Random) -> Graph:
-    """A G(n, p) graph plus a few true twins of random vertices (twins of
-    twins too), under a random relabelling."""
+    """A random graph on 5-10 vertices plus a few true twins of random
+    vertices (twins of twins too), under a random relabelling."""
     n = rng.randint(5, 10)
     p = rng.choice((0.3, 0.5, 0.7))
     nbrs = [{u for u in range(n) if u != v and rng.random() < p} for v in range(n)]
