@@ -1,5 +1,12 @@
+import hashlib
+import json
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
+from conftest import c7_plus, diamond_negative_controls, gem_negative_controls
 from p7c4.families import g5, graph_f, petersen
 from p7c4.graphs import Graph, GraphError, clique_blowup, cycle_graph
 from p7c4.hole_lab import (
@@ -13,6 +20,7 @@ from p7c4.hole_lab import (
 )
 
 HOLE = tuple(range(7))
+BATTERIES = (("diamond", check_diamond_properties), ("gem", check_gem_properties))
 
 
 
@@ -68,7 +76,7 @@ def test_mode_mismatch_rejected():
 
 
 def test_vacuous_pass_on_c7():
-    for mode, checker in (("diamond", check_diamond_properties), ("gem", check_gem_properties)):
+    for mode, checker in BATTERIES:
         part = partition_around_hole(cycle_graph(7), HOLE, mode)
         assert all(r.holds for r in checker(cycle_graph(7), part))
 
@@ -97,9 +105,6 @@ def test_g5_blowup_also_fails_exactly_m9():
     part = partition_around_hole(blown, hole, "gem")
     failing = [r.property_id for r in check_gem_properties(blown, part) if not r.holds]
     assert failing == ["M9"]
-
-
-from conftest import diamond_negative_controls, gem_negative_controls
 
 
 @pytest.mark.parametrize("target,g", diamond_negative_controls())
@@ -138,3 +143,44 @@ def test_all_seven_holes():
     assert len(all_seven_holes(graph_f())) == 2
     blown = clique_blowup(cycle_graph(7), [2] * 7)
     assert len(all_seven_holes(blown)) == 2 ** 7
+
+
+def _hole_centred_corpus():
+    """3,000 graphs: C7 on 0..6 plus 2-6 vertices. Each new vertex sees one
+    X/Y/Z template of the hole (probability 0.85) or else a random subset
+    of it, and two new vertices are adjacent with probability 0.4."""
+    rng = random.Random(13)
+    templates = ((0, 3), (0, 3, 4), (0, 1, 2))
+    corpus = []
+    for _ in range(3000):
+        k = rng.randint(2, 6)
+        atts = []
+        for _ in range(k):
+            if rng.random() < 0.85:
+                i = rng.randrange(7)
+                atts.append({(i + a) % 7 for a in rng.choice(templates)})
+            else:
+                atts.append({a for a in range(7) if rng.random() < 0.3})
+        extra = [(7 + a, 7 + b) for a, b in combinations(range(k), 2) if rng.random() < 0.4]
+        corpus.append(c7_plus(*atts, extra_edges=extra))
+    return corpus
+
+
+# sha256 of the partition and report JSON of every corpus graph in both modes
+HOLE_CENTRED_DIGEST = "e74cb434049a4e9377dfa83fee7a214256843a2a053c2e6c314ca5bec4a89307"
+
+
+def test_battery_on_hole_centred_graphs():
+    h = hashlib.sha256()
+    failures = Counter()
+    for g in _hole_centred_corpus():
+        for mode, checker in BATTERIES:
+            part = partition_around_hole(g, HOLE, mode)
+            reports = checker(g, part)
+            h.update(json.dumps([part.to_json(), [r.to_json() for r in reports]]).encode())
+            for r in reports:
+                if not r.holds:
+                    failures[r.property_id] += 1
+                    assert recheck_counterexample(g, part, r), (sorted(g.edges()), r)
+    assert set(failures) == {*DIAMOND_PROPERTIES, *GEM_PROPERTIES}
+    assert h.hexdigest() == HOLE_CENTRED_DIGEST
