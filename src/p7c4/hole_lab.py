@@ -11,15 +11,23 @@ analyses type the same neighborhoods differently:
                  Z_i = {x : N(x) cap A = {a_i, a_{i+3}, a_{i+4}}}
 
 Indices are 0-based here (set i corresponds to hole position i) and all
-arithmetic is modulo 7. Every property is evaluated as a direct finite
-predicate; a failing property carries a concrete counterexample tuple.
+arithmetic is modulo 7. Coverage (NA-1, M1: every vertex of N(A) has a
+type) fails on the least unclassified vertex, and NA-3 (N(A) is stable) on
+the least adjacent pair in N(A). Every other property is a tuple of rows
+(S, T, offsets, adjacency) in _PAIR_RULES. A row is violated by u in S_i
+and v in T_{i+o}, o in offsets, u != v, whose adjacency equals the row's;
+adjacency None makes every such pair a violation, so S_i and the T_{i+o}
+must not both be inhabited. S and T name a family or a union of families
+("XZ" is X_i cup Z_i). The counterexample is the first violating pair,
+ordered by i, then by row, then by u and v ascending. The re-check matches
+a reported pair against the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, GraphError, _bits, _mask
+from .graphs import Graph, GraphError, _mask
 from .patterns import _search_induced_cycles
 
 MODES = ("diamond", "gem")
@@ -90,35 +98,20 @@ def partition_around_hole(g: Graph, hole: tuple[int, ...], mode: str) -> SevenHo
         raise GraphError(f"unknown mode {mode!r}")
     _check_hole(g, hole)
     amask = _mask(hole)
-    templates: dict[frozenset[int], tuple[str, int]] = {}
+    bit = [1 << a for a in hole]
+    X, Y, Z = ([set() for _ in range(7)] for _ in range(3))
+    rest, unclassified = set(), set()
+    # the hole vertices a vertex sees, as a mask, name the set it joins
+    targets = {0: rest}
     for i in range(7):
-        x_t = frozenset({hole[i], hole[(i + 3) % 7]})
-        templates[x_t] = ("X", i)
-        spread = frozenset({hole[i], hole[(i + 3) % 7], hole[(i + 4) % 7]})
-        if mode == "diamond":
-            templates[spread] = ("Y", i)
-        else:
-            templates[spread] = ("Z", i)
-            consec = frozenset({hole[i], hole[(i + 1) % 7], hole[(i + 2) % 7]})
-            templates[consec] = ("Y", i)
-    X = [set() for _ in range(7)]
-    Y = [set() for _ in range(7)]
-    Z = [set() for _ in range(7)]
-    rest = []
-    unclassified = []
+        x = bit[i] | bit[(i + 3) % 7]
+        targets[x] = X[i]
+        targets[x | bit[(i + 4) % 7]] = (Y if mode == "diamond" else Z)[i]
+        if mode == "gem":
+            targets[bit[i] | bit[(i + 1) % 7] | bit[(i + 2) % 7]] = Y[i]
     for v in range(g.n):
-        if amask >> v & 1:
-            continue
-        inter = g.adj[v] & amask
-        if not inter:
-            rest.append(v)
-            continue
-        got = templates.get(frozenset(_bits(inter)))
-        if got is None:
-            unclassified.append(v)
-        else:
-            kind, i = got
-            {"X": X, "Y": Y, "Z": Z}[kind][i].add(v)
+        if not amask >> v & 1:
+            targets.get(g.adj[v] & amask, unclassified).add(v)
     return SevenHolePartition(
         hole=tuple(hole),
         mode=mode,
@@ -130,170 +123,111 @@ def partition_around_hole(g: Graph, hole: tuple[int, ...], mode: str) -> SevenHo
     )
 
 
-def _first_pair(g: Graph, left: frozenset[int], right: frozenset[int], adjacent: bool):
-    """Smallest cross pair that is (non)adjacent, or None."""
+_PAIR_RULES = {
+    "NA-2": (("X", "X", (0,), None), ("Y", "Y", (0,), None)),
+    "NA-4": (("X", "X", (2, 5), None),),
+    "NA-5": (("Y", "Y", (3, 4), None),),
+    "NA-6": (("X", "Y", (0, 1, 2, 3), None),),
+    "M2": (("XZ", "XZ", (0,), False), ("Y", "Y", (0,), False)),
+    "M3": (("Y", "Y", (1, 6), False),),
+    "M4": (("Y", "Y", (2, 3, 4, 5), True),),
+    "M5": (("X", "X", (2, 5), None),),
+    "M6": (("X", "X", (1, 3, 4, 6), True),),
+    "M7": (("X", "Y", (2, 6), False),),
+    "M8": (("X", "Y", (0, 1, 3, 4, 5), True),),
+    "M9": (("Z", "Z", (3, 4), None),),
+    "M10": (("Z", "Z", (1, 2, 5, 6), True),),
+    "M11": (("Z", "X", (0, 4, 6), None),),
+    "M12": (("Z", "X", (1, 2, 3, 5), True),),
+    "M13": (("Z", "Y", (2, 3, 6), False),),
+    "M14": (("Z", "Y", (0, 1, 4, 5), True),),
+}
+
+
+def _first_pair(g: Graph, left, right, adjacent: bool | None):
+    """Smallest (u, v) in left x right, u != v, of the given adjacency (None: any)."""
+    right = sorted(right)
     for u in sorted(left):
-        for v in sorted(right):
-            if u != v and g.has_edge(u, v) == adjacent:
+        for v in right:
+            if u != v and (adjacent is None or g.has_edge(u, v) == adjacent):
                 return (u, v)
     return None
 
 
-def _union(sets, idxs) -> frozenset[int]:
-    out = set()
-    for i in idxs:
-        out |= sets[i % 7]
-    return frozenset(out)
+def _family(part: SevenHolePartition, kinds: str) -> tuple[frozenset[int], ...]:
+    if len(kinds) == 1:
+        return getattr(part, kinds)
+    return tuple(frozenset().union(*s) for s in zip(*(getattr(part, k) for k in kinds)))
 
 
-def _dichotomy(sets_a, sets_b, offsets) -> tuple[int, ...] | None:
-    """First (u, v) with u in sets_a[i] and v in sets_b[i+off], if both nonempty."""
+def _rule_violation(g: Graph, part: SevenHolePartition, rows) -> tuple[int, int] | None:
+    """First violating pair, by i, then row, then (u, v) ascending."""
+    rows = [(_family(part, s), _family(part, t), offsets, adj) for s, t, offsets, adj in rows]
     for i in range(7):
-        if not sets_a[i]:
-            continue
-        other = _union(sets_b, [i + off for off in offsets])
-        if other:
-            return (min(sets_a[i]), min(other))
+        for left, right, offsets, adjacent in rows:
+            if left[i]:
+                others = frozenset().union(*[right[(i + o) % 7] for o in offsets])
+                ce = _first_pair(g, left[i], others, adjacent)
+                if ce:
+                    return ce
     return None
 
 
-# Properties about pairs u in S_i, v in T_{i+o}: (S, T, offsets o, the
-# adjacency of u and v that violates the property). None marks a dichotomy:
-# S_i and the union of the T_{i+o} must not both be inhabited.
-_PAIR_RULES = {
-    "NA-4": ("X", "X", (2, 5), None),
-    "NA-5": ("Y", "Y", (3, 4), None),
-    "NA-6": ("X", "Y", (0, 1, 2, 3), None),
-    "M3": ("Y", "Y", (1, 6), False),
-    "M4": ("Y", "Y", (2, 3, 4, 5), True),
-    "M5": ("X", "X", (2, 5), None),
-    "M6": ("X", "X", (1, 3, 4, 6), True),
-    "M7": ("X", "Y", (2, 6), False),
-    "M8": ("X", "Y", (0, 1, 3, 4, 5), True),
-    "M9": ("Z", "Z", (3, 4), None),
-    "M10": ("Z", "Z", (1, 2, 5, 6), True),
-    "M11": ("Z", "X", (0, 4, 6), None),
-    "M12": ("Z", "X", (1, 2, 3, 5), True),
-    "M13": ("Z", "Y", (2, 3, 6), False),
-    "M14": ("Z", "Y", (0, 1, 4, 5), True),
-}
-
-
-def _pair_report(g: Graph, part: SevenHolePartition, pid: str) -> PropertyReport:
-    kind_a, kind_b, offsets, adjacent = _PAIR_RULES[pid]
-    sets_a, sets_b = getattr(part, kind_a), getattr(part, kind_b)
-    if adjacent is None:
-        ce = _dichotomy(sets_a, sets_b, offsets)
-    else:
-        for i in range(7):
-            ce = _first_pair(g, sets_a[i], _union(sets_b, [i + o for o in offsets]), adjacent)
-            if ce:
-                break
-    return PropertyReport(pid, ce is None, ce)
+def _battery(g: Graph, part: SevenHolePartition, mode: str, ids) -> list[PropertyReport]:
+    """Coverage (ids[0]), then NA-3 or the pair rules, in the order of ids."""
+    if part.mode != mode:
+        raise GraphError(f"{mode} property battery needs a {mode}-mode partition")
+    bad = min(part.unclassified, default=None)
+    reports = [PropertyReport(ids[0], bad is None, None if bad is None else (bad,))]
+    for pid in ids[1:]:
+        if pid == "NA-3":  # N(A) is a stable set
+            na = frozenset().union(*part.X, *part.Y, *part.Z, part.unclassified)
+            ce = _first_pair(g, na, na, adjacent=True)
+        else:
+            ce = _rule_violation(g, part, _PAIR_RULES[pid])
+        reports.append(PropertyReport(pid, ce is None, ce))
+    return reports
 
 
 def check_diamond_properties(g: Graph, part: SevenHolePartition) -> list[PropertyReport]:
     """Evaluate NA-1..NA-6 on a diamond-mode partition."""
-    if part.mode != "diamond":
-        raise GraphError("diamond property battery needs a diamond-mode partition")
-    X, Y = part.X, part.Y
-    reports = []
-
-    # NA-1: N(A) is covered by the X_i and Y_i
-    bad = min(part.unclassified) if part.unclassified else None
-    reports.append(PropertyReport("NA-1", bad is None, (bad,) if bad is not None else None))
-
-    # NA-2: each X_i and Y_i has at most one element
-    ce = None
-    for i in range(7):
-        for s in (X[i], Y[i]):
-            if len(s) > 1:
-                a, b = sorted(s)[:2]
-                ce = (a, b)
-                break
-        if ce:
-            break
-    reports.append(PropertyReport("NA-2", ce is None, ce))
-
-    # NA-3: N(A) is a stable set
-    na = frozenset().union(*X, *Y, part.unclassified)
-    ce = _first_pair(g, na, na, adjacent=True)
-    reports.append(PropertyReport("NA-3", ce is None, ce))
-
-    # NA-4..NA-6: the dichotomies of _PAIR_RULES
-    reports += [_pair_report(g, part, pid) for pid in DIAMOND_PROPERTIES[3:]]
-    return reports
+    return _battery(g, part, "diamond", DIAMOND_PROPERTIES)
 
 
 def check_gem_properties(g: Graph, part: SevenHolePartition) -> list[PropertyReport]:
     """Evaluate M1..M14 on a gem-mode partition."""
-    if part.mode != "gem":
-        raise GraphError("gem property battery needs a gem-mode partition")
-    X, Y, Z = part.X, part.Y, part.Z
-    reports = []
+    return _battery(g, part, "gem", GEM_PROPERTIES)
 
-    # M1: coverage of N(A)
-    bad = min(part.unclassified) if part.unclassified else None
-    reports.append(PropertyReport("M1", bad is None, (bad,) if bad is not None else None))
 
-    # M2: X_i cup Z_i and Y_i are cliques
-    ce = None
-    for i in range(7):
-        xz = X[i] | Z[i]
-        ce = _first_pair(g, xz, xz, adjacent=False) or _first_pair(g, Y[i], Y[i], adjacent=False)
-        if ce:
-            break
-    reports.append(PropertyReport("M2", ce is None, ce))
-
-    # M3..M14: the complete, anticomplete and dichotomy rules of _PAIR_RULES
-    reports += [_pair_report(g, part, pid) for pid in GEM_PROPERTIES[2:]]
-    return reports
+def _locate(part: SevenHolePartition, v: int) -> tuple[str, int] | None:
+    for kind in "XYZ":
+        for i, s in enumerate(getattr(part, kind)):
+            if v in s:
+                return kind, i
+    return None
 
 
 def recheck_counterexample(g: Graph, part: SevenHolePartition, report: PropertyReport) -> bool:
     """Confirm that a failing report's tuple really violates its property."""
     if report.holds or report.counterexample is None:
         return False
-    pid = report.property_id
-    ce = report.counterexample
-
-    def locate(v):
-        for kind, sets in (("X", part.X), ("Y", part.Y), ("Z", part.Z)):
-            for i in range(7):
-                if v in sets[i]:
-                    return kind, i
-        return None
-
+    pid, ce = report.property_id, report.counterexample
     if pid in ("NA-1", "M1"):
         return ce[0] in part.unclassified
-    if pid == "NA-2":
-        u, v = ce
-        pu, pv = locate(u), locate(v)
-        return pu is not None and pu == pv
-    if pid == "NA-3":
-        u, v = ce
-        na = set().union(*part.X, *part.Y, part.unclassified)
-        return u in na and v in na and g.has_edge(u, v)
-    if pid == "M2":
-        u, v = ce
-        pu, pv = locate(u), locate(v)
-        if pu is None or pv is None or pu[1] != pv[1]:
-            return False
-        same_clique = (pu[0] in "XZ" and pv[0] in "XZ") or (pu[0] == pv[0] == "Y")
-        return same_clique and not g.has_edge(u, v)
-
-    if pid not in _PAIR_RULES:
+    if len(ce) != 2 or ce[0] == ce[1]:
         return False
-    kind_a, kind_b, offsets, adjacent = _PAIR_RULES[pid]
     u, v = ce
-    pu, pv = locate(u), locate(v)
-    if pu is None or pv is None or pu[0] != kind_a or pv[0] != kind_b:
+    if pid == "NA-3":
+        na = frozenset().union(*part.X, *part.Y, *part.Z, part.unclassified)
+        return u in na and v in na and g.has_edge(u, v)
+    pu, pv = _locate(part, u), _locate(part, v)
+    if pu is None or pv is None:
         return False
-    if (pv[1] - pu[1]) % 7 not in tuple(o % 7 for o in offsets):
-        return False
-    if adjacent is None:
-        return True  # dichotomy: both sets inhabited is already the violation
-    return g.has_edge(u, v) == adjacent
+    return any(
+        pu[0] in s and pv[0] in t and (pv[1] - pu[1]) % 7 in offsets
+        and (adjacent is None or g.has_edge(u, v) == adjacent)
+        for s, t, offsets, adjacent in _PAIR_RULES.get(pid, ())
+    )
 
 
 def all_seven_holes(g: Graph) -> list[tuple[int, ...]]:

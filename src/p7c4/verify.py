@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .coloring import StructuralContradiction, _color_member
-from .families import generate
+from .families import _base_by_name, generate
 from .graphs import Graph, GraphError, max_clique_size, write_graph6
 from .patterns import class_membership
 from .structure import find_clique_cutset, theorem_case
@@ -161,7 +161,7 @@ def verify_corpus(graphs, theorem: str, corpus: str = "") -> VerificationRun:
 def standard_blowup_corpus(base_name: str, max_total: int) -> list[tuple[str, Graph]]:
     """Deterministic blowup instances of a named base: uniform sizes, single
     and double +1 bumps, and single +2 bumps, capped at max_total vertices."""
-    base = generate(base_name)
+    base = _base_by_name(base_name)
     n = base.n
     vectors: list[tuple[int, ...]] = []
     t = 1

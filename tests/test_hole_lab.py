@@ -12,6 +12,7 @@ from p7c4.graphs import Graph, GraphError, clique_blowup, cycle_graph
 from p7c4.hole_lab import (
     DIAMOND_PROPERTIES,
     GEM_PROPERTIES,
+    PropertyReport,
     all_seven_holes,
     check_diamond_properties,
     check_gem_properties,
@@ -123,6 +124,22 @@ def test_negative_controls_gem(target, g):
     rep = reports[target]
     assert not rep.holds and rep.counterexample is not None
     assert recheck_counterexample(g, part, rep)
+
+
+def test_recheck_rejects_pairs_outside_the_rules():
+    g = c7_plus({0, 3})  # vertex 7 is X_0 and every property holds
+    for mode, checker in BATTERIES:
+        part = partition_around_hole(g, HOLE, mode)
+        assert all(r.holds for r in checker(g, part))
+        for pid in ("NA-2", "M2"):
+            assert not recheck_counterexample(g, part, PropertyReport(pid, False, (7, 7)))
+        for pid in (*DIAMOND_PROPERTIES[1:], *GEM_PROPERTIES[1:]):
+            assert not recheck_counterexample(g, part, PropertyReport(pid, False, (0, 1)))
+    g = c7_plus({0, 3}, {2, 5})  # the NA-4 negative control
+    part = partition_around_hole(g, HOLE, "diamond")
+    na4 = {r.property_id: r for r in check_diamond_properties(g, part)}["NA-4"]
+    assert recheck_counterexample(g, part, na4)
+    assert not recheck_counterexample(g, part, PropertyReport("NA-5", False, na4.counterexample))
 
 
 def test_partition_covers_every_vertex(small_graphs):

@@ -160,6 +160,14 @@ def test_cli_verify_blowups(capsys):
     assert res["violated"] == 0 and res["checked"] >= 1  # the Petersen base itself
 
 
+def test_cli_verify_blowups_takes_every_blowup_base(capsys):
+    # the bases `generate --family blowup` accepts, cycles included
+    code, out = run_cli(capsys, "verify", "--theorem", "T3", "--blowups", "C7:14")
+    assert code == 0
+    res = out[0]["result"]
+    assert res["total"] == 37 and res["verified"] == 37
+
+
 def test_cli_verify_sample_is_seeded(capsys):
     args = ("verify", "--theorem", "T3", "--exhaustive", "5", "--sample", "7", "--seed", "11")
     code, out1 = run_cli(capsys, *args)
