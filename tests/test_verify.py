@@ -3,7 +3,9 @@ import json
 import pytest
 
 import p7c4.cli as cli
+import p7c4.coloring as coloring
 from p7c4.cli import cli_main
+from p7c4.coloring import StructuralContradiction
 from p7c4.enumerate import connected_graphs
 from p7c4.families import g1, g2, g3, g5, generate, graph_f, petersen
 from p7c4.graphs import Graph, cycle_graph, join_with_clique, write_graph6
@@ -222,6 +224,21 @@ def test_cli_internal_error_is_not_a_violation(capsys, monkeypatch):
     assert captured.out == ""
     assert json.loads(captured.err) == {
         "error": "internal", "type": "RecursionError", "detail": "maximum recursion depth exceeded",
+    }
+
+
+def test_cli_structural_contradiction_exits_1(capsys, monkeypatch):
+    # a member that falsifies its structure theorem is a finding, reported with a repro
+    def contradict(g, class_name):
+        raise StructuralContradiction(class_name, g, "no theorem case applies")
+
+    monkeypatch.setattr(coloring, "_color_member", contradict)
+    assert cli_main(["color", "--class", "diamond", "--family", "Petersen"]) == 1
+    g6 = write_graph6(petersen())
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "structural-contradiction",
+        "detail": f"diamond-class: no theorem case applies (graph6 {g6})",
+        "graph6": g6,
     }
 
 
