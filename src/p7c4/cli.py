@@ -10,41 +10,31 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from .coloring import (
-    StructuralContradiction,
-    color_diamond_class,
-    color_gem_class,
-    color_kite_class,
-)
-from .enumerate import connected_graphs
-from .families import FAMILY_NAMES, generate
 from .graphs import (
     DEFAULT_ORACLE_LIMIT,
     Graph,
     GraphError,
+    StructuralContradiction,
     graph_stats,
     parse_edge_list,
     parse_graph6,
     write_graph6,
 )
-from .hole_lab import (
-    all_seven_holes,
-    check_diamond_properties,
-    check_gem_properties,
-    partition_around_hole,
-)
-from .patterns import class_membership, find_hole
-from .structure import decompose_into_atoms
-from .verify import THEOREMS, standard_blowup_corpus, verify_corpus
+from .patterns import THEOREMS
 
-_COLORERS = {
-    "diamond": color_diamond_class,
-    "kite": color_kite_class,
-    "gem": color_gem_class,
-}
+# Each subcommand imports the modules it runs inside its handler, so that
+# `classify` loads only `graphs` and `patterns`; names are read from their
+# modules at call time. The parser lists the names families.generate accepts
+# without loading the family code.
+FAMILY_NAMES = ("Petersen", "F", "G1", "G2", "G3", "G4", "G5", "G6", "blowup", "C", "P", "K")
+
+
+def _colorer(cls: str):
+    from . import coloring
+
+    return getattr(coloring, f"color_{cls}_class")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -113,6 +103,8 @@ def _params(pairs: list[str]) -> dict:
 def _read_corpus(args) -> list[tuple[str, Graph]]:
     """Labeled input graphs from --family, --corpus, or stdin."""
     if getattr(args, "family", None):
+        from .families import generate
+
         g = generate(args.family, **_params(args.param))
         return [(args.family, g)]
     stream = None
@@ -157,6 +149,9 @@ def _per_graph(args, fn) -> int:
 
 
 def _analyze(g: Graph, mode: str, all_holes: bool) -> dict:
+    from .hole_lab import all_seven_holes, check_diamond_properties, check_gem_properties, partition_around_hole
+    from .patterns import find_hole
+
     checker = check_diamond_properties if mode == "diamond" else check_gem_properties
     if all_holes:
         holes = all_seven_holes(g)
@@ -180,19 +175,25 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         if args.command == "classify":
+            from .patterns import class_membership
+
             return _per_graph(args, lambda g: class_membership(g, args.cls).to_json())
         if args.command == "color":
             def run(g):
-                cert = _COLORERS[args.cls](g)
+                cert = _colorer(args.cls)(g)
                 out = cert.to_json()
                 out["bound"] = out.pop("claimed_bound")
                 return out
             return _per_graph(args, run)
         if args.command == "decompose":
+            from .structure import decompose_into_atoms
+
             return _per_graph(args, lambda g: decompose_into_atoms(g).to_json())
         if args.command == "analyze-hole":
             return _per_graph(args, lambda g: _analyze(g, args.mode, args.all_holes))
         if args.command == "generate":
+            from .families import generate
+
             g = generate(args.family, **_params(args.param))
             _emit({"input": None, "command": "generate",
                    "result": {"family": args.family, "n": g.n, "m": g.edge_count(),
@@ -204,7 +205,7 @@ def cli_main(argv=None) -> int:
                 out = {"omega": stats.omega, "chi": stats.chi, "delta": stats.delta,
                        "connected": stats.connected}
                 if args.cls:
-                    cert = _COLORERS[args.cls](g)
+                    cert = _colorer(args.cls)(g)
                     out["colors_used"] = cert.colors_used
                     out["bound"] = cert.claimed_bound
                     if stats.chi is not None:
@@ -229,8 +230,17 @@ def cli_main(argv=None) -> int:
 
 
 def _verify(args) -> int:
-    if args.sample is not None and args.sample < 1:
-        raise GraphError("--sample needs K >= 1")
+    import random
+
+    from .enumerate import connected_graphs
+    from .verify import standard_blowup_corpus, verify_corpus
+
+    base, _, total = (args.blowups or "").partition(":")
+    total = int(total or 20)
+    for need, value in (("--sample needs K", args.sample), ("--exhaustive needs N", args.exhaustive),
+                        ("--blowups needs TOTAL", total)):
+        if value is not None and value < 1:
+            raise GraphError(f"{need} >= 1")
     labeled: list[tuple[str, Graph]] = []
     desc = []
     if args.exhaustive:
@@ -239,8 +249,7 @@ def _verify(args) -> int:
                 labeled.append((write_graph6(g), g))
         desc.append(f"exhaustive connected n<={args.exhaustive}")
     if args.blowups:
-        base, _, total = args.blowups.partition(":")
-        labeled.extend(standard_blowup_corpus(base, int(total or 20)))
+        labeled.extend(standard_blowup_corpus(base, total))
         desc.append(f"blowups {args.blowups}")
     if args.family or args.corpus or (not labeled and not sys.stdin.isatty()):
         labeled.extend(_read_corpus(args))

@@ -24,30 +24,15 @@ from .families import petersen
 from .graphs import (
     Graph,
     GraphError,
+    StructuralContradiction,
     _bits,
     _components,
     _max_clique_size,
     exact_coloring,
     induced_subgraph,
-    write_graph6,
 )
 from .patterns import class_membership, class_third_pattern
 from .structure import COLORING_BOUNDS, BlowupCertificate, TheoremCase, _find_cutset, theorem_case
-
-
-class StructuralContradiction(RuntimeError):
-    """No theorem case applies to a certified class member.
-
-    Reaching this means the input falsifies the structure theorem the
-    coloring relies on, so the full evidence is attached.
-    """
-
-    def __init__(self, class_name: str, g: Graph, detail: str):
-        self.class_name = class_name
-        self.graph = g
-        self.graph6 = write_graph6(g)
-        self.detail = detail
-        super().__init__(f"{class_name}: {detail} (graph6 {self.graph6})")
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,6 @@ from .graphs import (
     path_graph,
 )
 
-FAMILY_NAMES = ("Petersen", "F", "G1", "G2", "G3", "G4", "G5", "G6", "blowup", "C", "P", "K")
-
 
 @lru_cache(maxsize=1)
 def petersen() -> Graph:

@@ -17,6 +17,21 @@ class GraphError(ValueError):
     """Raised on invalid graph construction or operation preconditions."""
 
 
+class StructuralContradiction(RuntimeError):
+    """No theorem case applies to a certified class member.
+
+    Reaching this means the input falsifies the structure theorem the
+    coloring relies on, so the full evidence is attached.
+    """
+
+    def __init__(self, class_name: str, g: Graph, detail: str):
+        self.class_name = class_name
+        self.graph = g
+        self.graph6 = write_graph6(g)
+        self.detail = detail
+        super().__init__(f"{class_name}: {detail} (graph6 {self.graph6})")
+
+
 class Graph:
     """Simple undirected graph; adjacency stored as one bitmask per vertex."""
 

@@ -44,6 +44,7 @@ _BULL_EDGES = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 4))              # triangle p
 PATTERN_NAMES = ("P7", "C4", "C7", "diamond", "kite", "gem", "bull")
 
 CLASS_NAMES = ("diamond-class", "kite-class", "gem-class")
+THEOREMS = ("T1", "T2", "T3", "C1", "C2", "C3")  # checked by verify, named here for the CLI parser
 
 
 @lru_cache(maxsize=None)

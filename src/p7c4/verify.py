@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coloring import StructuralContradiction, _color_member
+from .coloring import _color_member
 from .families import _base_by_name, generate
-from .graphs import Graph, GraphError, max_clique_size, write_graph6
-from .patterns import class_membership
+from .graphs import Graph, GraphError, StructuralContradiction, max_clique_size, write_graph6
+from .patterns import THEOREMS, class_membership
 from .structure import find_clique_cutset, theorem_case
-
-THEOREMS = ("T1", "T2", "T3", "C1", "C2", "C3")
 
 _THEOREM_CLASS = {
     "T1": "diamond-class",

@@ -1,17 +1,19 @@
-"""Every module-level import in the library is used.
-
-The package `__init__.py` is left out: its imports are the public
-re-exports.
+"""Every module-level import in the library is used, the package exports
+exactly its public names, and a CLI subcommand loads only what it runs.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import p7c4
 
-MODULES = sorted(p for p in Path(p7c4.__file__).parent.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(Path(p7c4.__file__).parent.glob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,3 +38,65 @@ def test_no_unused_module_imports(path):
 def test_unused_import_is_reported():
     source = "from .graphs import Graph, _bits\n\ndef f(g: Graph):\n    return g\n"
     assert _unused_imports(source) == ["_bits (line 1)"]
+
+
+PUBLIC_NAMES = sorted("""
+    AtomDecomposition BisimplicialCertificate BlowupCertificate ClassCertificate CliqueCutsetSplit
+    ColoringCertificate Graph GraphError GraphStats PatternWitness PeelResult PropertyReport
+    SevenHolePartition StructuralContradiction TheoremCase VerificationRun all_graphs all_seven_holes
+    canonical_form canonical_key check_diamond_properties check_gem_properties check_theorem
+    class_members class_membership clique_blowup color_diamond_class color_gem_class color_kite_class
+    color_petersen_blowup complete_graph connected_graphs cycle_graph decompose_into_atoms empty_graph
+    exact_chromatic_number exact_coloring find_bisimplicial find_clique_cutset find_hole
+    find_induced_pattern find_isomorphism from_edge_list generate graph_f graph_stats
+    induced_subgraph isomorphic join_with_clique max_clique_size p7c4_free_graphs parse_edge_list
+    parse_graph6 partition_around_hole path_graph pattern_graph peel_universal_clique petersen
+    recheck_counterexample recognize_clique_blowup recognize_fixed replay_trace split_into_two_cliques
+    standard_blowup_corpus theorem_case validate_certificate verify_corpus write_edge_list write_graph6
+""".split())
+
+
+def test_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from p7c4 import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == PUBLIC_NAMES  # no submodule, so the builtin enumerate survives
+    assert len(PUBLIC_NAMES) == 69
+    assert set(PUBLIC_NAMES) <= set(dir(p7c4))
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_public_name_is_its_modules_object(name):
+    obj = getattr(p7c4, name)
+    assert obj.__name__ == name
+    assert getattr(importlib.import_module(obj.__module__), name) is obj
+
+
+def test_shared_names_are_one_object():
+    from p7c4 import coloring, graphs, patterns, verify
+
+    assert p7c4.StructuralContradiction is coloring.StructuralContradiction is graphs.StructuralContradiction
+    assert verify.THEOREMS is patterns.THEOREMS
+
+
+def test_package_names_follow_their_module(monkeypatch):
+    # nothing is cached in the package, so a patched function is seen through it
+    from p7c4 import graphs
+
+    monkeypatch.setattr(graphs, "write_graph6", len)
+    assert p7c4.write_graph6 is len
+
+
+def test_classify_loads_only_what_it_runs():
+    script = (
+        "import io, sys\n"
+        "from p7c4.cli import cli_main\n"
+        "sys.stdin = io.StringIO('Bw\\n')\n"
+        "assert cli_main(['classify', '--class', 'gem', '--corpus', '-']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('p7c4')), file=sys.stderr)\n"
+    )
+    src = str(Path(p7c4.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == str(["p7c4", "p7c4.cli", "p7c4.graphs", "p7c4.patterns"])

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-import p7c4.cli as cli
 import p7c4.coloring as coloring
+import p7c4.structure as structure
+import p7c4.verify as verify
 from p7c4.cli import cli_main
 from p7c4.coloring import StructuralContradiction
 from p7c4.enumerate import connected_graphs
@@ -187,6 +188,25 @@ def test_cli_verify_sample_needs_a_positive_size(capsys, k):
     assert json.loads(captured.err) == {"error": "--sample needs K >= 1"}
 
 
+@pytest.mark.parametrize("flag, value, need", [
+    ("--exhaustive", "-3", "--exhaustive needs N"),
+    ("--exhaustive", "0", "--exhaustive needs N"),
+    ("--blowups", "Petersen:-5", "--blowups needs TOTAL"),
+    ("--blowups", "Petersen:0", "--blowups needs TOTAL"),
+])
+def test_cli_verify_corpus_sizes_must_be_positive(capsys, monkeypatch, flag, value, need):
+    # these used to verify stdin alone under a corpus label naming the size
+    import io
+
+    stdin = io.StringIO("Bw\n")
+    stdin.isatty = lambda: False
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert cli_main(["verify", "--theorem", "C1", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"{need} >= 1"}
+
+
 def test_cli_edge_list_input(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3 2\n0 1\n1 2\n")
@@ -209,7 +229,7 @@ def test_cli_exit_codes(capsys, monkeypatch, tmp_path):
         run.violations.append({"graph6": "Bw", "diagnosis": {"status": "violated"}})
         return run
 
-    monkeypatch.setattr(cli, "verify_corpus", fake_verify)
+    monkeypatch.setattr(verify, "verify_corpus", fake_verify)
     assert cli_main(["verify", "--theorem", "T1", "--exhaustive", "2"]) == 1
     capsys.readouterr()
 
@@ -218,7 +238,7 @@ def test_cli_internal_error_is_not_a_violation(capsys, monkeypatch):
     def crash(g):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "decompose_into_atoms", crash)
+    monkeypatch.setattr(structure, "decompose_into_atoms", crash)
     assert cli_main(["decompose", "--family", "P", "--param", "k=5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
