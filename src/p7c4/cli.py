@@ -22,12 +22,11 @@ from .graphs import (
     parse_graph6,
     write_graph6,
 )
-from .patterns import THEOREMS
+from .patterns import THEOREMS, class_membership, find_hole
 
-# Each subcommand imports the modules it runs inside its handler, so that
-# `classify` loads only `graphs` and `patterns`; names are read from their
-# modules at call time. The parser lists the names families.generate accepts
-# without loading the family code.
+# Each subcommand imports the other modules it runs inside its handler, so
+# that `classify` loads only `graphs` and `patterns`. The parser lists the
+# names families.generate accepts without loading the family code.
 FAMILY_NAMES = ("Petersen", "F", "G1", "G2", "G3", "G4", "G5", "G6", "blowup", "C", "P", "K")
 
 
@@ -90,6 +89,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _family(args) -> Graph:
+    from .families import generate
+
+    return generate(args.family, **_params(args.param))
+
+
 def _params(pairs: list[str]) -> dict:
     out = {}
     for pair in pairs:
@@ -103,10 +108,7 @@ def _params(pairs: list[str]) -> dict:
 def _read_corpus(args) -> list[tuple[str, Graph]]:
     """Labeled input graphs from --family, --corpus, or stdin."""
     if getattr(args, "family", None):
-        from .families import generate
-
-        g = generate(args.family, **_params(args.param))
-        return [(args.family, g)]
+        return [(args.family, _family(args))]
     stream = None
     if getattr(args, "corpus", None):
         stream = sys.stdin if args.corpus == "-" else open(args.corpus)
@@ -150,7 +152,6 @@ def _per_graph(args, fn) -> int:
 
 def _analyze(g: Graph, mode: str, all_holes: bool) -> dict:
     from .hole_lab import all_seven_holes, check_diamond_properties, check_gem_properties, partition_around_hole
-    from .patterns import find_hole
 
     checker = check_diamond_properties if mode == "diamond" else check_gem_properties
     if all_holes:
@@ -175,8 +176,6 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         if args.command == "classify":
-            from .patterns import class_membership
-
             return _per_graph(args, lambda g: class_membership(g, args.cls).to_json())
         if args.command == "color":
             def run(g):
@@ -192,9 +191,7 @@ def cli_main(argv=None) -> int:
         if args.command == "analyze-hole":
             return _per_graph(args, lambda g: _analyze(g, args.mode, args.all_holes))
         if args.command == "generate":
-            from .families import generate
-
-            g = generate(args.family, **_params(args.param))
+            g = _family(args)
             _emit({"input": None, "command": "generate",
                    "result": {"family": args.family, "n": g.n, "m": g.edge_count(),
                               "graph6": write_graph6(g)}}, args.json)
