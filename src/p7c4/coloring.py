@@ -158,7 +158,10 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     One work stack stands in for the recursion over components, clique
     cutsets and eliminated vertices. A finished block leaves its coloring
     and clique number on the done stack, for the task pushed below its
-    children to merge; trace steps come out in post-order.
+    children to merge; trace steps come out in post-order. The two blocks
+    of a clique-cutset split are connected, as each side attaches to the
+    clique, so they skip the component search, and the right one takes the
+    MCS-M order the split carries.
     """
     adj = g.adj
     steps: list[dict] = []
@@ -187,22 +190,26 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             done[-1] = (assign, omega)
             steps.append({"step": "eliminate-vertex", "vertex": v, "color": assign[v]})
             continue
-        (mask,) = args
-        if not mask & mask - 1:
-            v = mask.bit_length() - 1
-            done.append(({v: 1}, 1))
-            steps.append({"step": "single-vertex", "vertex": v})
-            continue
-        comps = _components(adj, mask)
-        if len(comps) > 1:
-            work.append(("components", len(comps)))
-            work += [("block", c) for c in reversed(comps)]
-            continue
-        found = _find_cutset(adj, mask)
+        if kind == "connected":
+            mask, order = args
+        else:
+            (mask,) = args
+            if not mask & mask - 1:
+                v = mask.bit_length() - 1
+                done.append(({v: 1}, 1))
+                steps.append({"step": "single-vertex", "vertex": v})
+                continue
+            comps = _components(adj, mask)
+            if len(comps) > 1:
+                work.append(("components", len(comps)))
+                work += [("block", c) for c in reversed(comps)]
+                continue
+            order = None
+        found = _find_cutset(adj, mask, order)
         if found is not None:
             # every clique lies inside one of the two blocks
-            cut, side_a, side_b = found
-            work += [("cutset", cut), ("block", side_b | cut), ("block", side_a | cut)]
+            cut, side_a, side_b, carried = found
+            work += [("cutset", cut), ("connected", side_b | cut, carried), ("connected", side_a | cut, None)]
             continue
         omega = _max_clique_size(adj, mask)
         case = theorem_case(g, mask, class_name, omega)

@@ -116,23 +116,25 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return Graph._from_adj(n, adj)
 
 
-def _grow(n: int, parents, keeps) -> tuple[Graph, ...]:
+def _grow(n: int, parents, admits, keeps) -> tuple[Graph, ...]:
     """Canonical n-vertex graphs G with keeps(G) whose vertex-deleted
     subgraphs lie in parents(n - 1), a hereditary family.
 
     Each graph of parents(n - 1) gains a vertex x adjacent to the vertex set
-    of every mask; keeps(child) is the rest of the membership test, given
-    that the parent is in the family. A child is kept only if x is the last
-    vertex of the last cell of the refinement (graphs._refine): the
-    canonical deletion. Refinement is equivariant and its cell order
-    canonical, so every wanted G has a vertex v in that cell of its own.
+    of every mask; admits(parent.adj, mask) and keeps(child) are the rest of
+    the membership test, given that the parent is in the family. admits
+    reads no child, so the masks it rejects are never built or refined.
+    A child is kept only if x is the last vertex of the last cell of the
+    refinement (graphs._refine): the canonical deletion. Refinement is
+    equivariant and its cell order canonical, so every wanted G has a
+    vertex v in that cell of its own.
     G - v is isomorphic to some parent, and the mask of v's neighbours on it
     gives a child isomorphic to G in which x, the image of v, is last in its
     cell (vertices ascend within a cell) and so passes. Hence every
     isomorphism class is reached, most children are rejected before keeps
     and canonical_form, and the found dict removes the remaining duplicates.
-    As the parent is in the family, keeps looks only through x: for the
-    (P7, C4)-free graphs, at the C4s and P7s that contain x.
+    As the parent is in the family, admits and keeps look only through x:
+    for the (P7, C4)-free graphs, at the C4s and then the P7s that contain x.
 
     Cells are ordered by degree first, so x's degree k = |mask| must be the
     largest in the child. A parent vertex keeps its degree outside the mask
@@ -154,7 +156,7 @@ def _grow(n: int, parents, keeps) -> tuple[Graph, ...]:
                 heavier[k] |= 1 << v
         for mask in range(1 << (n - 1)):
             k = mask.bit_count()
-            if heavier[k] & ~mask or (k and heavier[k - 1] & mask):
+            if heavier[k] & ~mask or (k and heavier[k - 1] & mask) or not admits(adj, mask):
                 continue
             child = _extend(parent, mask)
             if _root_cells(child.adj)[-1][-1] == n - 1 and keeps(child):
@@ -163,30 +165,28 @@ def _grow(n: int, parents, keeps) -> tuple[Graph, ...]:
     return tuple(found[k] for k in sorted(found))
 
 
-def _always(_) -> bool:
+def _always(*_) -> bool:
     return True
 
 
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices, one canonical copy per class."""
-    return _grow(n, all_graphs, _always)
+    return _grow(n, all_graphs, _always, _always)
 
 
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, canonical copies."""
-    return _grow(n, all_graphs, Graph.is_connected)
+    return _grow(n, all_graphs, _always, Graph.is_connected)
 
 
-def _newest_vertex_keeps_p7c4_free(g: Graph) -> bool:
-    # g minus its newest vertex x is (P7, C4)-free, so any induced C4 or P7
-    # goes through x. A new C4 means some other vertex sees two nonadjacent
-    # neighbours of x, or x plus a common neighbour closes a 4-cycle; both
-    # reduce to "adj[v] & mask is a clique" checks
-    adj = g.adj
-    mask = adj[-1]
-    for v in range(g.n - 1):
+def _new_vertex_keeps_c4_free(adj: tuple[int, ...], mask: int) -> bool:
+    # the parent with adjacency adj is C4-free, so an induced C4 of the
+    # child goes through the new vertex x, with x's two cycle neighbours in
+    # mask and the opposite vertex v outside it: so every parent vertex
+    # outside mask must see a clique inside it
+    for v in range(len(adj)):
         if mask >> v & 1:
             continue
         common = adj[v] & mask
@@ -194,7 +194,12 @@ def _newest_vertex_keeps_p7c4_free(g: Graph) -> bool:
             for u in _bits(common):
                 if (adj[u] & common) != common ^ (1 << u):
                     return False
-    return not _has_induced_p7_through(adj, g.n - 1)
+    return True
+
+
+def _newest_vertex_keeps_p7_free(g: Graph) -> bool:
+    # g minus its newest vertex is P7-free
+    return not _has_induced_p7_through(g.adj, g.n - 1)
 
 
 def _has_induced_p7_through(adj: tuple[int, ...], x: int) -> bool:
@@ -218,7 +223,7 @@ def _has_induced_p7_through(adj: tuple[int, ...], x: int) -> bool:
 @lru_cache(maxsize=None)
 def p7c4_free_graphs(n: int) -> tuple[Graph, ...]:
     """All (P7, C4)-free graphs on exactly n vertices (hereditary closure)."""
-    return _grow(n, p7c4_free_graphs, _newest_vertex_keeps_p7c4_free)
+    return _grow(n, p7c4_free_graphs, _new_vertex_keeps_c4_free, _newest_vertex_keeps_p7_free)
 
 
 @lru_cache(maxsize=None)

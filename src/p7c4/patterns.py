@@ -17,6 +17,17 @@ class, and the pattern vertices that land in one class are twins inside
 the pattern, so there are at most m of them. The search therefore returns
 the same witness, or None, as a search over all vertices would, and clique
 blowups cost about as much as their base graph.
+
+The path search also keeps each position of the path to a layer of the
+allowed mask. Layer 0 is the mask, and layer j holds the vertices of layer
+j-1 with at least two neighbours in layer j-1. The vertex at position p of
+an induced P_k lies in layer min(p, k-1-p), its depth. By induction on j,
+every path vertex of depth at least j lies in layer j: for j >= 1 such a
+vertex and its two path neighbours have depth at least j-1, so all three
+lie in layer j-1, and the vertex has two neighbours there. A branch
+cut by the layers could not complete, so the lex-least path is unchanged,
+and an empty middle layer proves absence at once: a spider whose legs have
+at most two edges has nothing in layer 3, however many legs it has.
 """
 
 from __future__ import annotations
@@ -28,6 +39,7 @@ from .graphs import (
     Graph,
     GraphError,
     _bits,
+    _mask,
     _true_twin_classes,
     _twin_representatives,
     cycle_graph,
@@ -179,17 +191,25 @@ def _find_fixed_pattern(g: Graph, pat: Graph, allowed: int) -> tuple[int, ...] |
 
 def _find_induced_path(g: Graph, k: int, allowed: int) -> tuple[int, ...] | None:
     """Lex-least induced P_k inside the vertex mask allowed, as a
-    path-ordered tuple."""
+    path-ordered tuple; position p keeps to layer min(p, k-1-p) (see the
+    module docstring)."""
     if g.n < k:
         return None
     adj = g.adj
+    layers = [allowed]
+    for _ in range((k - 1) // 2):
+        below = layers[-1]
+        layers.append(_mask(v for v in _bits(below) if (adj[v] & below).bit_count() >= 2))
+    if not layers[-1]:
+        return None
+    at = [layers[min(p, k - 1 - p)] for p in range(k)]
     path = [0] * k
 
     def extend(pos: int, free: int, blocked: int) -> bool:
         # free: allowed minus the path; blocked: union of neighborhoods of
         # path[0..pos-2]
         last = path[pos - 1]
-        cand = adj[last] & free & ~blocked
+        cand = adj[last] & free & ~blocked & at[pos]
         for v in _bits(cand):
             path[pos] = v
             if pos + 1 == k:

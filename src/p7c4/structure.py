@@ -117,19 +117,32 @@ def _mcsm(adj, block: int) -> tuple[list[int], list[int]]:
     return order, fill
 
 
-def _find_cutset(adj, block: int) -> tuple[int, int, int] | None:
-    """Masks (cutset, side_a, side_b) of a clique cutset of the connected
-    vertex mask block, or None.
+def _find_cutset(adj, block: int, order=None) -> tuple[int, int, int, tuple | None] | None:
+    """(cutset, side_a, side_b, carried) for a clique cutset of the
+    connected vertex mask block, or None: three masks, and the MCS-M order
+    of side_b | cutset when this split yields it, else None.
 
     Scans a minimal elimination ordering (Tarjan, "Decomposition by clique
     separators", 1985): the first v in sigma whose later filled neighbors
     form a clique that cuts v's component off from the rest gives the split,
     and by the classical decomposition theorem the scan finds a clique
-    separator whenever one exists. side_a is the component of v.
+    separator whenever one exists. side_a is the component of v. order, if
+    given, is the (sigma, fill) that _mcsm returns for block; it is scanned
+    in place of a fresh run.
+
+    The order is carried when side_a is exactly the first |side_a| vertices
+    of sigma. Then _mcsm on side_b | cutset returns sigma without that
+    prefix, with the same fill inside the block. MCS-M numbers side_a last,
+    so up to then the run on the block and the run on side_b | cutset have
+    numbered the same vertices. A path between two of those vertices that
+    runs through side_a enters and leaves it at two vertices of the clique
+    cutset; the edge joining those two replaces that stretch, and its
+    internal vertices are a subset of the path's. So the same paths add
+    weight and fill in both runs, and the picks agree.
     """
     if _is_clique_mask(adj, block):
         return None
-    sigma, fill = _mcsm(adj, block)
+    sigma, fill = _mcsm(adj, block) if order is None else order
     later = block
     for v in sigma:
         later ^= 1 << v
@@ -139,7 +152,9 @@ def _find_cutset(adj, block: int) -> tuple[int, int, int] | None:
         comp = _component(adj, 1 << v, block & ~cut)
         rest = block & ~comp & ~cut
         if rest:
-            return cut, comp, rest
+            size = comp.bit_count()
+            prefix = all(comp >> u & 1 for u in sigma[:size])
+            return cut, comp, rest, ((sigma[size:], fill) if prefix else None)
     return None
 
 
@@ -154,7 +169,7 @@ def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
     found = _find_cutset(g.adj, g.full_mask())
     if found is None:
         return None
-    split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in found))
+    split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in found[:3]))
     validate_split(g, split)
     return split
 
@@ -220,21 +235,22 @@ class AtomDecomposition:
 def decompose_into_atoms(g: Graph) -> AtomDecomposition:
     """Clique-cutset decomposition of a connected graph down to cutset-free
     atoms: split by the first cutset of the MCS-M scan, then decompose
-    side_a plus the cutset (left) and side_b plus the cutset (right)."""
+    side_a plus the cutset (left) and side_b plus the cutset (right), the
+    right one with the order the split carries, if any."""
     if not g.is_connected():
         raise GraphError("atom decomposition requires a connected graph")
     root = AtomDecomposition()
-    stack = [(root, g.full_mask())]
+    stack = [(root, g.full_mask(), None)]
     while stack:
-        node, block = stack.pop()
-        found = _find_cutset(g.adj, block)
+        node, block, order = stack.pop()
+        found = _find_cutset(g.adj, block, order)
         if found is None:
             node.masks = (block,)
             continue
-        cut, side_a, side_b = found
-        node.masks = found
+        cut, side_a, side_b, carried = found
+        node.masks = (cut, side_a, side_b)
         node.left, node.right = AtomDecomposition(), AtomDecomposition()
-        stack += ((node.right, side_b | cut), (node.left, side_a | cut))
+        stack += ((node.right, side_b | cut, carried), (node.left, side_a | cut, None))
     return root
 
 

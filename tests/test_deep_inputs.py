@@ -12,7 +12,8 @@ from p7c4.coloring import color_diamond_class, color_gem_class, color_kite_class
 from p7c4.families import petersen
 from p7c4.graphs import clique_blowup, complete_graph, cycle_graph, induced_subgraph, path_graph
 from p7c4.patterns import class_membership
-from p7c4.structure import COLORING_BOUNDS, CliqueCutsetSplit, decompose_into_atoms, validate_split
+from p7c4 import structure
+from p7c4.structure import COLORING_BOUNDS, CliqueCutsetSplit, _mcsm as mcsm, decompose_into_atoms, validate_split
 
 from conftest import spider
 
@@ -71,6 +72,26 @@ def test_spider_511_decomposes_and_colors():
         cert = color(g)
         validate_certificate(g, cert)
         assert cert.colors_used == 2
+
+
+def test_cap_size_splits_reuse_one_mcsm_order(monkeypatch):
+    # every split cuts off a prefix of the elimination order, so the right
+    # block scans the order the split carries and the left block is a clique:
+    # decomposing and colouring run MCS-M once each, not once per split
+    calls = []
+
+    def counted(adj, block):
+        calls.append(block)
+        return mcsm(adj, block)
+
+    monkeypatch.setattr(structure, "_mcsm", counted)
+    for g in (spider(255), path_graph(512)):
+        calls.clear()
+        decompose_into_atoms(g)
+        assert calls == [g.full_mask()]
+    calls.clear()
+    color_gem_class(spider(255))
+    assert len(calls) == 1
 
 
 def test_cli_decompose_path_512(capsys):

@@ -139,13 +139,54 @@ def _random_with_twins(rng: random.Random) -> Graph:
     return Graph(len(nbrs), [(perm[u], perm[v]) for u in range(len(nbrs)) for v in nbrs[u] if u < v])
 
 
+def _relabelled(rng: random.Random, n: int, edges) -> Graph:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _random_tree(rng: random.Random) -> Graph:
+    n = rng.randint(6, 16)
+    return _relabelled(rng, n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _random_caterpillar(rng: random.Random) -> Graph:
+    """A path of 3-9 vertices with 0-2 leaves on each."""
+    spine = rng.randint(3, 9)
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    n = spine
+    for v in range(spine):
+        for _ in range(rng.randint(0, 2)):
+            edges.append((v, n))
+            n += 1
+    return _relabelled(rng, n, edges)
+
+
+def _long_legged_spider(legs: int) -> Graph:
+    """A centre 0 with `legs` paths of three edges."""
+    return Graph(1 + 3 * legs, [e for i in range(legs) for e in
+                                ((0, 3 * i + 1), (3 * i + 1, 3 * i + 2), (3 * i + 2, 3 * i + 3))])
+
+
+def _cycle_with_tail(k: int, tail: int) -> Graph:
+    """C_k on 0..k-1 with a path of `tail` edges hanging from vertex 0."""
+    path = [0, *range(k, k + tail)]
+    return Graph(k + tail, [(i, (i + 1) % k) for i in range(k)] + list(zip(path, path[1:])))
+
+
 def _twin_heavy_graphs() -> list[Graph]:
     rng = random.Random(12)
     bases = (cycle_graph(7), petersen(), path_graph(7), cycle_graph(5), cycle_graph(4))
     blowups = [clique_blowup(b, [rng.randint(1, 4) for _ in range(b.n)]) for b in bases for _ in range(4)]
+    # sparse graphs whose depth layers cut the P7 search, with and without a P7
+    sparse_rng = random.Random(13)
+    layered = [*(_long_legged_spider(k) for k in (1, 2, 5)), *(path_graph(k) for k in range(6, 13)),
+               *(_cycle_with_tail(k, t) for k in (3, 4, 5, 6) for t in (1, 2, 3)),
+               *(_random_tree(sparse_rng) for _ in range(30)),
+               *(_random_caterpillar(sparse_rng) for _ in range(30))]
     return [*blowups, *(join_with_clique(petersen(), ell) for ell in (1, 3)),
             *(spider(k) for k in (3, 8)), *(windmill(k) for k in (3, 8)),
-            *(_random_with_twins(rng) for _ in range(150))]
+            *(_random_with_twins(rng) for _ in range(150)), *layered]
 
 
 @pytest.mark.parametrize("pattern", PATTERN_NAMES + ("hole(5)", "hole(6)"))

@@ -22,6 +22,7 @@ from p7c4.graphs import (
 from p7c4.enumerate import class_members
 from p7c4.patterns import class_membership
 from p7c4.structure import (
+    _find_cutset,
     _mcsm,
     decompose_into_atoms,
     find_bisimplicial,
@@ -133,12 +134,40 @@ def _reference_cases():
         yield clique_blowup(petersen(), sizes)
 
 
+def _check_carried_orders(g) -> tuple[int, int]:
+    """Walk the split tree as decompose_into_atoms does and check each
+    carried order against a fresh _mcsm of its block, restricted to the
+    block; returns the numbers of splits that carry an order and that don't."""
+    counts = [0, 0]
+    stack = [(g.full_mask(), None)]
+    while stack:
+        block, order = stack.pop()
+        found = _find_cutset(g.adj, block, order)
+        if found is None:
+            continue
+        cut, side_a, side_b, carried = found
+        counts[carried is None] += 1
+        if carried is not None:
+            right = side_b | cut
+            sigma, fill = _mcsm(g.adj, right)
+            assert carried[0] == sigma, g
+            assert [carried[1][v] & right for v in sigma] == [fill[v] & right for v in sigma], g
+        stack += ((side_b | cut, carried), (side_a | cut, None))
+    return tuple(counts)
+
+
 def test_mcsm_and_atoms_match_reference(connected_upto7):
     # the bucket queue and the pruned search give the reference ordering and
-    # fill, and the stacked decomposition its split tree
+    # fill, the stacked decomposition its split tree, and every order a
+    # split carries the fresh ordering of its block
+    counts = [0, 0]
     for g in [*connected_upto7, *_reference_cases()]:
         assert _mcsm(g.adj, g.full_mask()) == reference_mcsm(g), g
         assert decompose_into_atoms(g).to_json() == reference_decompose(g), g
+        carried, fresh = _check_carried_orders(g)
+        counts[0] += carried
+        counts[1] += fresh
+    assert all(counts), counts
 
 
 def test_g3_is_a_single_atom():
