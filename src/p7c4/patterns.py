@@ -39,7 +39,6 @@ from .graphs import (
     Graph,
     GraphError,
     _bits,
-    _mask,
     _true_twin_classes,
     _twin_representatives,
     cycle_graph,
@@ -198,8 +197,14 @@ def _find_induced_path(g: Graph, k: int, allowed: int) -> tuple[int, ...] | None
     adj = g.adj
     layers = [allowed]
     for _ in range((k - 1) // 2):
-        below = layers[-1]
-        layers.append(_mask(v for v in _bits(below) if (adj[v] & below).bit_count() >= 2))
+        below = keep = rest = layers[-1]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            near = adj[low.bit_length() - 1] & below
+            if not near & near - 1:  # fewer than two neighbours in the layer below
+                keep ^= low
+        layers.append(keep)
     if not layers[-1]:
         return None
     at = [layers[min(p, k - 1 - p)] for p in range(k)]
