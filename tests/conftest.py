@@ -10,7 +10,9 @@ one recursion per split on relabelled induced subgraphs. The fixed-pattern
 search has one too: backtracking that checks each pattern vertex only
 against the vertices already placed. The path and cycle searches have
 theirs: the same backtracking over every vertex of the graph, without the
-library's restriction to a few vertices of each true-twin class.
+library's restriction to a few vertices of each true-twin class. The
+Petersen-blowup cover search has its plain form too: one search per cover
+size, cut only when the deficit exceeds four per remaining set.
 """
 
 import heapq
@@ -18,6 +20,8 @@ from itertools import combinations
 
 import pytest
 
+from p7c4.coloring import _petersen_maximal_independent_sets
+from p7c4.families import petersen
 from p7c4.graphs import Graph, _bits, _refine, induced_subgraph, is_clique, isomorphic
 from p7c4.patterns import pattern_graph
 
@@ -185,6 +189,41 @@ def reference_canonical_permutation(g: Graph) -> tuple[int, ...]:
 
     search([list(range(n))])
     return tuple(best_perm)
+
+
+def reference_min_multicover(weights) -> list[tuple[int, ...]]:
+    """The first cover found depth-first at the smallest size, from the
+    edge and total-count bounds alone and a fresh memo of failed states
+    for each size."""
+    sets = _petersen_maximal_independent_sets()
+    by_vertex = [[s for s in sets if v in s] for v in range(10)]
+    p = petersen()
+    lower = max(max(weights[u] + weights[v] for u, v in p.edges()), -(-sum(weights) // 4))
+    deficit, upper = list(weights), []
+    while any(d > 0 for d in deficit):
+        best = max(sets, key=lambda s: (sum(1 for v in s if deficit[v] > 0), s))
+        upper.append(best)
+        for v in best:
+            deficit[v] -= 1
+
+    def go(deficit, left, memo):
+        if sum(deficit) == 0:
+            return []
+        if left == 0 or sum(deficit) > 4 * left or (deficit, left) in memo:
+            return None
+        v = max(range(10), key=lambda u: (deficit[u], -u))
+        for s in by_vertex[v]:
+            got = go(tuple(max(d - (u in s), 0) for u, d in enumerate(deficit)), left - 1, memo)
+            if got is not None:
+                return [s] + got
+        memo.add((deficit, left))
+        return None
+
+    for k in range(lower, len(upper)):
+        got = go(tuple(weights), k, set())
+        if got is not None:
+            return got
+    return upper
 
 
 def reference_mcsm(g: Graph) -> tuple[list[int], list[int]]:

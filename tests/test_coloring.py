@@ -1,11 +1,16 @@
+from random import Random
+
 import pytest
 
+from conftest import reference_min_multicover
 from p7c4.coloring import (
     ColoringCertificate,
     StructuralContradiction,
     _color,
     _eliminate,
     _merge_on_cutset,
+    _min_multicover,
+    _petersen_maximal_independent_sets,
     color_diamond_class,
     color_gem_class,
     color_kite_class,
@@ -128,6 +133,29 @@ def test_blowup_coloring_exact_small_totals():
             validate_certificate(g, cert)
             assert cert.colors_used == exact_chromatic_number(g, 14)
     assert len(seen) > 20
+
+
+def test_multicover_bounds_keep_the_first_cover():
+    # Petersen blowup weights like the benchmark's (class sizes 2-6) and
+    # others, some with empty classes: the pruned search returns the plain
+    # search's cover, and that cover is a multicover by maximal independent sets
+    rng = Random(23)
+    cases = [(w,) * 10 for w in range(1, 6)] + [(4, 5, 2, 2, 5, 2, 5, 2, 2, 3)]
+    cases += [tuple(rng.randint(lo, hi) for _ in range(10))
+              for lo, hi in [(2, 5)] * 30 + [(1, 4)] * 40 + [(0, 4)] * 40]
+    sets = set(_petersen_maximal_independent_sets())
+    edges = list(petersen().edges())
+    above_plain_bound = 0
+    for weights in cases:
+        if not any(weights):
+            continue
+        cover = _min_multicover(weights)
+        assert cover == reference_min_multicover(weights), weights
+        assert set(cover) <= sets
+        assert all(sum(v in s for s in cover) >= w for v, w in enumerate(weights))
+        plain = max(max(weights[u] + weights[v] for u, v in edges), -(-sum(weights) // 4))
+        above_plain_bound += len(cover) > plain
+    assert above_plain_bound > 40  # covers the plain search proves optimal only by exhausting smaller sizes
 
 
 def test_blowup_coloring_examples():
