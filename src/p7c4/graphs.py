@@ -1,7 +1,13 @@
-"""Immutable simple graphs on vertex indices 0..n-1 with bitmask adjacency.
+"""Simple graphs on vertex indices 0..n-1 with bitmask adjacency.
 
-Every operation here is a pure function; graphs are never mutated after
-construction, so everything is safe to share across threads.
+Every operation here is a pure function, and a graph's vertex count and
+adjacency never change after construction. The one mutable field is
+`_absent`, a memo of the named patterns proven absent (see `patterns`),
+which starts at 0 and only gains bits. A bit is set only after a
+completed search proves absence, and the adjacency it speaks about is
+fixed, so every bit stays true. Two threads that set bits at once can
+only lose a bit, which costs one repeated search and never a wrong
+answer; graphs are therefore safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ class StructuralContradiction(RuntimeError):
 class Graph:
     """Simple undirected graph; adjacency stored as one bitmask per vertex."""
 
-    __slots__ = ("n", "adj")
+    __slots__ = ("n", "adj", "_absent")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -52,6 +58,7 @@ class Graph:
             adj[v] |= 1 << u
         self.n = n
         self.adj = tuple(adj)
+        self._absent = 0  # bit i: patterns.PATTERN_NAMES[i] proven absent
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -59,6 +66,7 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g.adj = adj
+        g._absent = 0
         return g
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -28,6 +28,17 @@ lie in layer j-1, and the vertex has two neighbours there. A branch
 cut by the layers could not complete, so the lex-least path is unchanged,
 and an empty middle layer proves absence at once: a spider whose legs have
 at most two edges has nothing in layer 3, however many legs it has.
+
+Each graph remembers which names of PATTERN_NAMES it has been proven
+free of: find_induced_pattern sets the name's bit in `Graph._absent` when
+its search returns None, and answers a later query for that name with
+None at the cost of one bit test. The verifier asks the same member about
+P7, C4 and X under several theorems, and the colourers repeat the
+membership check their caller already made, so most absence queries are
+repeats. Witnesses are not memoised: a present pattern is usually found
+early in the search, and keeping each witness alive for as long as its
+graph would hold thousands of them for the exhaustive filter's sake.
+Holes named 'hole(k)' get no bit; nothing asks for them twice.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ _GEM_EDGES = ((0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4))  # P4 plus
 _BULL_EDGES = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 4))              # triangle plus two pendants
 
 PATTERN_NAMES = ("P7", "C4", "C7", "diamond", "kite", "gem", "bull")
+_ABSENT_BIT = {name: 1 << i for i, name in enumerate(PATTERN_NAMES)}  # Graph._absent
 
 CLASS_NAMES = ("diamond-class", "kite-class", "gem-class")
 THEOREMS = ("T1", "T2", "T3", "C1", "C2", "C3")  # checked by verify, named here for the CLI parser
@@ -123,6 +135,9 @@ class ClassCertificate:
 
 def find_induced_pattern(g: Graph, pattern: str) -> PatternWitness | None:
     """Lex-least induced copy of the pattern, or None (proof of absence)."""
+    bit = _ABSENT_BIT.get(pattern, 0)
+    if g._absent & bit:
+        return None
     if pattern == "P7":
         got = _find_induced_path(g, 7, _twin_representatives(g.adj, 1))
     else:
@@ -135,6 +150,7 @@ def find_induced_pattern(g: Graph, pattern: str) -> PatternWitness | None:
             pat = pattern_graph(pattern)
             got = _find_fixed_pattern(g, pat, _twin_representatives(g.adj, _largest_twin_class(pat)))
     if got is None:
+        g._absent |= bit
         return None
     return PatternWitness(pattern, got)
 

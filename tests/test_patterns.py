@@ -1,9 +1,17 @@
+import copy
+import pickle
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import p7c4.patterns as patterns
+from p7c4.coloring import color_gem_class
+from p7c4.enumerate import canonical_form, class_members
 from p7c4.families import g1, g4, graph_f, petersen
 from p7c4.graphs import (
     Graph,
@@ -15,7 +23,9 @@ from p7c4.graphs import (
     induced_subgraph,
     isomorphic,
     join_with_clique,
+    parse_graph6,
     path_graph,
+    write_graph6,
 )
 from p7c4.patterns import (
     PATTERN_NAMES,
@@ -274,3 +284,156 @@ def test_class_membership_is_hereditary(small_graphs):
 def test_class_name_validation():
     with pytest.raises(GraphError):
         class_membership(petersen(), "bull-class")
+
+
+# ---------------------------------------------------------------------------
+# The absence memo on Graph
+
+
+def _full_memo(g: Graph) -> Graph:
+    """g with every memo bit set, true or not; never pass a shared graph."""
+    g._absent = (1 << len(PATTERN_NAMES)) - 1
+    return g
+
+
+def test_memo_answers_equal_the_oracles(connected_upto7):
+    # a fresh copy is searched on the first call and may be answered from
+    # its memo on the second; both must be the oracle's answer
+    for g in connected_upto7:
+        for pattern in PATTERN_NAMES:
+            fresh = Graph._from_adj(g.n, g.adj)
+            want = _reference(fresh, pattern)
+            for _ in range(2):
+                got = find_induced_pattern(fresh, pattern)
+                assert (got.vertices if got else None) == want, (g.adj, pattern)
+            bit = 1 << PATTERN_NAMES.index(pattern)
+            assert fresh._absent == (bit if want is None else 0), (g.adj, pattern)
+
+
+def test_witness_leaves_the_memo_unchanged():
+    g = Graph._from_adj(7, path_graph(7).adj)
+    assert find_induced_pattern(g, "C4") is None
+    before = g._absent
+    assert find_induced_pattern(g, "P7") is not None
+    assert find_induced_pattern(g, "hole(5)") is None
+    assert g._absent == before == 1 << PATTERN_NAMES.index("C4")
+
+
+def test_equal_graphs_keep_separate_memos():
+    a, b = (Graph(10, petersen().edges()) for _ in range(2))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert find_induced_pattern(a, "P7") is None
+    assert a._absent and not b._absent
+    assert a == b and hash(a) == hash(b)
+    # a false bit forced onto one copy answers only for that copy
+    forced, plain = _full_memo(cycle_graph(7)), cycle_graph(7)
+    assert forced == plain
+    assert find_induced_pattern(forced, "C7") is None
+    assert find_induced_pattern(plain, "C7").vertices == tuple(range(7))
+
+
+def test_full_memo_still_rejects_bad_names():
+    g = _full_memo(Graph(10, petersen().edges()))
+    for bad in ("hole(3)", "hole(x)", "triangle", "p7"):
+        with pytest.raises(GraphError):
+            find_induced_pattern(g, bad)
+    assert find_hole(g, 5).vertices == (0, 1, 2, 3, 4)
+
+
+def test_threads_sharing_graphs_never_set_a_false_bit(connected_upto7):
+    # threads race on the memo of the same graphs; a lost update may cost a
+    # repeat search, but every answer and every bit left set must be true
+    graphs = [Graph._from_adj(g.n, g.adj) for g in connected_upto7 if g.n >= 6][::4]
+    truth = {id(g): {p: _reference(g, p) for p in PATTERN_NAMES} for g in graphs}
+    wrong = []
+
+    def ask(order):
+        for g in graphs:
+            for p in order:
+                got = find_induced_pattern(g, p)
+                if (got.vertices if got else None) != truth[id(g)][p]:
+                    wrong.append((g.adj, p))
+
+    orders = [PATTERN_NAMES[i:] + PATTERN_NAMES[:i] for i in range(6)]
+    workers = [threading.Thread(target=ask, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not wrong, wrong[:3]
+    for g in graphs:
+        absent = sum(1 << i for i, p in enumerate(PATTERN_NAMES) if truth[id(g)][p] is None)
+        assert g._absent & ~absent == 0, g.adj
+
+
+def test_every_construction_starts_with_an_empty_memo():
+    source = _full_memo(clique_blowup(petersen(), [2, 1, 1, 1, 1, 1, 1, 1, 1, 3]))
+    built = [
+        Graph(3, [(0, 1)]),
+        parse_graph6(write_graph6(source)),
+        induced_subgraph(source, range(6)),
+        clique_blowup(source, [1] * source.n),
+        join_with_clique(source, 2),
+        canonical_form(source),
+        # petersen() caches its one graph, which keeps the bits it gains
+        petersen.__wrapped__(),
+    ]
+    assert all(g._absent == 0 for g in built)
+    for clone in (copy.copy(source), pickle.loads(pickle.dumps(source))):
+        assert clone is not source
+        assert (clone.n, clone.adj) == (source.n, source.adj) and clone == source
+
+
+def _count_searches(monkeypatch) -> Counter:
+    """Counter of (graph id, pattern name) over the searches that
+    find_induced_pattern runs from now on; the graphs are kept alive so
+    that their ids stay distinct."""
+    searched: Counter = Counter()
+    kept = []
+    fixed = {pattern_graph(name): name for name in ("diamond", "kite", "gem", "bull")}
+
+    def counted(search, name_of):
+        def wrapper(g, *args):
+            kept.append(g)
+            searched[id(g), name_of(*args)] += 1
+            return search(g, *args)
+        return wrapper
+
+    monkeypatch.setattr(patterns, "_find_induced_path",
+                        counted(patterns._find_induced_path, lambda k, allowed: f"P{k}"))
+    monkeypatch.setattr(patterns, "_search_induced_cycles",
+                        counted(patterns._search_induced_cycles, lambda k, stop, allowed: f"C{k}"))
+    monkeypatch.setattr(patterns, "_find_fixed_pattern",
+                        counted(patterns._find_fixed_pattern, lambda pat, allowed: fixed[pat]))
+    return searched
+
+
+def test_verify_proves_each_absence_once_per_graph(monkeypatch):
+    # the class filter's proof of gem-freeness stays on the members it keeps
+    gem_bit = 1 << PATTERN_NAMES.index("gem")
+    members = [g for n in range(1, 8) for g in class_members("gem-class", n)]
+    assert members and all(g._absent & gem_bit for g in members)
+    # T3 and then C3 over fresh copies: each copy is searched for P7, C4 and
+    # the gem once, and every later membership check reads the memo
+    fresh = [Graph._from_adj(g.n, g.adj) for g in members]
+    searched = _count_searches(monkeypatch)
+    from p7c4.verify import verify_corpus
+
+    for theorem in ("T3", "C3"):
+        run = verify_corpus(fresh, theorem)
+        assert run.members == len(fresh) and run.violated == 0
+    assert searched == Counter({(id(g), p): 1 for g in fresh for p in ("P7", "C4", "gem")})
+
+
+def test_colourer_reuses_the_membership_proof(monkeypatch):
+    g = clique_blowup(petersen(), [2, 3, 1, 2, 1, 1, 2, 1, 1, 3])
+    searched = _count_searches(monkeypatch)
+    assert class_membership(g, "gem").free
+    color_gem_class(g)
+    assert searched == Counter({(id(g), p): 1 for p in ("P7", "C4", "gem")})
