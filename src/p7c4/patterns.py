@@ -34,11 +34,12 @@ free of: find_induced_pattern sets the name's bit in `Graph._absent` when
 its search returns None, and answers a later query for that name with
 None at the cost of one bit test. The verifier asks the same member about
 P7, C4 and X under several theorems, and the colourers repeat the
-membership check their caller already made, so most absence queries are
-repeats. Witnesses are not memoised: a present pattern is usually found
-early in the search, and keeping each witness alive for as long as its
-graph would hold thousands of them for the exhaustive filter's sake.
-Holes named 'hole(k)' get no bit; nothing asks for them twice.
+membership check their caller already made, so most absence queries of
+an exhaustive check are repeats. Witnesses are not memoised: a present
+pattern is usually found early in the search, and keeping each witness
+alive for as long as its graph would hold thousands of them for the
+exhaustive filter's sake. Holes named 'hole(k)' get no bit; no caller
+asks for one twice.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ from p7c4.patterns import (
     find_induced_pattern,
     pattern_graph,
 )
+from p7c4.verify import verify_corpus
 
 from conftest import (
     brute_has_pattern,
@@ -105,6 +106,13 @@ def test_witness_is_lex_least():
     assert w.vertices == (0, 1, 2, 3)
 
 
+def _fresh(g: Graph) -> Graph:
+    """A copy of g with an empty absence memo. The session fixtures share
+    their graphs between tests, so a test that checks the searches against
+    an oracle takes copies, or an earlier test's memo would answer for it."""
+    return Graph._from_adj(g.n, g.adj)
+
+
 @pytest.mark.parametrize("pattern", ("diamond", "kite", "gem", "bull"))
 def test_fixed_pattern_forward_checking_keeps_the_witness(small_graphs, connected_upto7, pattern):
     # pruning on empty later candidate sets must return the reference's
@@ -114,7 +122,7 @@ def test_fixed_pattern_forward_checking_keeps_the_witness(small_graphs, connecte
              clique_blowup(cycle_graph(7), [2, 3, 2, 2, 4, 2, 3]),
              clique_blowup(petersen(), [2, 3, 2, 2, 2, 3, 2, 2, 2, 2]),
              join_with_clique(petersen(), 4)]
-    for g in cases:
+    for g in map(_fresh, cases):
         got = find_induced_pattern(g, pattern)
         assert (got.vertices if got else None) == reference_fixed_pattern(g, pattern), g
 
@@ -205,7 +213,7 @@ def test_twin_restricted_search_keeps_the_witness(connected_upto7, pattern):
     # it must return the unrestricted search's lex-least witness, or None
     # exactly where it does
     twin_pairs = 0
-    for g in [*connected_upto7, *_twin_heavy_graphs()]:
+    for g in map(_fresh, [*connected_upto7, *_twin_heavy_graphs()]):
         got = find_induced_pattern(g, pattern)
         assert (got.vertices if got else None) == _reference(g, pattern), (g, g.adj)
         if got is not None:
@@ -218,7 +226,7 @@ def test_twin_restricted_search_keeps_the_witness(connected_upto7, pattern):
 
 @pytest.mark.parametrize("pattern", PATTERN_NAMES + ("hole(5)", "hole(6)"))
 def test_detector_matches_bruteforce_n5_n6(small_graphs, pattern):
-    for g in small_graphs:
+    for g in map(_fresh, small_graphs):
         got = find_induced_pattern(g, pattern)
         assert (got is not None) == brute_has_pattern(g, pattern)
         if got is not None:
@@ -301,7 +309,7 @@ def test_memo_answers_equal_the_oracles(connected_upto7):
     # its memo on the second; both must be the oracle's answer
     for g in connected_upto7:
         for pattern in PATTERN_NAMES:
-            fresh = Graph._from_adj(g.n, g.adj)
+            fresh = _fresh(g)
             want = _reference(fresh, pattern)
             for _ in range(2):
                 got = find_induced_pattern(fresh, pattern)
@@ -311,7 +319,7 @@ def test_memo_answers_equal_the_oracles(connected_upto7):
 
 
 def test_witness_leaves_the_memo_unchanged():
-    g = Graph._from_adj(7, path_graph(7).adj)
+    g = path_graph(7)
     assert find_induced_pattern(g, "C4") is None
     before = g._absent
     assert find_induced_pattern(g, "P7") is not None
@@ -324,7 +332,7 @@ def test_equal_graphs_keep_separate_memos():
     assert a == b and hash(a) == hash(b) and a is not b
     assert find_induced_pattern(a, "P7") is None
     assert a._absent and not b._absent
-    assert a == b and hash(a) == hash(b)
+    assert a == b and hash(a) == hash(b)  # the memo is no part of equality
     # a false bit forced onto one copy answers only for that copy
     forced, plain = _full_memo(cycle_graph(7)), cycle_graph(7)
     assert forced == plain
@@ -343,7 +351,7 @@ def test_full_memo_still_rejects_bad_names():
 def test_threads_sharing_graphs_never_set_a_false_bit(connected_upto7):
     # threads race on the memo of the same graphs; a lost update may cost a
     # repeat search, but every answer and every bit left set must be true
-    graphs = [Graph._from_adj(g.n, g.adj) for g in connected_upto7 if g.n >= 6][::4]
+    graphs = [_fresh(g) for g in connected_upto7 if g.n >= 6][::4]
     truth = {id(g): {p: _reference(g, p) for p in PATTERN_NAMES} for g in graphs}
     wrong = []
 
@@ -421,10 +429,8 @@ def test_verify_proves_each_absence_once_per_graph(monkeypatch):
     assert members and all(g._absent & gem_bit for g in members)
     # T3 and then C3 over fresh copies: each copy is searched for P7, C4 and
     # the gem once, and every later membership check reads the memo
-    fresh = [Graph._from_adj(g.n, g.adj) for g in members]
+    fresh = [_fresh(g) for g in members]
     searched = _count_searches(monkeypatch)
-    from p7c4.verify import verify_corpus
-
     for theorem in ("T3", "C3"):
         run = verify_corpus(fresh, theorem)
         assert run.members == len(fresh) and run.violated == 0
