@@ -41,12 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_io(p):
-        p.add_argument("--corpus", help="input file of graph6 lines ('-' for stdin)")
+        p.add_argument("--corpus", help="input file ('-' for stdin): graph6 lines, or one edge "
+                       "list ('n m' header plus pairs) when it starts with a digit")
         p.add_argument("--family", help="named family: " + ", ".join(FAMILY_NAMES))
         p.add_argument("--param", action="append", default=[], metavar="K=V",
                        help="family parameter, repeatable (e.g. --param t=2 --param sizes=2,2)")
-        p.add_argument("--format", choices=("graph6", "edgelist", "auto"), default="auto",
-                       help="corpus format (edgelist: one 'n m' header plus pairs per file)")
         p.add_argument("--json", action="store_true", help="pretty-print JSON output")
 
     p = sub.add_parser("classify", help="class membership with witness")
@@ -105,37 +104,27 @@ def _params(pairs: list[str]) -> dict:
     return out
 
 
-def _read_corpus(args) -> list[tuple[str, Graph]]:
-    """Labeled input graphs from --family, --corpus, or stdin."""
-    if getattr(args, "family", None):
-        return [(args.family, _family(args))]
-    stream = None
-    if getattr(args, "corpus", None):
-        stream = sys.stdin if args.corpus == "-" else open(args.corpus)
-    elif not sys.stdin.isatty():
-        stream = sys.stdin
-    if stream is None:
-        raise GraphError("no input: give --corpus, --family, or pipe graph6 lines on stdin")
-    text = stream.read()
-    if stream is not sys.stdin:
-        stream.close()
-    fmt = getattr(args, "format", "auto")
-    if fmt == "edgelist" or (fmt == "auto" and _looks_like_edgelist(text)):
-        return [("edgelist", parse_edge_list(text))]
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        out.append((line, parse_graph6(line)))
-    if not out:
+def _read_corpus(args) -> list[Graph]:
+    """Input graphs from --family, --corpus or piped stdin; [] when none is given.
+
+    Text whose first non-blank character is a digit is one edge list;
+    graph6 bytes are all >= chr(63), so any other text is graph6 lines.
+    """
+    if args.family:
+        return [_family(args)]
+    if args.corpus and args.corpus != "-":
+        with open(args.corpus) as f:
+            text = f.read()
+    elif args.corpus or not sys.stdin.isatty():
+        text = sys.stdin.read()
+    else:
+        return []
+    if text.lstrip()[:1].isdigit():
+        return [parse_edge_list(text)]
+    graphs = [parse_graph6(line) for line in text.splitlines() if line.strip()]
+    if not graphs:
         raise GraphError("corpus is empty")
-    return out
-
-
-def _looks_like_edgelist(text: str) -> bool:
-    head = text.lstrip()[:1]
-    return head.isdigit()  # graph6 bytes are all >= chr(63), digits are not
+    return graphs
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -143,7 +132,10 @@ def _emit(obj: dict, pretty: bool) -> None:
 
 
 def _per_graph(args, fn) -> int:
-    for _label, g in _read_corpus(args):
+    graphs = _read_corpus(args)
+    if not graphs:
+        raise GraphError("no input: give --corpus, --family, or pipe graph6 lines on stdin")
+    for g in graphs:
         result = fn(g)
         _emit({"input": write_graph6(g), "command": args.command, "result": result},
               args.json)
@@ -238,26 +230,23 @@ def _verify(args) -> int:
                         ("--blowups needs TOTAL", total)):
         if value is not None and value < 1:
             raise GraphError(f"{need} >= 1")
-    labeled: list[tuple[str, Graph]] = []
+    graphs: list[Graph] = []
     desc = []
     if args.exhaustive:
-        for n in range(1, args.exhaustive + 1):
-            for g in connected_graphs(n):
-                labeled.append((write_graph6(g), g))
+        graphs.extend(g for n in range(1, args.exhaustive + 1) for g in connected_graphs(n))
         desc.append(f"exhaustive connected n<={args.exhaustive}")
     if args.blowups:
-        labeled.extend(standard_blowup_corpus(base, total))
+        graphs.extend(g for _, g in standard_blowup_corpus(base, total))
         desc.append(f"blowups {args.blowups}")
-    if args.family or args.corpus or (not labeled and not sys.stdin.isatty()):
-        labeled.extend(_read_corpus(args))
+    if args.family or args.corpus or not graphs:
+        graphs.extend(_read_corpus(args))
         desc.append(args.family or args.corpus or "stdin")
-    if not labeled:
+    if not graphs:
         raise GraphError("no corpus: give --exhaustive, --blowups, --corpus, or --family")
-    if args.sample and args.sample < len(labeled):
-        rng = random.Random(args.seed)
-        labeled = rng.sample(labeled, args.sample)
+    if args.sample and args.sample < len(graphs):
+        graphs = random.Random(args.seed).sample(graphs, args.sample)
         desc.append(f"sample {args.sample} seed {args.seed}")
-    run = verify_corpus((g for _, g in labeled), args.theorem, corpus="; ".join(desc))
+    run = verify_corpus(graphs, args.theorem, corpus="; ".join(desc))
     _emit({"input": None, "command": "verify", "result": run.to_json()}, args.json)
     return 1 if run.violated else 0
 

@@ -108,17 +108,15 @@ def g6(t: int) -> Graph:
     return clique_blowup(g3(), [t] * 13)
 
 
+# the parameterless named graphs, by lower-case name; generate and the
+# blowup bases both read this table
+_FIXED = {"petersen": petersen, "f": graph_f, "g3": g3, "g4": g4, "g5": g5}
+
+
 def _base_by_name(name: str) -> Graph:
-    lookup = {
-        "petersen": petersen,
-        "f": graph_f,
-        "g3": g3,
-        "g4": g4,
-        "g5": g5,
-    }
     key = name.lower()
-    if key in lookup:
-        return lookup[key]()
+    if key in _FIXED:
+        return _FIXED[key]()
     if key.startswith("c") and key[1:].isdigit():
         return cycle_graph(int(key[1:]))
     raise GraphError(f"unknown blowup base {name!r}")
@@ -130,22 +128,13 @@ def generate(family: str, **params) -> Graph:
     Accepted names: Petersen, F, G1(t), G2(sizes), G3, G4, G5, G6(t),
     blowup(base, sizes), C(k), P(k), K(k).
     """
-    name = family.strip()
-    key = name.lower()
-    if key == "petersen":
-        return petersen()
-    if key == "f":
-        return graph_f()
+    key = family.strip().lower()
+    if key in _FIXED:
+        return _FIXED[key]()
     if key == "g1":
         return g1(int(params["t"]))
     if key == "g2":
         return g2(_sizes(params["sizes"]))
-    if key == "g3":
-        return g3()
-    if key == "g4":
-        return g4()
-    if key == "g5":
-        return g5()
     if key == "g6":
         return g6(int(params["t"]))
     if key == "blowup":
@@ -154,8 +143,7 @@ def generate(family: str, **params) -> Graph:
             base = _base_by_name(str(base))
         return clique_blowup(base, list(_sizes(params["sizes"])))
     if key == "c":
-        k = int(params["k"])
-        return cycle_graph(k)
+        return cycle_graph(int(params["k"]))
     if key == "p":
         return path_graph(int(params["k"]))
     if key == "k":

@@ -102,11 +102,8 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def components(self) -> list[frozenset[int]]:
-        return [frozenset(_bits(c)) for c in _components(self.adj, self.full_mask())]
-
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or _component(self.adj, 1, self.full_mask()) == self.full_mask()
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj

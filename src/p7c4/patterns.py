@@ -68,7 +68,10 @@ PATTERN_NAMES = ("P7", "C4", "C7", "diamond", "kite", "gem", "bull")
 _ABSENT_BIT = {name: 1 << i for i, name in enumerate(PATTERN_NAMES)}  # Graph._absent
 
 CLASS_NAMES = ("diamond-class", "kite-class", "gem-class")
-THEOREMS = ("T1", "T2", "T3", "C1", "C2", "C3")  # checked by verify, named here for the CLI parser
+# the class each theorem is about; verify checks them, the CLI parser names them
+THEOREM_CLASS = {"T1": "diamond-class", "T2": "kite-class", "T3": "gem-class",
+                 "C1": "diamond-class", "C2": "kite-class", "C3": "gem-class"}
+THEOREMS = tuple(THEOREM_CLASS)
 
 
 @lru_cache(maxsize=None)
@@ -95,12 +98,16 @@ def pattern_graph(name: str) -> Graph:
 
 
 def _parse_hole(name: str) -> int | None:
-    if name.startswith("hole(") and name.endswith(")"):
-        try:
-            return int(name[5:-1])
-        except ValueError:
-            return None
-    return None
+    """k for a name 'hole(k)', else None; k < 4 raises GraphError."""
+    if not (name.startswith("hole(") and name.endswith(")")):
+        return None
+    try:
+        k = int(name[5:-1])
+    except ValueError:
+        return None
+    if k < 4:
+        raise GraphError("holes have length at least 4")
+    return k
 
 
 @dataclass(frozen=True)
@@ -144,8 +151,6 @@ def find_induced_pattern(g: Graph, pattern: str) -> PatternWitness | None:
     else:
         k = int(pattern[1]) if pattern in ("C4", "C7") else _parse_hole(pattern)
         if k is not None:
-            if k < 4:
-                raise GraphError("holes have length at least 4")
             got = _search_induced_cycles(g, k, lambda cycle: True, _twin_representatives(g.adj, 1))
         else:
             pat = pattern_graph(pattern)

@@ -9,23 +9,13 @@ fails, reported with enough detail to replay from its graph6 string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .coloring import _color_member
 from .families import _base_by_name, generate
 from .graphs import Graph, GraphError, StructuralContradiction, max_clique_size, write_graph6
-from .patterns import THEOREMS, class_membership
+from .patterns import THEOREM_CLASS, THEOREMS, class_membership
 from .structure import find_clique_cutset, theorem_case
-
-_THEOREM_CLASS = {
-    "T1": "diamond-class",
-    "T2": "kite-class",
-    "T3": "gem-class",
-    "C1": "diamond-class",
-    "C2": "kite-class",
-    "C3": "gem-class",
-}
-
 
 @dataclass
 class VerificationRun:
@@ -42,24 +32,14 @@ class VerificationRun:
     violations: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "corpus": self.corpus,
-            "total": self.total,
-            "members": self.members,
-            "checked": self.checked,
-            "verified": self.verified,
-            "violated": self.violated,
-            "vacuous": self.vacuous,
-            "violations": self.violations,
-        }
+        return asdict(self)
 
 
 def check_theorem(g: Graph, theorem: str) -> dict:
     """Diagnose one graph against one theorem; returns a status dict."""
     if theorem not in THEOREMS:
         raise GraphError(f"unknown theorem {theorem!r}")
-    cls = _THEOREM_CLASS[theorem]
+    cls = THEOREM_CLASS[theorem]
     diag: dict = {"theorem": theorem, "class": cls}
     cert = class_membership(g, cls)
     diag["member"] = cert.free
@@ -96,7 +76,7 @@ def _check_structure_theorem(g: Graph, theorem: str, diag: dict) -> dict:
         diag["cutset"] = sorted(split.cutset)
         return diag
 
-    case = theorem_case(g, g.full_mask(), _THEOREM_CLASS[theorem], omega)
+    case = theorem_case(g, g.full_mask(), THEOREM_CLASS[theorem], omega)
     if theorem == "T1":
         if case.kind == "petersen":
             return _vacuous(diag, "exceptional graph Petersen")
@@ -120,7 +100,7 @@ def _check_structure_theorem(g: Graph, theorem: str, diag: dict) -> dict:
 def _check_coloring_bound(g: Graph, theorem: str, diag: dict) -> dict:
     try:
         # check_theorem has already established membership
-        cert = _color_member(g, _THEOREM_CLASS[theorem])
+        cert = _color_member(g, THEOREM_CLASS[theorem])
     except StructuralContradiction as exc:
         diag["status"] = "violated"
         diag["reason"] = f"structural contradiction: {exc.detail}"

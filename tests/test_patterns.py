@@ -345,6 +345,8 @@ def test_full_memo_still_rejects_bad_names():
     for bad in ("hole(3)", "hole(x)", "triangle", "p7"):
         with pytest.raises(GraphError):
             find_induced_pattern(g, bad)
+        with pytest.raises(GraphError):
+            pattern_graph(bad)
     assert find_hole(g, 5).vertices == (0, 1, 2, 3, 4)
 
 

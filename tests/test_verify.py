@@ -1,3 +1,5 @@
+import hashlib
+import io
 import json
 
 import pytest
@@ -179,6 +181,24 @@ def test_cli_verify_sample_is_seeded(capsys):
     assert out1 == out2
 
 
+def test_cli_verify_sample_picks_pinned_graphs(capsys, monkeypatch):
+    # which graphs a seed selects is part of the output contract, not just its repeatability
+    picked = []
+    real = verify.verify_corpus
+
+    def spy(graphs, theorem, corpus=""):
+        graphs = list(graphs)
+        picked.extend(write_graph6(g) for g in graphs)
+        return real(graphs, theorem, corpus)
+
+    monkeypatch.setattr(verify, "verify_corpus", spy)
+    assert cli_main(["verify", "--theorem", "T3", "--exhaustive", "6", "--sample", "9", "--seed", "5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d42c077fccd0c6c1260e785e876c3c1229742fed6c99b78794b34eb715a475b2")
+    assert picked == ["E@pw", "EBnw", "E]~w", "C]", "EK^w", "E@^w", "DBg", "E?]w", "D]{"]
+
+
 @pytest.mark.parametrize("k", ["0", "-2"])
 def test_cli_verify_sample_needs_a_positive_size(capsys, k):
     # 0 used to run the whole corpus, -2 to fail inside random.sample
@@ -196,8 +216,6 @@ def test_cli_verify_sample_needs_a_positive_size(capsys, k):
 ])
 def test_cli_verify_corpus_sizes_must_be_positive(capsys, monkeypatch, flag, value, need):
     # these used to verify stdin alone under a corpus label naming the size
-    import io
-
     stdin = io.StringIO("Bw\n")
     stdin.isatty = lambda: False
     monkeypatch.setattr("sys.stdin", stdin)
@@ -213,6 +231,26 @@ def test_cli_edge_list_input(capsys, tmp_path):
     code, out = run_cli(capsys, "decompose", "--corpus", str(path))
     assert code == 0
     assert out[0]["result"]["split"]["cutset"] == [1]
+
+
+@pytest.mark.parametrize("argv", [[], ["--corpus", "-"]])
+def test_cli_edge_list_on_stdin(capsys, monkeypatch, argv):
+    stdin = io.StringIO("\n  3 2\n0 1\n1 2\n")
+    stdin.isatty = lambda: False
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out = run_cli(capsys, "decompose", *argv)
+    assert code == 0 and len(out) == 1
+    assert out[0]["input"] == write_graph6(Graph(3, [(0, 1), (1, 2)]))
+    assert out[0]["result"]["split"]["cutset"] == [1]
+
+
+@pytest.mark.parametrize("command", ["classify --class gem", "decompose", "verify --theorem T1"])
+def test_cli_has_no_format_option(capsys, command):
+    # the input format comes from the first non-blank character, never from an option
+    assert cli_main([*command.split(), "--family", "C", "--param", "k=5", "--format", "graph6"]) == 2
+    assert capsys.readouterr().out == ""
+    assert cli_main([*command.split(), "--help"]) == 0
+    assert "--format" not in capsys.readouterr().out
 
 
 def test_cli_exit_codes(capsys, monkeypatch, tmp_path):
@@ -263,8 +301,6 @@ def test_cli_structural_contradiction_exits_1(capsys, monkeypatch):
 
 
 def test_cli_reads_stdin(capsys, monkeypatch):
-    import io
-
     g6 = write_graph6(petersen())
     stdin = io.StringIO(g6 + "\n")
     stdin.isatty = lambda: False
@@ -275,8 +311,6 @@ def test_cli_reads_stdin(capsys, monkeypatch):
 
 
 def test_cli_verify_empty_graph_from_stdin(capsys, monkeypatch):
-    import io
-
     stdin = io.StringIO("?\n")
     stdin.isatty = lambda: False
     monkeypatch.setattr("sys.stdin", stdin)
