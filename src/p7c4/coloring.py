@@ -1,11 +1,11 @@
 """Certified colorings realizing the three class bounds.
 
-The coloring mirrors the inductive structure of the bound proofs:
-components are colored independently, clique cutsets split and merge, and
-each cutset-free block is handed to structure.theorem_case, the same engine
-verify checks: the Petersen graph gets a stored coloring, a peeled clique or
-a Petersen blowup is colored directly, and otherwise a theorem-supplied
-low-degree or bisimplicial vertex is removed and greedily re-colored.
+The coloring mirrors the inductive structure of the bound proofs: it folds
+the atom tree that structure.decompose_into_atoms builds for each component,
+merging at each clique cutset, and hands each atom to theorem_case, the same
+engine verify checks: the Petersen graph gets a stored coloring, a peeled
+clique or a Petersen blowup is colored directly, and otherwise a low-degree
+or bisimplicial vertex the theorem supplies is removed and greedily re-colored.
 A certificate carries the assignment, the claimed bound, and a flat
 replayable trace of derivation steps.
 
@@ -33,7 +33,7 @@ from .graphs import (
     induced_subgraph,
 )
 from .patterns import class_membership, class_third_pattern
-from .structure import COLORING_BOUNDS, BlowupCertificate, TheoremCase, _find_cutset, theorem_case
+from .structure import COLORING_BOUNDS, BlowupCertificate, TheoremCase, _decompose, theorem_case
 
 
 @dataclass(frozen=True)
@@ -130,15 +130,9 @@ def _merge_on_cutset(left: dict[int, int], right: dict[int, int], cutset) -> tup
     Returns (merged, permutation). Requires both sides injective on the
     cutset, which holds whenever the cutset is a clique properly colored.
     """
-    kl = {v: left[v] for v in cutset}
-    kr = {v: right[v] for v in cutset}
-    if len(set(kl.values())) != len(kl) or len(set(kr.values())) != len(kr):
+    perm = {right[v]: left[v] for v in cutset}
+    if len(perm) != len(cutset) or len(set(perm.values())) != len(cutset):
         raise GraphError("block colorings are not injective on the cutset")
-    perm = {}
-    for v in cutset:
-        if kr[v] in perm and perm[kr[v]] != kl[v]:
-            raise GraphError("inconsistent cutset colorings")
-        perm[kr[v]] = kl[v]
     taken = set(perm.values())
     nxt = 1
     for c in sorted(set(right.values())):
@@ -157,16 +151,16 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     """Coloring of the vertex mask block of g, its clique number, trace steps.
 
     One work stack stands in for the recursion over components, clique
-    cutsets and eliminated vertices. A finished block leaves its coloring
-    and clique number on the done stack, for the task pushed below its
-    children to merge; trace steps come out in post-order. The two blocks
-    of a clique-cutset split are connected, as each side attaches to the
-    clique, so they skip the component search, and the right one takes the
-    MCS-M order the split carries.
+    cutsets and eliminated vertices. A connected block pushes the atom tree
+    of structure._decompose, each split below its two children for the
+    cutset merge. A finished block leaves its coloring on the done stack;
+    trace steps come out in post-order. omega is the largest clique number
+    of an atom, as each clique lies inside one atom.
     """
     adj = g.adj
     steps: list[dict] = []
-    done: list[tuple[dict[int, int], int]] = []
+    done: list[dict[int, int]] = []
+    omega = 1
     work: list[tuple] = [("block", block)]
     while work:
         kind, *args = work.pop()
@@ -174,30 +168,28 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             (count,) = args
             parts = done[-count:]
             del done[-count:]
-            done.append(({v: c for a, _ in parts for v, c in a.items()}, max(w for _, w in parts)))
+            done.append({v: c for a in parts for v, c in a.items()})
             steps.append({"step": "components-merge", "count": count})
             continue
         if kind == "cutset":
-            (la, wa), (lb, wb) = done.pop(-2), done.pop()
+            la, lb = done.pop(-2), done.pop()
             cutset = list(_bits(args[0]))
             merged, perm = _merge_on_cutset(la, lb, cutset)
-            done.append((merged, max(wa, wb)))
+            done.append(merged)
             steps.append({"step": "cutset-merge", "cutset": cutset, "permutation": perm})
             continue
         if kind == "eliminate":
-            atom, v, budget, omega = args
-            assign = done[-1][0]
-            assign[v] = _eliminate(g, atom, assign, v, budget, class_name)
-            done[-1] = (assign, omega)
-            steps.append({"step": "eliminate-vertex", "vertex": v, "color": assign[v]})
+            atom, v, budget = args
+            done[-1][v] = _eliminate(g, atom, done[-1], v, budget, class_name)
+            steps.append({"step": "eliminate-vertex", "vertex": v, "color": done[-1][v]})
             continue
-        if kind == "connected":
-            mask, order = args
+        if kind == "node":
+            (node,) = args
         else:
             (mask,) = args
             if not mask & mask - 1:
                 v = mask.bit_length() - 1
-                done.append(({v: 1}, 1))
+                done.append({v: 1})
                 steps.append({"step": "single-vertex", "vertex": v})
                 continue
             comps = _components(adj, mask)
@@ -205,22 +197,21 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
                 work.append(("components", len(comps)))
                 work += [("block", c) for c in reversed(comps)]
                 continue
-            order = None
-        found = _find_cutset(adj, mask, order)
-        if found is not None:
-            # every clique lies inside one of the two blocks
-            cut, side_a, side_b, carried = found
-            work += [("cutset", cut), ("connected", side_b | cut, carried), ("connected", side_a | cut, None)]
+            node = _decompose(adj, mask)
+        if node.left is not None:
+            work += [("cutset", node.masks[0]), ("node", node.right), ("node", node.left)]
             continue
-        omega = _max_clique_size(adj, mask)
-        case = theorem_case(g, mask, class_name, omega)
+        (mask,) = node.masks
+        w = _max_clique_size(adj, mask)
+        omega = max(omega, w)
+        case = theorem_case(g, mask, class_name, w)
         if case.kind == "eliminate":
-            work += [("eliminate", mask, case.vertex, case.budget, omega), ("block", mask ^ 1 << case.vertex)]
+            work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
         else:
             assign, atom_steps = _color_case(g, mask, case, class_name)
-            done.append((assign, omega))
+            done.append(assign)
             steps += atom_steps
-    (assign, omega), = done
+    (assign,) = done
     return assign, omega, steps
 
 

@@ -114,7 +114,7 @@ _FIXED = {"petersen": petersen, "f": graph_f, "g3": g3, "g4": g4, "g5": g5}
 
 
 def _base_by_name(name: str) -> Graph:
-    key = name.lower()
+    key = name.strip().lower()
     if key in _FIXED:
         return _FIXED[key]()
     if key.startswith("c") and key[1:].isdigit():

@@ -21,7 +21,6 @@ from .graphs import (
     _true_twin_classes,
     _vertex_mask,
     find_isomorphism,
-    induced_subgraph,
     is_clique,
 )
 from .patterns import class_third_pattern
@@ -233,17 +232,22 @@ class AtomDecomposition:
 
 
 def decompose_into_atoms(g: Graph) -> AtomDecomposition:
-    """Clique-cutset decomposition of a connected graph down to cutset-free
-    atoms: split by the first cutset of the MCS-M scan, then decompose
-    side_a plus the cutset (left) and side_b plus the cutset (right), the
-    right one with the order the split carries, if any."""
+    """Clique-cutset decomposition of a connected graph down to cutset-free atoms."""
     if not g.is_connected():
         raise GraphError("atom decomposition requires a connected graph")
+    return _decompose(g.adj, g.full_mask())
+
+
+def _decompose(adj, block: int) -> AtomDecomposition:
+    """decompose_into_atoms on the connected vertex mask block: split by the
+    first cutset of the MCS-M scan, then decompose side_a plus the cutset
+    (left) and side_b plus the cutset (right), the right one with the order
+    the split carries, if any."""
     root = AtomDecomposition()
-    stack = [(root, g.full_mask(), None)]
+    stack = [(root, block, None)]
     while stack:
         node, block, order = stack.pop()
-        found = _find_cutset(g.adj, block, order)
+        found = _find_cutset(adj, block, order)
         if found is None:
             node.masks = (block,)
             continue
@@ -432,13 +436,10 @@ class TheoremCase:
     detail: str = ""
 
 
-def _petersen_iso(g: Graph, block: int) -> dict[int, int] | None:
-    """An isomorphism from the Petersen graph onto the mask block, in g's labels."""
-    if block.bit_count() != 10:
-        return None
-    labels = list(_bits(block))
-    iso = find_isomorphism(petersen(), induced_subgraph(g, labels))
-    return None if iso is None else {v: labels[i] for v, i in iso.items()}
+def _petersen_iso(adj, block: int) -> dict[int, int] | None:
+    """An isomorphism from the Petersen graph onto the mask block, as a blowup with single-vertex classes."""
+    cert = _blowup(adj, block, petersen()) if block.bit_count() == 10 else None
+    return None if cert is None else {v: min(cert.classes[i]) for v, i in cert.class_map.items()}
 
 
 def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCase:
@@ -466,13 +467,13 @@ def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCa
         # a bisimplicial vertex has degree <= 2*omega - 2, strictly under the bound
         return TheoremCase("eliminate", vertex=bis[0], budget=budget)
     peel = _peel(adj, block) if third == "kite" else None
-    iso = _petersen_iso(g, block)
+    iso = _petersen_iso(adj, block)
     if iso is not None:
         return TheoremCase("petersen", peel=peel, iso=iso)
     if peel is not None and peel.ell > 0:
         if not peel.remainder:
             return TheoremCase("clique-base", peel=peel)
-        iso = _petersen_iso(g, _mask(peel.remainder))
+        iso = _petersen_iso(adj, _mask(peel.remainder))
         if iso is not None:
             return TheoremCase("peeled-petersen", peel=peel, iso=iso)
     v = min(_bits(block), key=lambda u: (adj[u] & block).bit_count())

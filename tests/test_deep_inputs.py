@@ -92,6 +92,23 @@ def test_cap_size_splits_reuse_one_mcsm_order(monkeypatch):
     calls.clear()
     color_gem_class(spider(255))
     assert len(calls) == 1
+    # and colouring splits only through structure: it makes exactly the
+    # cutset searches that decomposing makes, in the same order
+    blocks = []
+    find_cutset = structure._find_cutset
+
+    def recorded(adj, block, order=None):
+        blocks.append(block)
+        return find_cutset(adj, block, order)
+
+    monkeypatch.setattr(structure, "_find_cutset", recorded)
+    for g, count in ((spider(255), 1019), (spider(3), 11)):
+        blocks.clear()
+        decompose_into_atoms(g)
+        split_blocks = list(blocks)
+        blocks.clear()
+        color_gem_class(g)
+        assert blocks == split_blocks and len(blocks) == count
 
 
 def test_cli_decompose_path_512(capsys):

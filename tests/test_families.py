@@ -148,6 +148,7 @@ def test_generate_dispatch():
     assert generate("P", k=4) == path_graph(4)
     assert generate("K", k=3).edge_count() == 3
     assert generate("blowup", base="Petersen", sizes=[2] * 10).n == 20
+    assert generate("blowup", base=" Petersen ", sizes=[2] * 10) == generate("blowup", base="petersen", sizes=[2] * 10)
     with pytest.raises(GraphError):
         generate("H5")
     with pytest.raises(KeyError):
