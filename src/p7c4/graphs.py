@@ -289,11 +289,16 @@ def parse_edge_list(text: str) -> Graph:
     tokens = text.split()
     if len(tokens) < 2:
         raise GraphError("edge-list input needs at least 'n m'")
-    n, m = int(tokens[0]), int(tokens[1])
-    if len(tokens) != 2 + 2 * m:
-        raise GraphError(f"expected {m} edges, found {(len(tokens) - 2) // 2}")
-    pairs = [(int(tokens[2 + 2 * k]), int(tokens[3 + 2 * k])) for k in range(m)]
-    return Graph(n, pairs)
+    values = []
+    for token in tokens:
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise GraphError(f"edge-list token {token!r} is not an integer") from None
+    n, m = values[0], values[1]
+    if len(values) != 2 + 2 * m:
+        raise GraphError(f"expected {m} edges, found {(len(values) - 2) // 2}")
+    return Graph(n, zip(values[2::2], values[3::2]))
 
 
 def write_edge_list(g: Graph) -> str:

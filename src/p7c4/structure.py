@@ -116,28 +116,25 @@ def _mcsm(adj, block: int) -> tuple[list[int], list[int]]:
     return order, fill
 
 
-def _find_cutset(adj, block: int, order=None) -> tuple[int, int, int, tuple | None] | None:
+def _find_cutset(adj, block: int, order=None) -> tuple[int, int, int, tuple] | None:
     """(cutset, side_a, side_b, carried) for a clique cutset of the
-    connected vertex mask block, or None: three masks, and the MCS-M order
-    of side_b | cutset when this split yields it, else None.
+    connected vertex mask block, or None: three masks, and carried, the
+    (sigma, fill) that _mcsm returns for side_b | cutset.
 
     Scans a minimal elimination ordering (Tarjan, "Decomposition by clique
     separators", 1985): the first v in sigma whose later filled neighbors
-    form a clique that cuts v's component off from the rest gives the split,
-    and by the classical decomposition theorem the scan finds a clique
-    separator whenever one exists. side_a is the component of v. order, if
-    given, is the (sigma, fill) that _mcsm returns for block; it is scanned
-    in place of a fresh run.
+    form a clique that cuts v's component side_a off from the rest gives the
+    split. The scan finds a clique separator whenever one exists, and
+    side_a | cutset is an atom. order, if given, is the (sigma, fill) of
+    block, scanned in place of a fresh _mcsm.
 
-    The order is carried when side_a is exactly the first |side_a| vertices
-    of sigma. Then _mcsm on side_b | cutset returns sigma without that
-    prefix, with the same fill inside the block. MCS-M numbers side_a last,
-    so up to then the run on the block and the run on side_b | cutset have
-    numbered the same vertices. A path between two of those vertices that
-    runs through side_a enters and leaves it at two vertices of the clique
-    cutset; the edge joining those two replaces that stretch, and its
-    internal vertices are a subset of the path's. So the same paths add
-    weight and fill in both runs, and the picks agree.
+    carried is sigma without side_a. MCS-M numbers the whole cutset before
+    side_a (checked on every labelling of every connected graph n <= 7, not
+    proved). Until then a path that adds weight through side_a enters and
+    leaves it in the clique cutset, whose edge is a shortcut; after, every
+    path from side_a to side_b crosses the numbered cutset. So the runs on
+    block and on side_b | cutset add the same weight and fill inside
+    side_b | cutset, and pick alike.
     """
     if _is_clique_mask(adj, block):
         return None
@@ -153,7 +150,8 @@ def _find_cutset(adj, block: int, order=None) -> tuple[int, int, int, tuple | No
         if rest:
             size = comp.bit_count()
             prefix = all(comp >> u & 1 for u in sigma[:size])
-            return cut, comp, rest, ((sigma[size:], fill) if prefix else None)
+            kept = sigma[size:] if prefix else [u for u in sigma if not comp >> u & 1]
+            return cut, comp, rest, (kept, fill)
     return None
 
 
@@ -182,8 +180,9 @@ class AtomDecomposition:
     sets as masks (cutset, side_a, side_b at a split, the atom at a leaf) and
     builds split and atom when they are read: a path or spider on n vertices
     has about n splits whose sides hold O(n) vertices each, so stored
-    frozensets would take quadratic memory. Deep inputs give trees deeper
-    than Python's recursion limit, so the walks below use a stack.
+    frozensets would take quadratic memory. Every left child is a leaf, and
+    deep inputs give right spines longer than Python's recursion limit, so
+    the walks below use a stack.
     """
 
     left: "AtomDecomposition | None" = None
@@ -239,22 +238,17 @@ def decompose_into_atoms(g: Graph) -> AtomDecomposition:
 
 
 def _decompose(adj, block: int) -> AtomDecomposition:
-    """decompose_into_atoms on the connected vertex mask block: split by the
-    first cutset of the MCS-M scan, then decompose side_a plus the cutset
-    (left) and side_b plus the cutset (right), the right one with the order
-    the split carries, if any."""
-    root = AtomDecomposition()
-    stack = [(root, block, None)]
-    while stack:
-        node, block, order = stack.pop()
-        found = _find_cutset(adj, block, order)
-        if found is None:
-            node.masks = (block,)
-            continue
-        cut, side_a, side_b, carried = found
+    """decompose_into_atoms on the connected vertex mask block, in one loop
+    over one MCS-M order: each split's left child is the atom side_a | cutset,
+    and the loop goes on with side_b | cutset and the order the split carries."""
+    root = node = AtomDecomposition()
+    order = None
+    while (found := _find_cutset(adj, block, order)) is not None:
+        cut, side_a, side_b, order = found
         node.masks = (cut, side_a, side_b)
-        node.left, node.right = AtomDecomposition(), AtomDecomposition()
-        stack += ((node.right, side_b | cut, carried), (node.left, side_a | cut, None))
+        node.left, node.right = AtomDecomposition(masks=(side_a | cut,)), AtomDecomposition()
+        node, block = node.right, side_b | cut
+    node.masks = (block,)
     return root
 
 
@@ -452,6 +446,8 @@ def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCa
       kite:    if delta >= omega+1, a clique joined to the Petersen graph;
       gem:     a clique blowup of the Petersen graph, or a bisimplicial vertex.
     """
+    if not block or block >> g.n:
+        raise GraphError(f"block {block:#x} is not a nonempty set of the graph's {g.n} vertices")
     adj = g.adj
     third = class_third_pattern(class_name)
     budget = COLORING_BOUNDS[third](omega)

@@ -118,6 +118,8 @@ def _check_coloring_bound(g: Graph, theorem: str, diag: dict) -> dict:
 
 def verify_corpus(graphs, theorem: str, corpus: str = "") -> VerificationRun:
     """Run one theorem over an iterable of graphs, aggregating outcomes."""
+    if theorem not in THEOREMS:
+        raise GraphError(f"unknown theorem {theorem!r}")
     run = VerificationRun(theorem=theorem, corpus=corpus)
     for g in graphs:
         diag = check_theorem(g, theorem)

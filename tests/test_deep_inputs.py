@@ -75,9 +75,9 @@ def test_spider_511_decomposes_and_colors():
 
 
 def test_cap_size_splits_reuse_one_mcsm_order(monkeypatch):
-    # every split cuts off a prefix of the elimination order, so the right
-    # block scans the order the split carries and the left block is a clique:
-    # decomposing and colouring run MCS-M once each, not once per split
+    # the right block scans the order the split carries and the left block
+    # is an atom that is not searched again: decomposing and colouring run
+    # MCS-M once each, not once per split
     calls = []
 
     def counted(adj, block):
@@ -93,7 +93,8 @@ def test_cap_size_splits_reuse_one_mcsm_order(monkeypatch):
     color_gem_class(spider(255))
     assert len(calls) == 1
     # and colouring splits only through structure: it makes exactly the
-    # cutset searches that decomposing makes, in the same order
+    # cutset searches that decomposing makes, in the same order, one per
+    # split plus one on the last atom of the right spine
     blocks = []
     find_cutset = structure._find_cutset
 
@@ -102,7 +103,7 @@ def test_cap_size_splits_reuse_one_mcsm_order(monkeypatch):
         return find_cutset(adj, block, order)
 
     monkeypatch.setattr(structure, "_find_cutset", recorded)
-    for g, count in ((spider(255), 1019), (spider(3), 11)):
+    for g, count in ((spider(255), 510), (spider(3), 6)):
         blocks.clear()
         decompose_into_atoms(g)
         split_blocks = list(blocks)

@@ -126,6 +126,12 @@ def test_edge_list_roundtrip():
         parse_edge_list("3 2 0 1")
 
 
+@pytest.mark.parametrize("text, token", [("2 1 0 x", "x"), ("x 1 0 1", "x"), ("3 2.0 0 1 1 2", "2.0")])
+def test_edge_list_names_a_non_integer_token(text, token):
+    with pytest.raises(GraphError, match=f"token '{token}'"):
+        parse_edge_list(text)
+
+
 def test_induced_subgraph_examples():
     c7 = cycle_graph(7)
     assert induced_subgraph(c7, [0, 1, 2]) == path_graph(3)

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +9,7 @@ from p7c4.families import g2, g3, graph_f, petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
+    _bits,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -19,7 +20,7 @@ from p7c4.graphs import (
     max_clique_size,
     path_graph,
 )
-from p7c4.enumerate import class_members
+from p7c4.enumerate import class_members, connected_graphs
 from p7c4.patterns import class_membership
 from p7c4.structure import (
     _find_cutset,
@@ -134,40 +135,101 @@ def _reference_cases():
         yield clique_blowup(petersen(), sizes)
 
 
-def _check_carried_orders(g) -> tuple[int, int]:
-    """Walk the split tree as decompose_into_atoms does and check each
-    carried order against a fresh _mcsm of its block, restricted to the
-    block; returns the numbers of splits that carry an order and that don't."""
+def _check_spine(adj, block) -> tuple[int, int]:
+    """Walk the right spine as decompose_into_atoms does. At each split check
+    Tarjan's theorem for minimal orderings (side_a | cutset has no clique
+    cutset), the lemma the carried order rests on (side_a precedes the whole
+    cutset in the scanned order) and the carried order against a fresh _mcsm
+    of its block, restricted to the block. Returns the numbers of splits
+    whose side_a is a prefix of the scanned order and of those whose
+    side_a is not."""
     counts = [0, 0]
-    stack = [(g.full_mask(), None)]
-    while stack:
-        block, order = stack.pop()
-        found = _find_cutset(g.adj, block, order)
-        if found is None:
-            continue
+    order = _mcsm(adj, block)
+    while (found := _find_cutset(adj, block, order)) is not None:
         cut, side_a, side_b, carried = found
-        counts[carried is None] += 1
-        if carried is not None:
-            right = side_b | cut
-            sigma, fill = _mcsm(g.adj, right)
-            assert carried[0] == sigma, g
-            assert [carried[1][v] & right for v in sigma] == [fill[v] & right for v in sigma], g
-        stack += ((side_b | cut, carried), (side_a | cut, None))
+        assert _find_cutset(adj, side_a | cut) is None, adj
+        position = {v: k for k, v in enumerate(order[0])}
+        assert max(position[v] for v in _bits(side_a)) < min(position[v] for v in _bits(cut)), adj
+        counts[any(not side_a >> u & 1 for u in order[0][:side_a.bit_count()])] += 1
+        block = side_b | cut
+        sigma, fill = _mcsm(adj, block)
+        assert carried[0] == sigma, adj
+        assert [carried[1][v] & block for v in sigma] == [fill[v] & block for v in sigma], adj
+        order = carried
     return tuple(counts)
 
 
 def test_mcsm_and_atoms_match_reference(connected_upto7):
     # the bucket queue and the pruned search give the reference ordering and
-    # fill, the stacked decomposition its split tree, and every order a
-    # split carries the fresh ordering of its block
+    # fill, the one-loop decomposition its split tree, and every order a
+    # split carries the fresh ordering of its block, whether side_a is a
+    # prefix of the scanned order or not
     counts = [0, 0]
     for g in [*connected_upto7, *_reference_cases()]:
         assert _mcsm(g.adj, g.full_mask()) == reference_mcsm(g), g
         assert decompose_into_atoms(g).to_json() == reference_decompose(g), g
-        carried, fresh = _check_carried_orders(g)
-        counts[0] += carried
-        counts[1] += fresh
-    assert all(counts), counts
+        prefix, other = _check_spine(g.adj, g.full_mask())
+        counts[0] += prefix
+        counts[1] += other
+    assert counts[0] > 0 and counts[1] > 0, counts
+
+
+def test_spine_checks_hold_on_every_labelling():
+    # _check_spine on every labelling of every connected graph on up to 6
+    # vertices
+    splits = 0
+    for n in range(2, 7):
+        for g in connected_graphs(n):
+            seen = set()
+            for perm in permutations(range(n)):
+                h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                if h.adj not in seen:
+                    seen.add(h.adj)
+                    splits += sum(_check_spine(h.adj, h.full_mask()))
+    assert splits == 60055
+
+
+def _glued_graph(rng, pieces):
+    """A connected graph glued from cliques, cycles and trees along clique
+    separators, with its labels shuffled."""
+    edges = set()
+    n = 1
+    for _ in range(pieces):
+        kind, k = rng.choice(("clique", "cycle", "tree")), rng.randint(2, 6)
+        if kind == "cycle":
+            k = max(k, 4)
+            local = [(i, (i + 1) % k) for i in range(k)]
+        elif kind == "tree":
+            local = [(rng.randrange(i), i) for i in range(1, k)]
+        else:
+            local = list(combinations(range(k), 2))
+        # glue the piece's vertex 0, or its edge 0-1, onto a vertex or an
+        # edge of the graph built so far
+        glue = [rng.randrange(n)]
+        if rng.random() < 0.5:
+            near = [u for u in range(n) if (min(u, glue[0]), max(u, glue[0])) in edges]
+            if near:
+                glue.append(rng.choice(near))
+        names = glue + list(range(n, n + k - len(glue)))
+        edges |= {tuple(sorted((names[u], names[v]))) for u, v in local}
+        n += k - len(glue)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_glued_graphs_match_reference_decomposition():
+    # shuffled labels make side_a a non-prefix of the order on some splits,
+    # where the carried order is sigma filtered rather than sliced
+    rng = random.Random(20230919)
+    counts = [0, 0]
+    for _ in range(150):
+        g = _glued_graph(rng, rng.randint(2, 6))
+        assert decompose_into_atoms(g).to_json() == reference_decompose(g), g
+        prefix, other = _check_spine(g.adj, g.full_mask())
+        counts[0] += prefix
+        counts[1] += other
+    assert counts[0] > 0 and counts[1] > 0, counts
 
 
 def test_g3_is_a_single_atom():
@@ -319,6 +381,14 @@ def test_theorem_case_outcomes():
         assert got.kind == "contradiction" and got.detail
     with pytest.raises(GraphError):
         case(p, "bull-class")
+
+
+def test_theorem_case_rejects_bad_blocks():
+    # an empty block, or one with a bit at or above n, is no vertex set of g
+    p = petersen()
+    for block in (0, 1 << 10, p.full_mask() | 1 << 10, -1):
+        with pytest.raises(GraphError, match="not a nonempty set"):
+            theorem_case(p, block, "diamond", 1)
 
 
 def _shuffled_with_pendant(g):

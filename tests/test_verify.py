@@ -11,7 +11,7 @@ from p7c4.cli import cli_main
 from p7c4.coloring import StructuralContradiction
 from p7c4.enumerate import connected_graphs
 from p7c4.families import g1, g2, g3, g5, generate, graph_f, petersen
-from p7c4.graphs import Graph, cycle_graph, join_with_clique, write_graph6
+from p7c4.graphs import Graph, GraphError, cycle_graph, join_with_clique, write_graph6
 from p7c4.verify import (
     THEOREMS,
     VerificationRun,
@@ -81,6 +81,14 @@ def test_verify_corpus_counts():
     assert run.vacuous + run.checked == run.total
     assert run.checked > 0
     assert run.to_json()["violations"] == []
+
+
+def test_verify_corpus_rejects_unknown_theorem():
+    # the name is checked before the corpus is read, so an empty corpus
+    # cannot yield a run labelled with a theorem that does not exist
+    for corpus in ([], [cycle_graph(5)]):
+        with pytest.raises(GraphError, match="unknown theorem 'T9'"):
+            verify_corpus(corpus, "T9")
 
 
 def test_theorems_hold_on_all_members_up_to_9():
@@ -231,6 +239,13 @@ def test_cli_edge_list_input(capsys, tmp_path):
     code, out = run_cli(capsys, "decompose", "--corpus", str(path))
     assert code == 0
     assert out[0]["result"]["split"]["cutset"] == [1]
+
+
+def test_cli_edge_list_with_a_non_integer_token(capsys, tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text("2 1\n0 x\n")
+    assert cli_main(["decompose", "--corpus", str(path)]) == 2
+    assert "token 'x'" in json.loads(capsys.readouterr().err)["error"]
 
 
 @pytest.mark.parametrize("argv", [[], ["--corpus", "-"]])
