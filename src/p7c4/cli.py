@@ -236,7 +236,7 @@ def _verify(args) -> int:
         graphs.extend(g for n in range(1, args.exhaustive + 1) for g in connected_graphs(n))
         desc.append(f"exhaustive connected n<={args.exhaustive}")
     if args.blowups:
-        graphs.extend(g for _, g in standard_blowup_corpus(base, total))
+        graphs.extend(standard_blowup_corpus(base, total))
         desc.append(f"blowups {args.blowups}")
     if args.family or args.corpus or not graphs:
         graphs.extend(_read_corpus(args))

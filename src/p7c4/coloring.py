@@ -2,10 +2,11 @@
 
 The coloring mirrors the inductive structure of the bound proofs: it folds
 the atom tree that structure.decompose_into_atoms builds for each component,
-merging at each clique cutset, and hands each atom to theorem_case, the same
-engine verify checks: the Petersen graph gets a stored coloring, a peeled
-clique or a Petersen blowup is colored directly, and otherwise a low-degree
-or bisimplicial vertex the theorem supplies is removed and greedily re-colored.
+merging at each clique cutset. A clique, every bound's base case, is colored
+in closed form. Each other atom goes to theorem_case, the engine verify
+checks: the Petersen graph gets a stored coloring, a peeled Petersen graph or
+a Petersen blowup is colored directly, and otherwise a low-degree or
+bisimplicial vertex the theorem supplies is removed and greedily re-colored.
 A certificate carries the assignment, the claimed bound, and a flat
 replayable trace of derivation steps.
 
@@ -28,6 +29,7 @@ from .graphs import (
     StructuralContradiction,
     _bits,
     _components,
+    _is_clique_mask,
     _max_clique_size,
     exact_coloring,
     induced_subgraph,
@@ -153,9 +155,10 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     One work stack stands in for the recursion over components, clique
     cutsets and eliminated vertices. A connected block pushes the atom tree
     of structure._decompose, each split below its two children for the
-    cutset merge. A finished block leaves its coloring on the done stack;
-    trace steps come out in post-order. omega is the largest clique number
-    of an atom, as each clique lies inside one atom.
+    cutset merge; a block or atom that is a clique goes to _color_clique
+    instead. A finished block leaves its coloring on the done stack; trace
+    steps come out in post-order. omega is the largest clique number of an
+    atom, as each clique lies inside one atom.
     """
     adj = g.adj
     steps: list[dict] = []
@@ -185,43 +188,55 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             continue
         if kind == "node":
             (node,) = args
+            if node.left is not None:
+                work += [("cutset", node.masks[0]), ("node", node.right), ("node", node.left)]
+                continue
+            (mask,) = node.masks
         else:
             (mask,) = args
-            if not mask & mask - 1:
-                v = mask.bit_length() - 1
-                done.append({v: 1})
-                steps.append({"step": "single-vertex", "vertex": v})
-                continue
+        if _is_clique_mask(adj, mask):
+            omega = max(omega, mask.bit_count())
+            assign, clique_steps = _color_clique(mask, class_name)
+            done.append(assign)
+            steps += clique_steps
+        elif kind == "block":
             comps = _components(adj, mask)
             if len(comps) > 1:
                 work.append(("components", len(comps)))
                 work += [("block", c) for c in reversed(comps)]
-                continue
-            node = _decompose(adj, mask)
-        if node.left is not None:
-            work += [("cutset", node.masks[0]), ("node", node.right), ("node", node.left)]
-            continue
-        (mask,) = node.masks
-        w = _max_clique_size(adj, mask)
-        omega = max(omega, w)
-        case = theorem_case(g, mask, class_name, w)
-        if case.kind == "eliminate":
-            work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
+            else:
+                work.append(("node", _decompose(adj, mask)))
         else:
-            assign, atom_steps = _color_case(g, mask, case, class_name)
-            done.append(assign)
-            steps += atom_steps
+            w = _max_clique_size(adj, mask)
+            omega = max(omega, w)
+            case = theorem_case(g, mask, class_name, w)
+            if case.kind == "eliminate":
+                work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
+            else:
+                assign, atom_steps = _color_case(g, mask, case, class_name)
+                done.append(assign)
+                steps += atom_steps
     (assign,) = done
     return assign, omega, steps
+
+
+def _color_clique(block: int, class_name: str):
+    """Coloring and steps that theorem_case's verdicts give the clique v1 < ... < vk:
+    kite gives clique-base, vi colored i; diamond and gem color vk alone, then
+    eliminate v(k-1) ... v1, vi taking k-i+1, within the bound of {vi ... vk}."""
+    vs = list(_bits(block))
+    if len(vs) > 1 and class_third_pattern(class_name) == "kite":
+        assign = dict(zip(vs, range(1, len(vs) + 1)))
+        return assign, [{"step": "clique-base", "assignment": sorted(assign.items())}]
+    assign = dict(zip(reversed(vs), range(1, len(vs) + 1)))  # top vertex first, as the chain inserts
+    return assign, [{"step": "single-vertex", "vertex": vs[-1]}] + [
+        {"step": "eliminate-vertex", "vertex": v, "color": c} for v, c in list(assign.items())[1:]]
 
 
 def _color_case(g: Graph, block: int, case: TheoremCase, class_name: str):
     """Turn the structure theorem's verdict on a cutset-free block into steps."""
     if case.kind == "petersen":
         assign, steps = _petersen_steps(case.iso)
-    elif case.kind == "clique-base":
-        assign = {v: c for c, v in enumerate(_bits(block), start=1)}
-        steps = [{"step": "clique-base", "assignment": sorted(assign.items())}]
     elif case.kind == "peeled-petersen":
         assign, steps = _petersen_steps(case.iso)
         peel_items = [(v, c) for c, v in enumerate(sorted(set(_bits(block)) - case.peel.remainder), start=4)]

@@ -390,7 +390,13 @@ def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
 
 
 def _is_clique_mask(adj, mask: int) -> bool:
-    return all(adj[v] & mask == mask ^ 1 << v for v in _bits(mask))
+    rest = mask
+    while rest & rest - 1:  # the last vertex is seen by all the others
+        low = rest & -rest
+        if adj[low.bit_length() - 1] & mask != mask ^ low:
+            return False
+        rest ^= low
+    return True
 
 
 def max_clique_size(g: Graph) -> int:

@@ -138,7 +138,7 @@ def verify_corpus(graphs, theorem: str, corpus: str = "") -> VerificationRun:
     return run
 
 
-def standard_blowup_corpus(base_name: str, max_total: int) -> list[tuple[str, Graph]]:
+def standard_blowup_corpus(base_name: str, max_total: int) -> list[Graph]:
     """Deterministic blowup instances of a named base: uniform sizes, single
     and double +1 bumps, and single +2 bumps, capped at max_total vertices."""
     base = _base_by_name(base_name)
@@ -157,8 +157,4 @@ def standard_blowup_corpus(base_name: str, max_total: int) -> list[tuple[str, Gr
                 vectors.append(tuple(2 if k in (i, j) else 1 for k in range(n)))
         for i in range(n):
             vectors.append(tuple(3 if j == i else 1 for j in range(n)))
-    out = []
-    for vec in vectors:
-        label = f"blowup({base_name},{','.join(map(str, vec))})"
-        out.append((label, generate("blowup", base=base, sizes=vec)))
-    return out
+    return [generate("blowup", base=base, sizes=vec) for vec in vectors]

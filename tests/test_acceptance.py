@@ -106,8 +106,7 @@ def test_criterion_2_theorem_1_exhaustive():
 def test_criterion_3_theorems_2_3_exhaustive_and_blowups():
     """T2 and T3 over connected n <= 8 plus Petersen/G5 blowups <= 20."""
     corpus = [g for n in range(1, 9) for g in connected_graphs(n)]
-    blowups = [g for _, g in standard_blowup_corpus("Petersen", 20)]
-    blowups += [g for _, g in standard_blowup_corpus("G5", 20)]
+    blowups = standard_blowup_corpus("Petersen", 20) + standard_blowup_corpus("G5", 20)
     details = []
     all_ok = True
     for thm in ("T2", "T3"):
@@ -133,8 +132,8 @@ def _family_instances():
         ("P7", path_graph(7)),
         ("blowup(G5,2^14)", clique_blowup(g5(), [2] * 14)),
     ]
-    out += standard_blowup_corpus("Petersen", 20)
-    out += standard_blowup_corpus("G5", 20)
+    out += [(f"blowup({base}) #{i}", g) for base in ("Petersen", "G5")
+            for i, g in enumerate(standard_blowup_corpus(base, 20))]
     return [(label, g) for label, g in out if g.n <= 30]
 
 
@@ -281,7 +280,7 @@ def test_criterion_7_seven_hole_battery():
         members = [g for n in range(7, 10) for g in class_members(cls, n)]
         if mode == "gem":
             members += [
-                g for _, g in standard_blowup_corpus("G5", 20)
+                g for g in standard_blowup_corpus("G5", 20)
                 if class_membership(g, cls).free
             ]
         for g in members:

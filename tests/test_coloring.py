@@ -1,3 +1,5 @@
+import hashlib
+import json
 from random import Random
 
 import pytest
@@ -7,6 +9,7 @@ from p7c4.coloring import (
     ColoringCertificate,
     StructuralContradiction,
     _color,
+    _color_clique,
     _eliminate,
     _merge_on_cutset,
     _min_multicover,
@@ -18,7 +21,7 @@ from p7c4.coloring import (
     replay_trace,
     validate_certificate,
 )
-from p7c4.enumerate import canonical_key, class_members
+from p7c4.enumerate import all_graphs, canonical_key, class_members
 from p7c4.families import g1, g2, graph_f, petersen
 from p7c4.graphs import (
     Graph,
@@ -31,7 +34,7 @@ from p7c4.graphs import (
     max_clique_size,
     path_graph,
 )
-from p7c4.structure import recognize_clique_blowup
+from p7c4.structure import recognize_clique_blowup, theorem_case
 
 COLORERS = {
     "diamond-class": color_diamond_class,
@@ -210,3 +213,69 @@ def test_validate_certificate_rejects_bad_bound():
                                  cert.colors_used - 1, cert.trace)
     with pytest.raises(GraphError):
         validate_certificate(g, forged)
+
+
+# sha256 of _color on every graph on <= 7 vertices under each class, taken
+# when every clique still went through one theorem_case round per vertex
+COLOR_DIGEST = "6b04d3dc920313cea265ac3bb192a752e67acdaf1bfba69337c836221cc9ccd3"
+
+
+def _color_digest() -> str:
+    h = hashlib.sha256()
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            for class_name in COLORERS:
+                try:
+                    assign, omega, steps = _color(g, g.full_mask(), class_name)
+                    record = [list(assign.items()), omega, steps]
+                except StructuralContradiction as exc:
+                    record = [type(exc).__name__, exc.detail]
+                h.update(json.dumps(record).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_color_outputs_are_pinned_on_small_graphs():
+    # assignment in insertion order, omega and trace steps, or the raised
+    # contradiction, of 3,467 colorings and 289 refusals
+    assert _color_digest() == COLOR_DIGEST
+
+
+def _clique_in_host(k: int, seed: int) -> tuple[Graph, list[int]]:
+    """K_k on scattered labels of a 40-vertex host with random other edges."""
+    rng = Random(seed)
+    vs = sorted(rng.sample(range(40), k))
+    edges = {(u, w) for i, u in enumerate(vs) for w in vs[i + 1:]}
+    edges |= {(u, w) for u in range(40) for w in range(u + 1, 40) if rng.random() < 0.2}
+    return Graph(40, edges), vs
+
+
+def _engine_clique(g: Graph, vs: list[int], class_name: str):
+    """What theorem_case's verdicts yield on the clique vs, one round per vertex.
+
+    kite gives clique-base; diamond and gem eliminate the lowest vertex with
+    a budget that covers the color it gets. A lone vertex is colored 1.
+    """
+    block = sum(1 << v for v in vs)
+    case = theorem_case(g, block, class_name, len(vs))
+    if class_name == "kite-class":
+        assert case.kind == "clique-base"
+    else:
+        assert (case.kind, case.vertex) == ("eliminate", vs[0]) and len(vs) <= case.budget
+    if len(vs) == 1:
+        return {vs[0]: 1}, [{"step": "single-vertex", "vertex": vs[0]}]
+    if case.kind == "clique-base":
+        assign = {v: c for c, v in enumerate(vs, start=1)}
+        return assign, [{"step": "clique-base", "assignment": sorted(assign.items())}]
+    assign, steps = _engine_clique(g, vs[1:], class_name)
+    assign[vs[0]] = _eliminate(g, block, assign, vs[0], case.budget, class_name)
+    return assign, steps + [{"step": "eliminate-vertex", "vertex": vs[0], "color": assign[vs[0]]}]
+
+
+@pytest.mark.parametrize("class_name", list(COLORERS))
+def test_clique_closed_form_is_theorem_case_verdict(class_name):
+    for k in range(1, 13):
+        g, vs = _clique_in_host(k, seed=k)
+        assign, steps = _engine_clique(g, vs, class_name)
+        got, got_steps = _color_clique(sum(1 << v for v in vs), class_name)
+        assert list(got.items()) == list(assign.items()) and got_steps == steps
+

@@ -7,6 +7,7 @@ import tracemalloc
 
 import pytest
 
+from p7c4 import coloring
 from p7c4.cli import cli_main
 from p7c4.coloring import color_diamond_class, color_gem_class, color_kite_class, validate_certificate
 from p7c4.families import petersen
@@ -119,12 +120,19 @@ def test_cli_decompose_path_512(capsys):
 
 
 @pytest.mark.parametrize("class_name", ["diamond-class", "kite-class", "gem-class"])
-def test_clique_colors_within_bound(class_name):
-    # a clique has no clique cutset: each elimination level skips MCS-M
+def test_clique_colors_within_bound(monkeypatch, class_name):
+    # a clique is colored in closed form, without a theorem_case round or a
+    # clique search per vertex; its trace is the one those rounds gave
+    calls = []
+    for name in ("theorem_case", "_max_clique_size"):
+        real = getattr(coloring, name)
+        monkeypatch.setattr(coloring, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
     g = complete_graph(150)
     color = {"diamond-class": color_diamond_class, "kite-class": color_kite_class, "gem-class": color_gem_class}
     cert = color[class_name](g)
     validate_certificate(g, cert)
+    assert calls == []
+    assert len(cert.trace) == (1 if class_name == "kite-class" else 150)
     assert cert.colors_used == 150
     assert cert.claimed_bound == COLORING_BOUNDS[class_name.removesuffix("-class")](150)
 

@@ -68,7 +68,7 @@ def _run_cli(argv: list[str], stdin_text: str = "") -> str:
 def _extra_members() -> list:
     """Petersen, K_l + Petersen and the Petersen blowups up to 20 vertices."""
     extra = [join_with_clique(petersen(), ell) for ell in range(4)]
-    extra += [g for _, g in standard_blowup_corpus("Petersen", 20)]
+    extra += standard_blowup_corpus("Petersen", 20)
     return extra
 
 

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from p7c4.graphs import (
     Graph,
     GraphError,
+    _bits,
+    _is_clique_mask,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -217,6 +219,15 @@ def test_max_clique_examples():
 def test_max_clique_matches_bruteforce(small_graphs):
     for g in small_graphs:
         assert max_clique_size(g) == brute_max_clique(g)
+
+
+def test_is_clique_mask_matches_the_all_expression(small_graphs):
+    # the early-exit loop answers as the expression it replaced, on every
+    # vertex mask of every graph on <= 6 vertices, the empty mask included
+    for g in small_graphs:
+        for mask in range(1 << g.n):
+            want = all(g.adj[v] & mask == mask ^ 1 << v for v in _bits(mask))
+            assert _is_clique_mask(g.adj, mask) == want
 
 
 def test_chromatic_oracle_examples():
