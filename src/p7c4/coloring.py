@@ -8,7 +8,9 @@ checks: the Petersen graph gets a stored coloring, a peeled Petersen graph or
 a Petersen blowup is colored directly, and otherwise a low-degree or
 bisimplicial vertex the theorem supplies is removed and greedily re-colored.
 A certificate carries the assignment, the claimed bound, and a flat
-replayable trace of derivation steps.
+replayable trace of derivation steps. _apply alone executes a step:
+replay_trace folds it over a trace, and _color runs each step it
+decides through it, so the assignment is the trace's replay by construction.
 
 If a certified class member reaches a state where no theorem case applies,
 that falsifies the underlying structure theorem; it is raised loudly as
@@ -62,15 +64,15 @@ def validate_certificate(g: Graph, cert: ColoringCertificate) -> None:
     """Raise GraphError unless the certificate is sound for g."""
     if set(cert.assignment) != set(range(g.n)):
         raise GraphError("assignment does not cover the vertex set")
-    if any(c < 1 for c in cert.assignment.values()):
-        raise GraphError("colors must start at 1")
+    if any(type(c) is not int or c < 1 for c in cert.assignment.values()):
+        raise GraphError("colors must be integers from 1")
     for u, v in g.edges():
         if cert.assignment[u] == cert.assignment[v]:
             raise GraphError(f"edge ({u},{v}) is monochromatic")
     if cert.colors_used != max(cert.assignment.values(), default=0):
         raise GraphError("colors_used does not match the assignment")
-    if cert.colors_used > cert.claimed_bound:
-        raise GraphError(f"{cert.colors_used} colors exceed the claimed bound {cert.claimed_bound}")
+    if type(cert.claimed_bound) is not int or cert.colors_used > cert.claimed_bound:
+        raise GraphError(f"{cert.colors_used} colors exceed the claimed bound {cert.claimed_bound!r}")
     if replay_trace(cert.trace) != cert.assignment:
         raise GraphError("trace replay does not reproduce the assignment")
 
@@ -78,43 +80,50 @@ def validate_certificate(g: Graph, cert: ColoringCertificate) -> None:
 def replay_trace(trace) -> dict[int, int]:
     """Re-execute a derivation trace; returns the reconstructed assignment."""
     stack: list[dict[int, int]] = []
-    for step in trace:
-        kind = step["step"]
-        if kind == "single-vertex":
-            stack.append({step["vertex"]: 1})
-        elif kind in ("exceptional-graph", "blowup-color", "clique-base"):
-            stack.append({v: c for v, c in step["assignment"]})
-        elif kind == "peel":
-            top = stack.pop()
-            top = dict(top)
-            for v, c in step["assignment"]:
-                top[v] = c
-            stack.append(top)
-        elif kind == "eliminate-vertex":
-            top = dict(stack.pop())
-            top[step["vertex"]] = step["color"]
-            stack.append(top)
-        elif kind == "components-merge":
-            parts = [stack.pop() for _ in range(step["count"])]
-            merged: dict[int, int] = {}
-            for p in parts:
-                merged.update(p)
-            stack.append(merged)
-        elif kind == "cutset-merge":
-            right = stack.pop()
-            left = stack.pop()
-            perm = step["permutation"]
-            moved = {v: perm[c] for v, c in right.items()}
-            for v in step["cutset"]:
-                if moved[v] != left[v]:
-                    raise GraphError("cutset colors disagree on replay")
-            moved.update(left)
-            stack.append(moved)
-        else:
-            raise GraphError(f"unknown trace step {kind!r}")
+    try:
+        for step in trace:
+            _apply(stack, step)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed trace: {exc!r}") from exc
     if len(stack) != 1:
         raise GraphError("trace does not reduce to a single coloring")
     return stack[0]
+
+
+def _apply(stack: list[dict[int, int]], step: dict) -> None:
+    """Execute one trace step on a stack of block colorings, in place.
+
+    This is the one definition of what a step means: replay_trace folds it
+    over a trace, and _color runs every step it emits through it.
+    """
+    kind = step["step"]
+    if kind == "eliminate-vertex":
+        stack[-1][step["vertex"]] = step["color"]
+    elif kind == "single-vertex":
+        stack.append({step["vertex"]: 1})
+    elif kind == "cutset-merge":
+        right = stack.pop()
+        left = stack[-1]
+        perm = step["permutation"]
+        merged = {v: perm[c] for v, c in right.items()}
+        if any(merged[v] != left[v] for v in step["cutset"]):
+            raise GraphError("cutset colors disagree on replay")
+        merged.update(left)
+        stack[-1] = merged
+    elif kind in ("clique-base", "exceptional-graph", "blowup-color"):
+        stack.append(dict(step["assignment"]))
+    elif kind == "peel":
+        stack[-1].update(step["assignment"])
+    elif kind == "components-merge":
+        count = step["count"]
+        if not 1 <= count <= len(stack):
+            raise GraphError(f"components-merge of {count!r} colorings with {len(stack)} on the stack")
+        merged = {}
+        for part in stack[-count:]:  # first component first: tests pin _color's insertion order
+            merged.update(part)
+        stack[-count:] = [merged]
+    else:
+        raise GraphError(f"unknown trace step {kind!r}")
 
 
 @lru_cache(maxsize=1)
@@ -126,11 +135,12 @@ def _stored_coloring() -> tuple[tuple[int, int], ...]:
     return tuple(sorted(assign.items()))
 
 
-def _merge_on_cutset(left: dict[int, int], right: dict[int, int], cutset) -> tuple[dict[int, int], dict[int, int]]:
-    """Permute right's colors to agree with left on the cutset; union them.
+def _cutset_permutation(left: dict[int, int], right: dict[int, int], cutset) -> dict[int, int]:
+    """Permutation of right's colors that agrees with left on the cutset and
+    sends right's other colors to the smallest colors left free.
 
-    Returns (merged, permutation). Requires both sides injective on the
-    cutset, which holds whenever the cutset is a clique properly colored.
+    Requires both sides injective on the cutset, which holds whenever the
+    cutset is a clique properly colored.
     """
     perm = {right[v]: left[v] for v in cutset}
     if len(perm) != len(cutset) or len(set(perm.values())) != len(cutset):
@@ -144,9 +154,7 @@ def _merge_on_cutset(left: dict[int, int], right: dict[int, int], cutset) -> tup
             nxt += 1
         perm[c] = nxt
         taken.add(nxt)
-    merged = {v: perm[c] for v, c in right.items()}
-    merged.update(left)
-    return merged, perm
+    return perm
 
 
 def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, list[dict]]:
@@ -156,103 +164,83 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     cutsets and eliminated vertices. A connected block pushes the atom tree
     of structure._decompose, each split below its two children for the
     cutset merge; a block or atom that is a clique goes to _color_clique
-    instead. A finished block leaves its coloring on the done stack; trace
-    steps come out in post-order. omega is the largest clique number of an
-    atom, as each clique lies inside one atom.
+    instead. Each work item decides its trace steps, and each step runs
+    through _apply, replay_trace's interpreter, on the done stack of block
+    colorings; steps come out in post-order. omega is the largest clique
+    number of an atom, as each clique lies inside one atom.
     """
     adj = g.adj
+    third = class_third_pattern(class_name)
     steps: list[dict] = []
     done: list[dict[int, int]] = []
     omega = 1
     work: list[tuple] = [("block", block)]
     while work:
-        kind, *args = work.pop()
+        kind, arg, *rest = work.pop()
+        if kind == "node" and arg.left is not None:
+            work += [("cutset", arg.masks[0]), ("node", arg.right), ("node", arg.left)]
+            continue
         if kind == "components":
-            (count,) = args
-            parts = done[-count:]
-            del done[-count:]
-            done.append({v: c for a in parts for v, c in a.items()})
-            steps.append({"step": "components-merge", "count": count})
-            continue
-        if kind == "cutset":
-            la, lb = done.pop(-2), done.pop()
-            cutset = list(_bits(args[0]))
-            merged, perm = _merge_on_cutset(la, lb, cutset)
-            done.append(merged)
-            steps.append({"step": "cutset-merge", "cutset": cutset, "permutation": perm})
-            continue
-        if kind == "eliminate":
-            atom, v, budget = args
-            done[-1][v] = _eliminate(g, atom, done[-1], v, budget, class_name)
-            steps.append({"step": "eliminate-vertex", "vertex": v, "color": done[-1][v]})
-            continue
-        if kind == "node":
-            (node,) = args
-            if node.left is not None:
-                work += [("cutset", node.masks[0]), ("node", node.right), ("node", node.left)]
+            new = [{"step": "components-merge", "count": arg}]
+        elif kind == "cutset":
+            cutset = list(_bits(arg))
+            new = [{"step": "cutset-merge", "cutset": cutset,
+                    "permutation": _cutset_permutation(done[-2], done[-1], cutset)}]
+        elif kind == "eliminate":
+            v, budget = rest
+            new = [{"step": "eliminate-vertex", "vertex": v,
+                    "color": _eliminate(g, arg, done[-1], v, budget, class_name)}]
+        else:
+            mask = arg.masks[0] if kind == "node" else arg
+            if _is_clique_mask(adj, mask):
+                omega = max(omega, mask.bit_count())
+                new = _color_clique(mask, third)
+            elif kind == "block":
+                comps = _components(adj, mask)
+                if len(comps) > 1:
+                    work.append(("components", len(comps)))
+                    work += [("block", c) for c in reversed(comps)]
+                else:
+                    work.append(("node", _decompose(adj, mask)))
                 continue
-            (mask,) = node.masks
-        else:
-            (mask,) = args
-        if _is_clique_mask(adj, mask):
-            omega = max(omega, mask.bit_count())
-            assign, clique_steps = _color_clique(mask, class_name)
-            done.append(assign)
-            steps += clique_steps
-        elif kind == "block":
-            comps = _components(adj, mask)
-            if len(comps) > 1:
-                work.append(("components", len(comps)))
-                work += [("block", c) for c in reversed(comps)]
             else:
-                work.append(("node", _decompose(adj, mask)))
-        else:
-            w = _max_clique_size(adj, mask)
-            omega = max(omega, w)
-            case = theorem_case(g, mask, class_name, w)
-            if case.kind == "eliminate":
-                work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
-            else:
-                assign, atom_steps = _color_case(g, mask, case, class_name)
-                done.append(assign)
-                steps += atom_steps
+                w = _max_clique_size(adj, mask)
+                omega = max(omega, w)
+                case = theorem_case(g, mask, class_name, w)
+                if case.kind == "eliminate":
+                    work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
+                    continue
+                new = _color_case(g, mask, case, class_name)
+        for step in new:
+            _apply(done, step)
+        steps += new
     (assign,) = done
     return assign, omega, steps
 
 
-def _color_clique(block: int, class_name: str):
-    """Coloring and steps that theorem_case's verdicts give the clique v1 < ... < vk:
+def _color_clique(block: int, third: str) -> list[dict]:
+    """Steps that theorem_case's verdicts give the clique v1 < ... < vk:
     kite gives clique-base, vi colored i; diamond and gem color vk alone, then
     eliminate v(k-1) ... v1, vi taking k-i+1, within the bound of {vi ... vk}."""
     vs = list(_bits(block))
-    if len(vs) > 1 and class_third_pattern(class_name) == "kite":
-        assign = dict(zip(vs, range(1, len(vs) + 1)))
-        return assign, [{"step": "clique-base", "assignment": sorted(assign.items())}]
-    assign = dict(zip(reversed(vs), range(1, len(vs) + 1)))  # top vertex first, as the chain inserts
-    return assign, [{"step": "single-vertex", "vertex": vs[-1]}] + [
-        {"step": "eliminate-vertex", "vertex": v, "color": c} for v, c in list(assign.items())[1:]]
+    if len(vs) > 1 and third == "kite":
+        return [{"step": "clique-base", "assignment": list(zip(vs, range(1, len(vs) + 1)))}]
+    return [{"step": "single-vertex", "vertex": vs[-1]}] + [
+        {"step": "eliminate-vertex", "vertex": v, "color": c} for c, v in enumerate(reversed(vs[:-1]), start=2)]
 
 
-def _color_case(g: Graph, block: int, case: TheoremCase, class_name: str):
+def _color_case(g: Graph, block: int, case: TheoremCase, class_name: str) -> list[dict]:
     """Turn the structure theorem's verdict on a cutset-free block into steps."""
-    if case.kind == "petersen":
-        assign, steps = _petersen_steps(case.iso)
-    elif case.kind == "peeled-petersen":
-        assign, steps = _petersen_steps(case.iso)
-        peel_items = [(v, c) for c, v in enumerate(sorted(set(_bits(block)) - case.peel.remainder), start=4)]
-        assign.update(peel_items)
-        steps.append({"step": "peel", "assignment": peel_items})
-    elif case.kind == "petersen-blowup":
-        assign, _ = _petersen_cover_assignment(case.blowup)
-        steps = [{"step": "blowup-color", "assignment": sorted(assign.items())}]
-    else:
+    if case.kind == "petersen-blowup":
+        return [_blowup_step(case.blowup)]
+    if case.kind not in ("petersen", "peeled-petersen"):
         raise StructuralContradiction(class_name, induced_subgraph(g, _bits(block)), case.detail)
-    return assign, steps
-
-
-def _petersen_steps(iso: dict[int, int]):
-    assign = {iso[v]: c for v, c in _stored_coloring()}
-    return assign, [{"step": "exceptional-graph", "name": "Petersen", "assignment": sorted(assign.items())}]
+    steps = [{"step": "exceptional-graph", "name": "Petersen",
+              "assignment": sorted((case.iso[v], c) for v, c in _stored_coloring())}]
+    if case.kind == "peeled-petersen":
+        peeled = sorted(set(_bits(block)) - case.peel.remainder)
+        steps.append({"step": "peel", "assignment": [(v, c) for c, v in enumerate(peeled, start=4)]})
+    return steps
 
 
 def _eliminate(g: Graph, block: int, assign: dict[int, int], v: int, budget: int, class_name: str) -> int:
@@ -398,17 +386,14 @@ def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     return upper_sets
 
 
-def _petersen_cover_assignment(cert: BlowupCertificate) -> tuple[dict[int, int], int]:
-    """Color the blown-up graph: one chosen independent-set instance per color."""
-    weights = cert.weights()
-    chosen = _min_multicover(weights)
-    assign: dict[int, int] = {}
+def _blowup_step(cert: BlowupCertificate) -> dict:
+    """The blowup-color step: one chosen independent-set instance per color."""
+    chosen = _min_multicover(cert.weights())
+    assign = []
     for base_v in range(10):
         instances = [color for color, s in enumerate(chosen, start=1) if base_v in s]
-        members = sorted(cert.classes[cert.class_map[base_v]])
-        for vertex, color in zip(members, instances):
-            assign[vertex] = color
-    return assign, len(chosen)
+        assign += zip(sorted(cert.classes[cert.class_map[base_v]]), instances)
+    return {"step": "blowup-color", "assignment": sorted(assign)}
 
 
 def color_petersen_blowup(cert: BlowupCertificate) -> ColoringCertificate:
@@ -421,9 +406,10 @@ def color_petersen_blowup(cert: BlowupCertificate) -> ColoringCertificate:
     if cert.base != petersen():
         raise GraphError("certificate must be over the standard Petersen base")
     weights = cert.weights()
-    assign, k = _petersen_cover_assignment(cert)
-    p = petersen()
-    omega = max(weights[u] + weights[v] for u, v in p.edges())
+    trace = (_blowup_step(cert),)
+    assign = replay_trace(trace)
+    k = max(assign.values(), default=0)
+    omega = max(weights[u] + weights[v] for u, v in petersen().edges())
     bound = ceil(5 * omega / 4)
     if k > bound:
         raise AssertionError(f"covering used {k} sets, above ceil(5*omega/4) = {bound}")
@@ -432,6 +418,5 @@ def color_petersen_blowup(cert: BlowupCertificate) -> ColoringCertificate:
         colors_used=k,
         class_name="petersen-blowup",
         claimed_bound=bound,
-        trace=({"step": "blowup-color", "assignment": sorted(assign.items())},),
+        trace=trace,
     )
-

@@ -4,14 +4,14 @@ from random import Random
 
 import pytest
 
-from conftest import reference_min_multicover
+from conftest import reference_min_multicover, spider
 from p7c4.coloring import (
     ColoringCertificate,
     StructuralContradiction,
     _color,
     _color_clique,
+    _cutset_permutation,
     _eliminate,
-    _merge_on_cutset,
     _min_multicover,
     _petersen_maximal_independent_sets,
     color_diamond_class,
@@ -184,9 +184,9 @@ def test_blowup_coloring_requires_petersen_base():
 def test_merge_rejects_improper_blocks():
     # a block coloring that repeats a color on the cutset cannot be merged
     with pytest.raises(GraphError):
-        _merge_on_cutset({0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}, [0, 1])
+        _cutset_permutation({0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}, [0, 1])
     with pytest.raises(GraphError):
-        _merge_on_cutset({0: 1, 1: 2}, {0: 2, 1: 2, 2: 1}, [0, 1])
+        _cutset_permutation({0: 1, 1: 2}, {0: 2, 1: 2, 2: 1}, [0, 1])
 
 
 def test_structural_contradiction_surfaces_loudly():
@@ -213,6 +213,86 @@ def test_validate_certificate_rejects_bad_bound():
                                  cert.colors_used - 1, cert.trace)
     with pytest.raises(GraphError):
         validate_certificate(g, forged)
+
+
+def test_validate_certificate_rejects_non_integer_values():
+    g = path_graph(2)
+    trace = ({"step": "clique-base", "assignment": [(0, 1), (1, 2)]},)
+    for assignment, bound in (({0: "1", 1: 2}, 2), ({0: 1.0, 1: 2}, 2), ({0: 1, 1: 2}, "3")):
+        with pytest.raises(GraphError):
+            validate_certificate(g, ColoringCertificate(assignment, 2, "kite-class", bound, trace))
+
+
+_SV0 = {"step": "single-vertex", "vertex": 0}
+_SV1 = {"step": "single-vertex", "vertex": 1}
+MALFORMED_TRACES = {
+    "cutset-merge-on-one-coloring": [_SV0, {"step": "cutset-merge", "cutset": [0], "permutation": {1: 1}}],
+    "eliminate-on-empty-stack": [{"step": "eliminate-vertex", "vertex": 0, "color": 1}],
+    "components-merge-beyond-stack": [_SV0, _SV1, {"step": "components-merge", "count": 3}],
+    "components-merge-of-none": [_SV0, {"step": "components-merge", "count": 0}],
+    "components-merge-negative": [_SV0, _SV1, {"step": "components-merge", "count": -1}],
+    "step-without-vertex": [{"step": "single-vertex"}],
+    "step-without-kind": [{"vertex": 0}],
+    "permutation-misses-a-color": [
+        {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
+        {"step": "clique-base", "assignment": [(1, 1), (2, 2)]},
+        {"step": "cutset-merge", "cutset": [1], "permutation": {1: 2}},
+    ],
+    "cutset-vertex-outside-a-block": [_SV0, _SV1, {"step": "cutset-merge", "cutset": [0], "permutation": {1: 1}}],
+    "step-not-a-dict": ["single-vertex"],
+    "step-is-none": [None],
+    "assignment-not-pairs": [{"step": "clique-base", "assignment": [(0, 1, 2)]}],
+    "trace-not-iterable": None,
+    "unknown-kind": [{"step": "recolor", "vertex": 0}],
+    "two-colorings-left": [_SV0, _SV1],
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_TRACES))
+def test_malformed_trace_is_a_graph_error(name):
+    with pytest.raises(GraphError):
+        replay_trace(MALFORMED_TRACES[name])
+
+
+# One hand-written trace with all eight step kinds: two blocks joined at the
+# cutset {1}, a peeled exceptional block and a blowup block, merged as three
+# components. Pins the step semantics that the colourer runs its steps through.
+EVERY_STEP_KIND = (
+    {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
+    {"step": "single-vertex", "vertex": 2},
+    {"step": "eliminate-vertex", "vertex": 1, "color": 2},
+    {"step": "cutset-merge", "cutset": [1], "permutation": {1: 3, 2: 2}},
+    {"step": "exceptional-graph", "name": "Petersen", "assignment": [(3, 1), (4, 2)]},
+    {"step": "peel", "assignment": [(5, 3)]},
+    {"step": "blowup-color", "assignment": [(6, 2), (7, 1)]},
+    {"step": "components-merge", "count": 3},
+)
+
+
+def test_replay_of_every_step_kind():
+    # {2: 1, 1: 2} moved by the permutation, then the left block {0: 1, 1: 2}
+    assert list(replay_trace(EVERY_STEP_KIND[:4]).items()) == [(2, 3), (1, 2), (0, 1)]
+    assert replay_trace(EVERY_STEP_KIND) == {2: 3, 1: 2, 0: 1, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1}
+
+
+def test_replay_leaves_the_certificate_untouched():
+    # replay updates the colorings on its stack in place; none of them may
+    # alias the trace, on inputs like the benchmark's large members
+    pet = petersen()
+    blowup = clique_blowup(pet, [2, 3, 2, 2, 2, 3, 2, 2, 2, 2])
+    c7_blowup = clique_blowup(cycle_graph(7), [3, 2, 4, 2, 3, 2, 3])
+    certs = [(g, colorer(g)) for g, colorer in (
+        (spider(40), color_kite_class), (spider(40), color_diamond_class), (c7_blowup, color_gem_class),
+        (join_with_clique(pet, 3), color_kite_class), (blowup, color_gem_class))]
+    certs.append((blowup, color_petersen_blowup(recognize_clique_blowup(blowup, pet))))
+    kinds = set()
+    for g, cert in certs:
+        before = json.dumps(cert.to_json())
+        validate_certificate(g, cert)
+        assert json.dumps(cert.to_json()) == before
+        assert replay_trace(cert.trace) == replay_trace(cert.trace) == cert.assignment
+        kinds |= {s["step"] for s in cert.trace}
+    assert kinds == {s["step"] for s in EVERY_STEP_KIND} - {"components-merge"}
 
 
 # sha256 of _color on every graph on <= 7 vertices under each class, taken
@@ -276,6 +356,6 @@ def test_clique_closed_form_is_theorem_case_verdict(class_name):
     for k in range(1, 13):
         g, vs = _clique_in_host(k, seed=k)
         assign, steps = _engine_clique(g, vs, class_name)
-        got, got_steps = _color_clique(sum(1 << v for v in vs), class_name)
-        assert list(got.items()) == list(assign.items()) and got_steps == steps
+        got_steps = _color_clique(sum(1 << v for v in vs), class_name.removesuffix("-class"))
+        assert got_steps == steps and list(replay_trace(got_steps).items()) == list(assign.items())
 
