@@ -208,7 +208,7 @@ def cli_main(argv=None) -> int:
         _emit({"error": "structural-contradiction", "detail": str(exc),
                "graph6": exc.graph6}, getattr(args, "json", False))
         return 1
-    except (GraphError, OSError, KeyError, ValueError) as exc:
+    except (GraphError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except Exception as exc:

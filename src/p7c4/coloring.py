@@ -4,9 +4,10 @@ The coloring mirrors the inductive structure of the bound proofs: it folds
 the atom tree that structure.decompose_into_atoms builds for each component,
 merging at each clique cutset. A clique, every bound's base case, is colored
 in closed form. Each other atom goes to theorem_case, the engine verify
-checks: the Petersen graph gets a stored coloring, a peeled Petersen graph or
-a Petersen blowup is colored directly, and otherwise a low-degree or
+checks: every Petersen core (alone, joined to a clique or blown up) gets a
+minimum cover by independent sets, and otherwise a low-degree or
 bisimplicial vertex the theorem supplies is removed and greedily re-colored.
+No exact chromatic oracle is run; those judge the colorer in the tests.
 A certificate carries the assignment, the claimed bound, and a flat
 replayable trace of derivation steps. _apply alone executes a step:
 replay_trace folds it over a trace, and _color runs each step it
@@ -33,7 +34,6 @@ from .graphs import (
     _components,
     _is_clique_mask,
     _max_clique_size,
-    exact_coloring,
     induced_subgraph,
 )
 from .patterns import class_membership, class_third_pattern
@@ -105,12 +105,16 @@ def _apply(stack: list[dict[int, int]], step: dict) -> None:
         right = stack.pop()
         left = stack[-1]
         perm = step["permutation"]
-        merged = {v: perm[c] for v, c in right.items()}
+        try:
+            merged = {v: perm[c] for v, c in right.items()}
+        except KeyError:  # JSON writes the int keys as decimal strings; str() refuses a key like 1.5
+            perm = {int(str(c)): p for c, p in perm.items()}
+            merged = {v: perm[c] for v, c in right.items()}
         if any(merged[v] != left[v] for v in step["cutset"]):
             raise GraphError("cutset colors disagree on replay")
         merged.update(left)
         stack[-1] = merged
-    elif kind in ("clique-base", "exceptional-graph", "blowup-color"):
+    elif kind in ("clique-base", "blowup-color"):
         stack.append(dict(step["assignment"]))
     elif kind == "peel":
         stack[-1].update(step["assignment"])
@@ -124,15 +128,6 @@ def _apply(stack: list[dict[int, int]], step: dict) -> None:
         stack[-count:] = [merged]
     else:
         raise GraphError(f"unknown trace step {kind!r}")
-
-
-@lru_cache(maxsize=1)
-def _stored_coloring() -> tuple[tuple[int, int], ...]:
-    # found once by exhaustive search on the reference Petersen graph, then reused
-    assign = exact_coloring(petersen())
-    if max(assign.values()) != 3:
-        raise GraphError("the stored coloring of the Petersen graph must use 3 colors")
-    return tuple(sorted(assign.items()))
 
 
 def _cutset_permutation(left: dict[int, int], right: dict[int, int], cutset) -> dict[int, int]:
@@ -230,13 +225,11 @@ def _color_clique(block: int, third: str) -> list[dict]:
 
 
 def _color_case(g: Graph, block: int, case: TheoremCase, class_name: str) -> list[dict]:
-    """Turn the structure theorem's verdict on a cutset-free block into steps."""
-    if case.kind == "petersen-blowup":
-        return [_blowup_step(case.blowup)]
-    if case.kind not in ("petersen", "peeled-petersen"):
+    """Turn the structure theorem's verdict on a cutset-free block into steps: _blowup_step
+    covers every Petersen core, and a peeled clique takes the colors after the cover's three."""
+    if case.blowup is None:
         raise StructuralContradiction(class_name, induced_subgraph(g, _bits(block)), case.detail)
-    steps = [{"step": "exceptional-graph", "name": "Petersen",
-              "assignment": sorted((case.iso[v], c) for v, c in _stored_coloring())}]
+    steps = [_blowup_step(case.blowup)]
     if case.kind == "peeled-petersen":
         peeled = sorted(set(_bits(block)) - case.peel.remainder)
         steps.append({"step": "peel", "assignment": [(v, c) for c, v in enumerate(peeled, start=4)]})

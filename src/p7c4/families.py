@@ -129,25 +129,30 @@ def generate(family: str, **params) -> Graph:
     blowup(base, sizes), C(k), P(k), K(k).
     """
     key = family.strip().lower()
+    def param(name: str):
+        if name not in params:
+            raise GraphError(f"family {family!r} needs the parameter {name!r}")
+        return params[name]
+
     if key in _FIXED:
         return _FIXED[key]()
     if key == "g1":
-        return g1(int(params["t"]))
+        return g1(int(param("t")))
     if key == "g2":
-        return g2(_sizes(params["sizes"]))
+        return g2(_sizes(param("sizes")))
     if key == "g6":
-        return g6(int(params["t"]))
+        return g6(int(param("t")))
     if key == "blowup":
-        base = params["base"]
+        base = param("base")
         if not isinstance(base, Graph):
             base = _base_by_name(str(base))
-        return clique_blowup(base, list(_sizes(params["sizes"])))
+        return clique_blowup(base, list(_sizes(param("sizes"))))
     if key == "c":
-        return cycle_graph(int(params["k"]))
+        return cycle_graph(int(param("k")))
     if key == "p":
-        return path_graph(int(params["k"]))
+        return path_graph(int(param("k")))
     if key == "k":
-        return complete_graph(int(params["k"]))
+        return complete_graph(int(param("k")))
     raise GraphError(f"unknown family {family!r}")
 
 

@@ -407,33 +407,33 @@ class TheoremCase:
     without a clique cutset.
 
     kind is one of
-      "petersen"         the Petersen graph; iso maps Petersen onto it
+      "petersen"         the Petersen graph
       "clique-base"      a clique, all of it peeled (kite)
-      "peeled-petersen"  a clique joined to the Petersen graph; iso maps
-                         Petersen onto the peel remainder (kite)
-      "petersen-blowup"  a clique blowup of the Petersen graph, with its
-                         certificate in blowup (gem)
+      "peeled-petersen"  a clique joined to the Petersen graph, which is
+                         the peel remainder (kite)
+      "petersen-blowup"  a clique blowup of the Petersen graph (gem)
       "eliminate"        vertex sees fewer than budget (the class bound)
                          colors once the rest is colored: its degree is
                          under budget, or it is bisimplicial (gem)
       "contradiction"    no case applies, so the theorem is falsified;
                          detail says how
-    peel is the universal-clique peel, computed for the kite class only.
+    Each of the three Petersen kinds carries its Petersen core as a blowup
+    certificate in blowup, with single-vertex classes unless the kind is
+    "petersen-blowup". peel is the universal-clique peel, computed for the
+    kite class only.
     """
 
     kind: str
     peel: PeelResult | None = None
-    iso: dict[int, int] | None = None
     blowup: BlowupCertificate | None = None
     vertex: int | None = None
     budget: int | None = None
     detail: str = ""
 
 
-def _petersen_iso(adj, block: int) -> dict[int, int] | None:
-    """An isomorphism from the Petersen graph onto the mask block, as a blowup with single-vertex classes."""
-    cert = _blowup(adj, block, petersen()) if block.bit_count() == 10 else None
-    return None if cert is None else {v: min(cert.classes[i]) for v, i in cert.class_map.items()}
+def _petersen(adj, block: int) -> BlowupCertificate | None:
+    """The mask block as the Petersen graph, a blowup with single-vertex classes, or None."""
+    return _blowup(adj, block, petersen()) if block.bit_count() == 10 else None
 
 
 def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCase:
@@ -445,6 +445,7 @@ def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCa
       diamond: the Petersen graph, or delta <= max(2, omega-1);
       kite:    if delta >= omega+1, a clique joined to the Petersen graph;
       gem:     a clique blowup of the Petersen graph, or a bisimplicial vertex.
+    In every class a Petersen core comes back as a blowup certificate.
     """
     if not block or block >> g.n:
         raise GraphError(f"block {block:#x} is not a nonempty set of the graph's {g.n} vertices")
@@ -463,15 +464,15 @@ def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCa
         # a bisimplicial vertex has degree <= 2*omega - 2, strictly under the bound
         return TheoremCase("eliminate", vertex=bis[0], budget=budget)
     peel = _peel(adj, block) if third == "kite" else None
-    iso = _petersen_iso(adj, block)
-    if iso is not None:
-        return TheoremCase("petersen", peel=peel, iso=iso)
+    cert = _petersen(adj, block)
+    if cert is not None:
+        return TheoremCase("petersen", peel=peel, blowup=cert)
     if peel is not None and peel.ell > 0:
         if not peel.remainder:
             return TheoremCase("clique-base", peel=peel)
-        iso = _petersen_iso(adj, _mask(peel.remainder))
-        if iso is not None:
-            return TheoremCase("peeled-petersen", peel=peel, iso=iso)
+        cert = _petersen(adj, _mask(peel.remainder))
+        if cert is not None:
+            return TheoremCase("peeled-petersen", peel=peel, blowup=cert)
     v = min(_bits(block), key=lambda u: (adj[u] & block).bit_count())
     delta = (adj[v] & block).bit_count()
     if delta < budget:

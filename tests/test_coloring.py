@@ -245,6 +245,18 @@ MALFORMED_TRACES = {
     "trace-not-iterable": None,
     "unknown-kind": [{"step": "recolor", "vertex": 0}],
     "two-colorings-left": [_SV0, _SV1],
+    "permutation-key-not-an-integer": [
+        {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
+        {"step": "clique-base", "assignment": [(1, 1), (2, 2)]},
+        {"step": "cutset-merge", "cutset": [1], "permutation": {"1": 2, "x": 1}},
+    ],
+    "permutation-key-a-float": [
+        {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
+        {"step": "clique-base", "assignment": [(1, 1), (2, 2)]},
+        {"step": "cutset-merge", "cutset": [1], "permutation": {1.5: 2, 2: 1}},
+    ],
+    # no longer a step: the cover's blowup-color step colors the Petersen graph
+    "exceptional-graph": [{"step": "exceptional-graph", "name": "Petersen", "assignment": [(0, 1)]}],
 }
 
 
@@ -254,15 +266,15 @@ def test_malformed_trace_is_a_graph_error(name):
         replay_trace(MALFORMED_TRACES[name])
 
 
-# One hand-written trace with all eight step kinds: two blocks joined at the
-# cutset {1}, a peeled exceptional block and a blowup block, merged as three
+# One hand-written trace with all seven step kinds: two blocks joined at the
+# cutset {1}, a peeled blowup block and a blowup block, merged as three
 # components. Pins the step semantics that the colourer runs its steps through.
 EVERY_STEP_KIND = (
     {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
     {"step": "single-vertex", "vertex": 2},
     {"step": "eliminate-vertex", "vertex": 1, "color": 2},
     {"step": "cutset-merge", "cutset": [1], "permutation": {1: 3, 2: 2}},
-    {"step": "exceptional-graph", "name": "Petersen", "assignment": [(3, 1), (4, 2)]},
+    {"step": "blowup-color", "assignment": [(3, 1), (4, 2)]},
     {"step": "peel", "assignment": [(5, 3)]},
     {"step": "blowup-color", "assignment": [(6, 2), (7, 1)]},
     {"step": "components-merge", "count": 3},
@@ -293,6 +305,49 @@ def test_replay_leaves_the_certificate_untouched():
         assert replay_trace(cert.trace) == replay_trace(cert.trace) == cert.assignment
         kinds |= {s["step"] for s in cert.trace}
     assert kinds == {s["step"] for s in EVERY_STEP_KIND} - {"components-merge"}
+
+
+def test_trace_survives_its_json():
+    # JSON turns each cutset-merge permutation's int keys into decimal
+    # strings; the parsed certificate must replay and validate as it is
+    pet = petersen()
+    certs = [(g, colorer(g)) for g, colorer in (
+        (path_graph(4), color_diamond_class), (spider(40), color_kite_class),
+        (clique_blowup(cycle_graph(7), [3, 2, 4, 2, 3, 2, 3]), color_gem_class),
+        (join_with_clique(pet, 3), color_kite_class),
+        (clique_blowup(pet, [2, 3, 2, 2, 2, 3, 2, 2, 2, 2]), color_gem_class))]
+    for g, cert in certs:
+        text = json.dumps(cert.to_json())
+        data = json.loads(text)
+        assert replay_trace(data["trace"]) == cert.assignment
+        rebuilt = ColoringCertificate({int(v): c for v, c in data["assignment"].items()}, data["colors_used"],
+                                      data["class"], data["claimed_bound"], tuple(data["trace"]))
+        validate_certificate(g, rebuilt)
+        assert json.dumps(rebuilt.to_json()) == text
+    assert any(s["step"] == "cutset-merge" for _, cert in certs for s in cert.trace)
+
+
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = Random(seed).sample(range(g.n), g.n)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+PETERSEN_CORES = [(cls, 0) for cls in COLORERS] + [("kite-class", ell) for ell in range(1, 5)]
+
+
+@pytest.mark.parametrize("class_name,ell", PETERSEN_CORES)
+def test_petersen_cores_are_colored_by_the_cover(class_name, ell):
+    # the Petersen graph in every class, and K_ell joined to it under kite,
+    # each also under three relabellings: one blowup-color step, a minimum
+    # cover, so the bound is met exactly
+    g = join_with_clique(petersen(), ell)
+    for h in [g] + [_relabelled(g, seed) for seed in range(3)]:
+        cert = COLORERS[class_name](h)
+        validate_certificate(h, cert)
+        assert cert.colors_used == cert.claimed_bound == ell + 3
+        kinds = [s["step"] for s in cert.trace]
+        assert kinds.count("blowup-color") == 1 and "exceptional-graph" not in kinds
+        assert kinds.count("peel") == (ell > 0)
 
 
 # sha256 of _color on every graph on <= 7 vertices under each class, taken

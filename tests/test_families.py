@@ -151,5 +151,5 @@ def test_generate_dispatch():
     assert generate("blowup", base=" Petersen ", sizes=[2] * 10) == generate("blowup", base="petersen", sizes=[2] * 10)
     with pytest.raises(GraphError):
         generate("H5")
-    with pytest.raises(KeyError):
+    with pytest.raises(GraphError, match="parameter 't'"):
         generate("G1")  # missing t

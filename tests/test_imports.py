@@ -40,6 +40,34 @@ def test_unused_import_is_reported():
     assert _unused_imports(source) == ["_bits (line 1)"]
 
 
+ORACLES = {"exact_coloring", "exact_chromatic_number", "graph_stats"}
+
+
+def _oracle_uses(source: str) -> list[str]:
+    """The exact oracles that the source imports, at any depth, or reads as
+    a module attribute."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names.append(node.attr)
+    return sorted(name for name in names if name in ORACLES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_code_under_test_never_calls_its_oracle(path):
+    # the exact oracles judge the colorer and the searches in the tests, so
+    # only graphs, which defines them, and cli's oracle-check may use them
+    assert _oracle_uses(path.read_text()) == (["graph_stats"] if path.name == "cli.py" else [])
+
+
+def test_oracle_use_is_reported():
+    source = ("from .graphs import Graph\n\ndef f(g):\n    from .graphs import exact_coloring as ec, max_clique_size\n"
+              "    from . import graphs\n    return ec(g), graphs.graph_stats(g)\n")
+    assert _oracle_uses(source) == ["exact_coloring", "graph_stats"]
+
+
 PUBLIC_NAMES = sorted("""
     AtomDecomposition BisimplicialCertificate BlowupCertificate ClassCertificate CliqueCutsetSplit
     ColoringCertificate Graph GraphError GraphStats PatternWitness PeelResult PropertyReport

@@ -355,6 +355,17 @@ def test_recognize_fixed():
     assert recognize_fixed(complete_graph(10)) is None
 
 
+def _maps_petersen_onto(g, cert, vertices) -> bool:
+    """cert has single-vertex classes, which class_map sends onto vertices
+    of g edge for edge from the Petersen graph."""
+    p = petersen()
+    if any(len(c) != 1 for c in cert.classes):
+        return False
+    iso = {v: min(cert.classes[i]) for v, i in cert.class_map.items()}
+    return set(iso.values()) == set(vertices) and all(
+        p.has_edge(u, v) == g.has_edge(iso[u], iso[v]) for u in range(10) for v in range(10))
+
+
 def test_theorem_case_outcomes():
     def case(g, cls):
         return theorem_case(g, g.full_mask(), cls, max_clique_size(g))
@@ -362,12 +373,11 @@ def test_theorem_case_outcomes():
     p = petersen()
     for cls in ("diamond-class", "kite-class"):
         got = case(p, cls)
-        assert got.kind == "petersen"
-        assert all(p.has_edge(u, v) == p.has_edge(got.iso[u], got.iso[v])
-                   for u in range(10) for v in range(10))
-    got = case(join_with_clique(p, 2), "kite-class")
+        assert got.kind == "petersen" and _maps_petersen_onto(p, got.blowup, range(10))
+    g = join_with_clique(p, 2)
+    got = case(g, "kite-class")
     assert got.kind == "peeled-petersen" and got.peel.ell == 2
-    assert got.iso is not None
+    assert _maps_petersen_onto(g, got.blowup, got.peel.remainder)
     assert case(complete_graph(4), "kite").kind == "clique-base"
     got = case(clique_blowup(p, [2] + [1] * 9), "gem-class")
     assert got.kind == "petersen-blowup" and got.blowup.weights()[0] == 2
@@ -406,7 +416,6 @@ def _case_summary(case, label):
         None if case.vertex is None else label(case.vertex),
         case.budget,
         None if case.peel is None else (case.peel.ell, {label(v) for v in case.peel.remainder}),
-        None if case.iso is None else {p: label(v) for p, v in case.iso.items()},
         None if case.blowup is None else ([{label(v) for v in c} for c in case.blowup.classes],
                                           case.blowup.class_map),
         case.detail,

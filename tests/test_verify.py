@@ -300,6 +300,21 @@ def test_cli_internal_error_is_not_a_violation(capsys, monkeypatch):
     }
 
 
+def test_cli_library_key_error_is_internal(capsys, monkeypatch):
+    # a KeyError inside the library is a bug, so it exits 3 like any other
+    def crash(g):
+        raise KeyError(7)
+
+    monkeypatch.setattr(structure, "decompose_into_atoms", crash)
+    assert cli_main(["decompose", "--family", "P", "--param", "k=5"]) == 3
+    assert json.loads(capsys.readouterr().err)["type"] == "KeyError"
+
+
+def test_cli_missing_family_parameter_is_a_usage_error(capsys):
+    assert cli_main(["generate", "--family", "G1"]) == 2
+    assert "parameter 't'" in json.loads(capsys.readouterr().err)["error"]
+
+
 def test_cli_structural_contradiction_exits_1(capsys, monkeypatch):
     # a member that falsifies its structure theorem is a finding, reported with a repro
     def contradict(g, class_name):
