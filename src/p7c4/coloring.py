@@ -3,15 +3,18 @@
 The coloring mirrors the inductive structure of the bound proofs: it folds
 the atom tree that structure.decompose_into_atoms builds for each component,
 merging at each clique cutset. A clique, every bound's base case, is colored
-in closed form. Each other atom goes to theorem_case, the engine verify
-checks: every Petersen core (alone, joined to a clique or blown up) gets a
-minimum cover by independent sets, and otherwise a low-degree or
-bisimplicial vertex the theorem supplies is removed and greedily re-colored.
-No exact chromatic oracle is run; those judge the colorer in the tests.
+in closed form, as one clique-base step in every class. Each other atom goes
+to theorem_case, the engine verify checks: every Petersen core (alone,
+joined to a clique or blown up) gets a minimum cover by independent sets,
+and otherwise a low-degree or bisimplicial vertex the theorem supplies is
+removed and greedily re-colored. No exact chromatic oracle is run; those
+judge the colorer in the tests.
 A certificate carries the assignment, the claimed bound, and a flat
-replayable trace of derivation steps. _apply alone executes a step:
-replay_trace folds it over a trace, and _color runs each step it
-decides through it, so the assignment is the trace's replay by construction.
+replayable trace of derivation steps, whose every mapping is a list of
+pairs, so a trace read back from JSON replays as it is. _apply alone
+executes a step: replay_trace folds it over a trace, and _color runs each
+step it decides through it, so the assignment is the trace's replay by
+construction.
 
 If a certified class member reaches a state where no theorem case applies,
 that falsifies the underlying structure theorem; it is raised loudly as
@@ -94,22 +97,17 @@ def _apply(stack: list[dict[int, int]], step: dict) -> None:
     """Execute one trace step on a stack of block colorings, in place.
 
     This is the one definition of what a step means: replay_trace folds it
-    over a trace, and _color runs every step it emits through it.
+    over a trace, and _color runs every step it emits through it. Each
+    mapping a step carries (an assignment, a permutation) is a list of pairs.
     """
     kind = step["step"]
     if kind == "eliminate-vertex":
         stack[-1][step["vertex"]] = step["color"]
-    elif kind == "single-vertex":
-        stack.append({step["vertex"]: 1})
     elif kind == "cutset-merge":
         right = stack.pop()
         left = stack[-1]
-        perm = step["permutation"]
-        try:
-            merged = {v: perm[c] for v, c in right.items()}
-        except KeyError:  # JSON writes the int keys as decimal strings; str() refuses a key like 1.5
-            perm = {int(str(c)): p for c, p in perm.items()}
-            merged = {v: perm[c] for v, c in right.items()}
+        perm = dict(step["permutation"])
+        merged = {v: perm[c] for v, c in right.items()}
         if any(merged[v] != left[v] for v in step["cutset"]):
             raise GraphError("cutset colors disagree on replay")
         merged.update(left)
@@ -130,9 +128,10 @@ def _apply(stack: list[dict[int, int]], step: dict) -> None:
         raise GraphError(f"unknown trace step {kind!r}")
 
 
-def _cutset_permutation(left: dict[int, int], right: dict[int, int], cutset) -> dict[int, int]:
-    """Permutation of right's colors that agrees with left on the cutset and
-    sends right's other colors to the smallest colors left free.
+def _cutset_permutation(left: dict[int, int], right: dict[int, int], cutset) -> list[tuple[int, int]]:
+    """Permutation of right's colors, as (color, new color) pairs, that agrees
+    with left on the cutset and sends right's other colors to the smallest
+    colors left free.
 
     Requires both sides injective on the cutset, which holds whenever the
     cutset is a clique properly colored.
@@ -149,7 +148,7 @@ def _cutset_permutation(left: dict[int, int], right: dict[int, int], cutset) -> 
             nxt += 1
         perm[c] = nxt
         taken.add(nxt)
-    return perm
+    return list(perm.items())
 
 
 def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, list[dict]]:
@@ -165,7 +164,6 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     number of an atom, as each clique lies inside one atom.
     """
     adj = g.adj
-    third = class_third_pattern(class_name)
     steps: list[dict] = []
     done: list[dict[int, int]] = []
     omega = 1
@@ -189,7 +187,7 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             mask = arg.masks[0] if kind == "node" else arg
             if _is_clique_mask(adj, mask):
                 omega = max(omega, mask.bit_count())
-                new = _color_clique(mask, third)
+                new = _color_clique(mask)
             elif kind == "block":
                 comps = _components(adj, mask)
                 if len(comps) > 1:
@@ -213,15 +211,11 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     return assign, omega, steps
 
 
-def _color_clique(block: int, third: str) -> list[dict]:
-    """Steps that theorem_case's verdicts give the clique v1 < ... < vk:
-    kite gives clique-base, vi colored i; diamond and gem color vk alone, then
-    eliminate v(k-1) ... v1, vi taking k-i+1, within the bound of {vi ... vk}."""
-    vs = list(_bits(block))
-    if len(vs) > 1 and third == "kite":
-        return [{"step": "clique-base", "assignment": list(zip(vs, range(1, len(vs) + 1)))}]
-    return [{"step": "single-vertex", "vertex": vs[-1]}] + [
-        {"step": "eliminate-vertex", "vertex": v, "color": c} for c, v in enumerate(reversed(vs[:-1]), start=2)]
+def _color_clique(block: int) -> list[dict]:
+    """The one clique-base step of the clique v1 < ... < vk, in every class:
+    vi takes k-i+1, vk first, as eliminating vk-1 ... v1 after vk would give."""
+    top_down = reversed(list(_bits(block)))
+    return [{"step": "clique-base", "assignment": [(v, c) for c, v in enumerate(top_down, start=1)]}]
 
 
 def _color_case(g: Graph, block: int, case: TheoremCase, class_name: str) -> list[dict]:
@@ -311,12 +305,15 @@ def _petersen_maximal_independent_sets() -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=1)
-def _petersen_pentagons() -> tuple[tuple[int, ...], ...]:
-    """The twelve 5-cycles of the Petersen graph: its 5-sets in which every
-    vertex has two neighbours (girth 5 rules out a triangle plus an edge)."""
-    adj = petersen().adj
-    return tuple(c for c in combinations(range(10), 5)
-                 if all((adj[u] & sum(1 << w for w in c)).bit_count() == 2 for u in c))
+def _petersen_cover_tables() -> tuple[tuple, tuple, tuple]:
+    """The cover search's tables: the maximal independent sets through each
+    vertex, the edges, and the twelve 5-cycles (the 5-sets in which every
+    vertex has two neighbours; girth 5 rules out a triangle plus an edge)."""
+    sets = _petersen_maximal_independent_sets()
+    p = petersen()
+    pentagons = tuple(c for c in combinations(range(10), 5)
+                      if all((p.adj[u] & sum(1 << w for w in c)).bit_count() == 2 for u in c))
+    return tuple(tuple(s for s in sets if v in s) for v in range(10)), tuple(p.edges()), pentagons
 
 
 def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -333,9 +330,7 @@ def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     failed states is kept.
     """
     sets = _petersen_maximal_independent_sets()
-    by_vertex = {v: [s for s in sets if v in s] for v in range(10)}
-    edges = tuple(petersen().edges())
-    pentagons = _petersen_pentagons()
+    by_vertex, edges, pentagons = _petersen_cover_tables()
 
     def lower(d: tuple[int, ...]) -> int:
         return max(
@@ -402,7 +397,8 @@ def color_petersen_blowup(cert: BlowupCertificate) -> ColoringCertificate:
     trace = (_blowup_step(cert),)
     assign = replay_trace(trace)
     k = max(assign.values(), default=0)
-    omega = max(weights[u] + weights[v] for u, v in petersen().edges())
+    _, edges, _ = _petersen_cover_tables()
+    omega = max(weights[u] + weights[v] for u, v in edges)
     bound = ceil(5 * omega / 4)
     if k > bound:
         raise AssertionError(f"covering used {k} sets, above ceil(5*omega/4) = {bound}")

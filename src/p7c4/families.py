@@ -12,6 +12,7 @@ from typing import Sequence
 from .graphs import (
     Graph,
     GraphError,
+    blowup_classes,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -52,16 +53,9 @@ def g2(sizes: Sequence[int]) -> Graph:
         raise GraphError("G2 needs exactly seven stable-set sizes")
     if any(s < 2 for s in sizes):
         raise GraphError("G2 stable sets need size >= 2")
-    starts = [0]
-    for s in sizes:
-        starts.append(starts[-1] + s)
-    blocks = [range(starts[i], starts[i + 1]) for i in range(7)]
-    edges = []
-    for i in range(7):
-        for u in blocks[i]:
-            for v in blocks[(i + 1) % 7]:
-                edges.append((u, v))
-    return Graph(starts[-1], edges)
+    blocks = blowup_classes(sizes)
+    edges = [(u, v) for i in range(7) for u in blocks[i] for v in blocks[(i + 1) % 7]]
+    return Graph(sum(sizes), edges)
 
 
 @lru_cache(maxsize=1)

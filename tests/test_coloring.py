@@ -1,10 +1,13 @@
+import ast
 import hashlib
+import inspect
 import json
 from random import Random
 
 import pytest
 
 from conftest import reference_min_multicover, spider
+from p7c4 import coloring
 from p7c4.coloring import (
     ColoringCertificate,
     StructuralContradiction,
@@ -223,22 +226,22 @@ def test_validate_certificate_rejects_non_integer_values():
             validate_certificate(g, ColoringCertificate(assignment, 2, "kite-class", bound, trace))
 
 
-_SV0 = {"step": "single-vertex", "vertex": 0}
-_SV1 = {"step": "single-vertex", "vertex": 1}
+_SV0 = {"step": "clique-base", "assignment": [(0, 1)]}
+_SV1 = {"step": "clique-base", "assignment": [(1, 1)]}
 MALFORMED_TRACES = {
-    "cutset-merge-on-one-coloring": [_SV0, {"step": "cutset-merge", "cutset": [0], "permutation": {1: 1}}],
+    "cutset-merge-on-one-coloring": [_SV0, {"step": "cutset-merge", "cutset": [0], "permutation": [(1, 1)]}],
     "eliminate-on-empty-stack": [{"step": "eliminate-vertex", "vertex": 0, "color": 1}],
     "components-merge-beyond-stack": [_SV0, _SV1, {"step": "components-merge", "count": 3}],
     "components-merge-of-none": [_SV0, {"step": "components-merge", "count": 0}],
     "components-merge-negative": [_SV0, _SV1, {"step": "components-merge", "count": -1}],
-    "step-without-vertex": [{"step": "single-vertex"}],
+    "step-without-vertex": [_SV0, {"step": "eliminate-vertex", "color": 2}],
     "step-without-kind": [{"vertex": 0}],
     "permutation-misses-a-color": [
         {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
         {"step": "clique-base", "assignment": [(1, 1), (2, 2)]},
-        {"step": "cutset-merge", "cutset": [1], "permutation": {1: 2}},
+        {"step": "cutset-merge", "cutset": [1], "permutation": [(1, 2)]},
     ],
-    "cutset-vertex-outside-a-block": [_SV0, _SV1, {"step": "cutset-merge", "cutset": [0], "permutation": {1: 1}}],
+    "cutset-vertex-outside-a-block": [_SV0, _SV1, {"step": "cutset-merge", "cutset": [0], "permutation": [(1, 1)]}],
     "step-not-a-dict": ["single-vertex"],
     "step-is-none": [None],
     "assignment-not-pairs": [{"step": "clique-base", "assignment": [(0, 1, 2)]}],
@@ -248,15 +251,24 @@ MALFORMED_TRACES = {
     "permutation-key-not-an-integer": [
         {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
         {"step": "clique-base", "assignment": [(1, 1), (2, 2)]},
-        {"step": "cutset-merge", "cutset": [1], "permutation": {"1": 2, "x": 1}},
+        {"step": "cutset-merge", "cutset": [1], "permutation": [("1", 2), ("x", 1)]},
     ],
     "permutation-key-a-float": [
         {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
         {"step": "clique-base", "assignment": [(1, 1), (2, 2)]},
-        {"step": "cutset-merge", "cutset": [1], "permutation": {1.5: 2, 2: 1}},
+        {"step": "cutset-merge", "cutset": [1], "permutation": [(1.5, 2), (2, 1)]},
     ],
     # no longer a step: the cover's blowup-color step colors the Petersen graph
     "exceptional-graph": [{"step": "exceptional-graph", "name": "Petersen", "assignment": [(0, 1)]}],
+    # no longer a step: a clique of any size is one clique-base step
+    "single-vertex": [{"step": "single-vertex", "vertex": 0}],
+    # a permutation is a list of pairs; the JSON object of earlier traces,
+    # keyed by decimal strings, no longer replays
+    "permutation-as-json-object": [
+        {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
+        {"step": "clique-base", "assignment": [(1, 1), (2, 2)]},
+        {"step": "cutset-merge", "cutset": [1], "permutation": {"1": 2, "2": 1}},
+    ],
 }
 
 
@@ -266,14 +278,14 @@ def test_malformed_trace_is_a_graph_error(name):
         replay_trace(MALFORMED_TRACES[name])
 
 
-# One hand-written trace with all seven step kinds: two blocks joined at the
+# One hand-written trace with all six step kinds: two blocks joined at the
 # cutset {1}, a peeled blowup block and a blowup block, merged as three
 # components. Pins the step semantics that the colourer runs its steps through.
 EVERY_STEP_KIND = (
     {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
-    {"step": "single-vertex", "vertex": 2},
+    {"step": "clique-base", "assignment": [(2, 1)]},
     {"step": "eliminate-vertex", "vertex": 1, "color": 2},
-    {"step": "cutset-merge", "cutset": [1], "permutation": {1: 3, 2: 2}},
+    {"step": "cutset-merge", "cutset": [1], "permutation": [(1, 3), (2, 2)]},
     {"step": "blowup-color", "assignment": [(3, 1), (4, 2)]},
     {"step": "peel", "assignment": [(5, 3)]},
     {"step": "blowup-color", "assignment": [(6, 2), (7, 1)]},
@@ -308,8 +320,8 @@ def test_replay_leaves_the_certificate_untouched():
 
 
 def test_trace_survives_its_json():
-    # JSON turns each cutset-merge permutation's int keys into decimal
-    # strings; the parsed certificate must replay and validate as it is
+    # JSON turns the trace's pairs into lists; the parsed certificate must
+    # replay and validate as it is
     pet = petersen()
     certs = [(g, colorer(g)) for g, colorer in (
         (path_graph(4), color_diamond_class), (spider(40), color_kite_class),
@@ -350,9 +362,12 @@ def test_petersen_cores_are_colored_by_the_cover(class_name, ell):
         assert kinds.count("peel") == (ell > 0)
 
 
-# sha256 of _color on every graph on <= 7 vertices under each class, taken
-# when every clique still went through one theorem_case round per vertex
-COLOR_DIGEST = "6b04d3dc920313cea265ac3bb192a752e67acdaf1bfba69337c836221cc9ccd3"
+# sha256 of _color on every graph on <= 7 vertices under each class.
+# Re-pinned when every clique became one clique-base step in every class
+# (diamond and gem had a single-vertex step and one eliminate-vertex step per
+# other vertex, kite colored vi with i) and cutset-merge permutations became
+# lists of pairs; diamond and gem assignments did not change
+COLOR_DIGEST = "8dbcf5e0a1f936444d0f2da3357e21e9a4818d37906dbac9bb5b7c973c56e623"
 
 
 def _color_digest() -> str:
@@ -384,33 +399,47 @@ def _clique_in_host(k: int, seed: int) -> tuple[Graph, list[int]]:
     return Graph(40, edges), vs
 
 
-def _engine_clique(g: Graph, vs: list[int], class_name: str):
-    """What theorem_case's verdicts yield on the clique vs, one round per vertex.
-
-    kite gives clique-base; diamond and gem eliminate the lowest vertex with
-    a budget that covers the color it gets. A lone vertex is colored 1.
+def _engine_clique(g: Graph, vs: list[int], class_name: str) -> dict[int, int]:
+    """The coloring theorem_case's verdicts give the clique vs under diamond
+    or gem, one round per vertex: the lowest vertex is eliminated with a
+    budget that covers the color it gets. A lone vertex is colored 1.
     """
     block = sum(1 << v for v in vs)
     case = theorem_case(g, block, class_name, len(vs))
-    if class_name == "kite-class":
-        assert case.kind == "clique-base"
-    else:
-        assert (case.kind, case.vertex) == ("eliminate", vs[0]) and len(vs) <= case.budget
+    assert (case.kind, case.vertex) == ("eliminate", vs[0]) and len(vs) <= case.budget
     if len(vs) == 1:
-        return {vs[0]: 1}, [{"step": "single-vertex", "vertex": vs[0]}]
-    if case.kind == "clique-base":
-        assign = {v: c for c, v in enumerate(vs, start=1)}
-        return assign, [{"step": "clique-base", "assignment": sorted(assign.items())}]
-    assign, steps = _engine_clique(g, vs[1:], class_name)
+        return {vs[0]: 1}
+    assign = _engine_clique(g, vs[1:], class_name)
     assign[vs[0]] = _eliminate(g, block, assign, vs[0], case.budget, class_name)
-    return assign, steps + [{"step": "eliminate-vertex", "vertex": vs[0], "color": assign[vs[0]]}]
+    return assign
 
 
 @pytest.mark.parametrize("class_name", list(COLORERS))
 def test_clique_closed_form_is_theorem_case_verdict(class_name):
+    # one clique-base step in every class; under diamond and gem it replays
+    # to the rounds' coloring, and kite, whose verdict is clique-base, gets
+    # the diamond step
     for k in range(1, 13):
         g, vs = _clique_in_host(k, seed=k)
-        assign, steps = _engine_clique(g, vs, class_name)
-        got_steps = _color_clique(sum(1 << v for v in vs), class_name.removesuffix("-class"))
-        assert got_steps == steps and list(replay_trace(got_steps).items()) == list(assign.items())
+        block = sum(1 << v for v in vs)
+        _, omega, steps = _color(g, block, class_name)
+        assert omega == k and [s["step"] for s in steps] == ["clique-base"] and steps == _color_clique(block)
+        if class_name == "kite-class":
+            assert theorem_case(g, block, class_name, k).kind == "clique-base"
+            assert steps == _color(g, block, "diamond-class")[2]
+        else:
+            assign = _engine_clique(g, vs, class_name)
+            assert list(replay_trace(steps).items()) == list(assign.items())
+
+
+def test_every_interpreted_step_kind_is_pinned():
+    # the kinds _apply compares against are exactly EVERY_STEP_KIND's, so an
+    # interpreter branch that no pinned trace runs fails here
+    tree = ast.parse(inspect.getsource(coloring._apply))
+    kinds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "kind":
+            for other in node.comparators:
+                kinds |= {c.value for c in ast.walk(other) if isinstance(c, ast.Constant)}
+    assert kinds == {s["step"] for s in EVERY_STEP_KIND}
 

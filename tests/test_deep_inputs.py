@@ -122,7 +122,7 @@ def test_cli_decompose_path_512(capsys):
 @pytest.mark.parametrize("class_name", ["diamond-class", "kite-class", "gem-class"])
 def test_clique_colors_within_bound(monkeypatch, class_name):
     # a clique is colored in closed form, without a theorem_case round or a
-    # clique search per vertex; its trace is the one those rounds gave
+    # clique search per vertex; its trace is one clique-base step in every class
     calls = []
     for name in ("theorem_case", "_max_clique_size"):
         real = getattr(coloring, name)
@@ -132,7 +132,7 @@ def test_clique_colors_within_bound(monkeypatch, class_name):
     cert = color[class_name](g)
     validate_certificate(g, cert)
     assert calls == []
-    assert len(cert.trace) == (1 if class_name == "kite-class" else 150)
+    assert [s["step"] for s in cert.trace] == ["clique-base"]
     assert cert.colors_used == 150
     assert cert.claimed_bound == COLORING_BOUNDS[class_name.removesuffix("-class")](150)
 

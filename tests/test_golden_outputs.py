@@ -382,21 +382,22 @@ CLI_GOLDEN: dict[str, str] = {
         "39f35d177de5e20238a6836fc7e6dee503c6fb4310e08aab4fc1bc94b6c466af",
     "analyze-hole --mode gem --all-holes [K k=5]":
         "cefac04952566f26a38cb62935a53a13a0d5ccfe1b146a39896c001bf972f3e4",
-    # Re-pinned when the Petersen graph and K_l + Petersen (the corpus's
-    # extra members) came to be colored by the independent-set cover, in a
-    # blowup-color step, instead of a stored exact coloring in an
-    # exceptional-graph step: their traces and Petersen colors changed, and
-    # colors_used and the bound did not (the oracle-check digests hold).
+    # Re-pinned when every clique became one clique-base step in every class
+    # (diamond and gem had a single-vertex step and one eliminate-vertex step
+    # per other vertex; kite colored the clique's vi with i, now with k-i+1)
+    # and cutset-merge permutations became lists of pairs. The traces changed,
+    # and kite's clique colors; the diamond and gem assignments, colors_used
+    # and the bound did not (the oracle-check digests hold).
     "color --class diamond":
-        "a796dea3df3beda197cb5a45934f8f1e52a7a5231ed05936bfc8ec942ab52510",
+        "2368413bd49e34f6feb5fcc7f2d1ab42df3fc277c2800ebe0aa0eaae3f17ca25",
     "oracle-check --class diamond":
         "bfe1da6e8528b07f7711127098a9286a12cc3c8856b29d74485a91d309391789",
     "color --class kite":  # re-pinned for the same reason as diamond
-        "0302ce744f7fcd77282331f929a63f982a458183a59f8278a611f394f45f5b89",
+        "5f2e6cb4d244150fd4503daf5278cc421b97f005d78be90644ffdda4a8688fb9",
     "oracle-check --class kite":
         "c4ef634bd99f8edaeee6101b1c925f0ffb72ea0ad7159923ac49078b43aee095",
-    "color --class gem":
-        "674fe416f308f387dc1da8a794deba1ee6f203fc08224f43a320d1d5058dce3b",
+    "color --class gem":  # re-pinned for the same reason as diamond
+        "c826fedfea47227ff212bbd870df89bff41c303d36f40bd51250b27472639c83",
     "oracle-check --class gem":
         "9f8940fc02e9d9d0dc86ec97099aac229b462e841c8684958e4ca646062780f2",
     "verify --theorem T1 --exhaustive 7":
