@@ -4,11 +4,12 @@ The coloring mirrors the inductive structure of the bound proofs: it folds
 the atom tree that structure.decompose_into_atoms builds for each component,
 merging at each clique cutset. A clique, every bound's base case, is colored
 in closed form, as one clique-base step in every class. Each other atom goes
-to theorem_case, the engine verify checks: every Petersen core (alone,
-joined to a clique or blown up) gets a minimum cover by independent sets,
-and otherwise a low-degree or bisimplicial vertex the theorem supplies is
-removed and greedily re-colored. No exact chromatic oracle is run; those
-judge the colorer in the tests.
+to theorem_case, the engine verify checks: a "petersen" verdict (the
+Petersen graph, a clique joined to it, or a clique blowup of it) gets a
+minimum cover by independent sets, and an "eliminate" verdict removes the
+low-degree or bisimplicial vertex the theorem supplies, to be greedily
+re-colored. No exact chromatic oracle is run; those judge the colorer in
+the tests.
 A certificate carries the assignment, the claimed bound, and a flat
 replayable trace of derivation steps, whose every mapping is a list of
 pairs, so a trace read back from JSON replays as it is. _apply alone
@@ -213,7 +214,8 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
 
 def _color_clique(block: int) -> list[dict]:
     """The one clique-base step of the clique v1 < ... < vk, in every class:
-    vi takes k-i+1, vk first, as eliminating vk-1 ... v1 after vk would give."""
+    vi takes k-i+1, vk first. Every class's verdicts on a clique eliminate
+    one vertex at a time, the lowest first, so this is their coloring."""
     top_down = reversed(list(_bits(block)))
     return [{"step": "clique-base", "assignment": [(v, c) for c, v in enumerate(top_down, start=1)]}]
 
@@ -221,10 +223,10 @@ def _color_clique(block: int) -> list[dict]:
 def _color_case(g: Graph, block: int, case: TheoremCase, class_name: str) -> list[dict]:
     """Turn the structure theorem's verdict on a cutset-free block into steps: _blowup_step
     covers every Petersen core, and a peeled clique takes the colors after the cover's three."""
-    if case.blowup is None:
+    if case.kind != "petersen":
         raise StructuralContradiction(class_name, induced_subgraph(g, _bits(block)), case.detail)
     steps = [_blowup_step(case.blowup)]
-    if case.kind == "peeled-petersen":
+    if case.peel is not None and case.peel.ell > 0:
         peeled = sorted(set(_bits(block)) - case.peel.remainder)
         steps.append({"step": "peel", "assignment": [(v, c) for c, v in enumerate(peeled, start=4)]})
     return steps
@@ -288,19 +290,12 @@ def color_gem_class(g: Graph) -> ColoringCertificate:
 
 @lru_cache(maxsize=1)
 def _petersen_maximal_independent_sets() -> tuple[tuple[int, ...], ...]:
-    p = petersen()
-    out = []
-    for mask in range(1 << 10):
-        vs = [v for v in range(10) if mask >> v & 1]
-        if any(p.has_edge(u, w) for i, u in enumerate(vs) for w in vs[i + 1:]):
-            continue
-        if any(
-            all(not p.has_edge(u, w) for u in vs)
-            for w in range(10)
-            if not mask >> w & 1
-        ):
-            continue  # extendable, not maximal
-        out.append(tuple(vs))
+    """Every maximal independent set of the Petersen graph, larger sets
+    first: the masks that meet no neighbourhood of their own vertices and
+    every neighbourhood of the others."""
+    adj = petersen().adj
+    out = [tuple(_bits(m)) for m in range(1 << 10)
+           if not any(adj[v] & m for v in _bits(m)) and all(adj[w] & m for w in _bits(1023 & ~m))]
     return tuple(sorted(out, key=lambda s: (-len(s), s)))
 
 

@@ -54,8 +54,8 @@ def g2(sizes: Sequence[int]) -> Graph:
     if any(s < 2 for s in sizes):
         raise GraphError("G2 stable sets need size >= 2")
     blocks = blowup_classes(sizes)
-    edges = [(u, v) for i in range(7) for u in blocks[i] for v in blocks[(i + 1) % 7]]
-    return Graph(sum(sizes), edges)
+    # a generator: Graph checks the vertex cap before it builds an edge
+    return Graph(sum(sizes), ((u, v) for i in range(7) for u in blocks[i] for v in blocks[(i + 1) % 7]))
 
 
 @lru_cache(maxsize=1)

@@ -46,7 +46,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise GraphError("vertex count must be nonnegative")
-        if n > MAX_VERTICES:
+        if n > MAX_VERTICES:  # before edges is read, so an edge generator never runs past the cap
             raise GraphError(f"vertex count {n} exceeds cap {MAX_VERTICES}")
         adj = [0] * n
         for u, v in edges:
@@ -200,17 +200,17 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def path_graph(k: int) -> Graph:
     if k < 1:
         raise GraphError("path needs at least one vertex")
-    return Graph(k, [(i, i + 1) for i in range(k - 1)])
+    return Graph(k, ((i, i + 1) for i in range(k - 1)))
 
 
 def cycle_graph(k: int) -> Graph:
     if k < 3:
         raise GraphError("cycle needs at least three vertices")
-    return Graph(k, [(i, (i + 1) % k) for i in range(k)])
+    return Graph(k, ((i, (i + 1) % k) for i in range(k)))
 
 
 def complete_graph(k: int) -> Graph:
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)])
+    return Graph(k, ((i, j) for i in range(k) for j in range(i + 1, k)))
 
 
 def empty_graph(k: int) -> Graph:
@@ -342,12 +342,12 @@ def join_with_clique(g: Graph, ell: int) -> Graph:
     return Graph._from_adj(total, tuple(adj))
 
 
-def blowup_classes(sizes: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+def blowup_classes(sizes: Iterable[int]) -> tuple[range, ...]:
     """Vertex classes of clique_blowup: class i occupies a consecutive block."""
     out = []
     start = 0
     for s in sizes:
-        out.append(tuple(range(start, start + s)))
+        out.append(range(start, start + s))
         start += s
     return tuple(out)
 
@@ -363,10 +363,10 @@ def clique_blowup(base: Graph, sizes: list[int]) -> Graph:
         raise GraphError("need one size per base vertex")
     if any(s < 1 for s in sizes):
         raise GraphError("blowup class sizes must be at least 1")
-    classes = blowup_classes(sizes)
     total = sum(sizes)
     if total > MAX_VERTICES:
         raise GraphError(f"blowup exceeds vertex cap {MAX_VERTICES}")
+    classes = blowup_classes(sizes)
     cmask = [_mask(c) for c in classes]
     adj = [0] * total
     for i in range(base.n):

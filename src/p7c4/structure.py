@@ -407,20 +407,17 @@ class TheoremCase:
     without a clique cutset.
 
     kind is one of
-      "petersen"         the Petersen graph
-      "clique-base"      a clique, all of it peeled (kite)
-      "peeled-petersen"  a clique joined to the Petersen graph, which is
-                         the peel remainder (kite)
-      "petersen-blowup"  a clique blowup of the Petersen graph (gem)
-      "eliminate"        vertex sees fewer than budget (the class bound)
-                         colors once the rest is colored: its degree is
-                         under budget, or it is bisimplicial (gem)
-      "contradiction"    no case applies, so the theorem is falsified;
-                         detail says how
-    Each of the three Petersen kinds carries its Petersen core as a blowup
-    certificate in blowup, with single-vertex classes unless the kind is
-    "petersen-blowup". peel is the universal-clique peel, computed for the
-    kite class only.
+      "petersen"       the block is a Petersen core: the Petersen graph
+                       (diamond), a clique joined to it (kite) or a clique
+                       blowup of it (gem)
+      "eliminate"      vertex sees fewer than budget (the class bound)
+                       colors once the rest is colored: its degree is
+                       under budget, or it is bisimplicial (gem)
+      "contradiction"  no case applies, so the theorem is falsified;
+                       detail says how
+    A Petersen core comes with its blowup certificate in blowup, over the
+    peel remainder under kite. peel is the universal-clique peel, computed
+    for the kite class only; its ell is 0 unless a clique is joined.
     """
 
     kind: str
@@ -429,11 +426,6 @@ class TheoremCase:
     vertex: int | None = None
     budget: int | None = None
     detail: str = ""
-
-
-def _petersen(adj, block: int) -> BlowupCertificate | None:
-    """The mask block as the Petersen graph, a blowup with single-vertex classes, or None."""
-    return _blowup(adj, block, petersen()) if block.bit_count() == 10 else None
 
 
 def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCase:
@@ -445,17 +437,21 @@ def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCa
       diamond: the Petersen graph, or delta <= max(2, omega-1);
       kite:    if delta >= omega+1, a clique joined to the Petersen graph;
       gem:     a clique blowup of the Petersen graph, or a bisimplicial vertex.
-    In every class a Petersen core comes back as a blowup certificate.
+    One test finds the Petersen core in every class: the block, or its peel
+    remainder under kite, as a clique blowup of the Petersen graph. In a
+    diamond- or kite-class member that blowup is the Petersen graph itself,
+    since doubling any Petersen vertex makes a diamond and a kite.
     """
     if not block or block >> g.n:
         raise GraphError(f"block {block:#x} is not a nonempty set of the graph's {g.n} vertices")
     adj = g.adj
     third = class_third_pattern(class_name)
     budget = COLORING_BOUNDS[third](omega)
+    peel = _peel(adj, block) if third == "kite" else None
+    cert = _blowup(adj, block if peel is None else _mask(peel.remainder), petersen())
+    if cert is not None:
+        return TheoremCase("petersen", peel=peel, blowup=cert)
     if third == "gem":
-        cert = _blowup(adj, block, petersen())
-        if cert is not None:
-            return TheoremCase("petersen-blowup", blowup=cert)
         bis = _bisimplicial(adj, block)
         if bis is None:
             return TheoremCase("contradiction", detail=(
@@ -463,16 +459,6 @@ def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCa
             ))
         # a bisimplicial vertex has degree <= 2*omega - 2, strictly under the bound
         return TheoremCase("eliminate", vertex=bis[0], budget=budget)
-    peel = _peel(adj, block) if third == "kite" else None
-    cert = _petersen(adj, block)
-    if cert is not None:
-        return TheoremCase("petersen", peel=peel, blowup=cert)
-    if peel is not None and peel.ell > 0:
-        if not peel.remainder:
-            return TheoremCase("clique-base", peel=peel)
-        cert = _petersen(adj, _mask(peel.remainder))
-        if cert is not None:
-            return TheoremCase("peeled-petersen", peel=peel, blowup=cert)
     v = min(_bits(block), key=lambda u: (adj[u] & block).bit_count())
     delta = (adj[v] & block).bit_count()
     if delta < budget:

@@ -84,12 +84,12 @@ def _check_structure_theorem(g: Graph, theorem: str, diag: dict) -> dict:
         diag["conclusion"] = f"delta {delta} <= max(2, omega-1) = {max(2, omega - 1)}"
     elif theorem == "T2":
         diag["ell"] = case.peel.ell
-        name = "Petersen" if case.kind in ("petersen", "peeled-petersen") else None
+        name = "Petersen" if case.kind == "petersen" else None
         diag["remainder"] = name
         ok = name is not None
         diag["conclusion"] = f"peel remainder is {name or 'neither Petersen nor F'}"
     else:  # T3
-        if case.kind == "petersen-blowup":
+        if case.kind == "petersen":
             return _vacuous(diag, "clique blowup of the Petersen graph")
         ok = case.kind == "eliminate"
         diag["conclusion"] = f"bisimplicial vertex {case.vertex}" if ok else "no bisimplicial vertex"
@@ -140,21 +140,24 @@ def verify_corpus(graphs, theorem: str, corpus: str = "") -> VerificationRun:
 
 def standard_blowup_corpus(base_name: str, max_total: int) -> list[Graph]:
     """Deterministic blowup instances of a named base: uniform sizes, single
-    and double +1 bumps, and single +2 bumps, capped at max_total vertices."""
+    and double +1 bumps, and single +2 bumps, capped at max_total vertices.
+    Each instance is built as its size vector is listed, so a total over
+    MAX_VERTICES raises GraphError before any later vector is listed."""
     base = _base_by_name(base_name)
-    n = base.n
-    vectors: list[tuple[int, ...]] = []
+    return [generate("blowup", base=base, sizes=vec) for vec in _blowup_vectors(base.n, max_total)]
+
+
+def _blowup_vectors(n: int, max_total: int):
     t = 1
     while n * t <= max_total:
-        vectors.append((t,) * n)
+        yield (t,) * n
         t += 1
     if n + 1 <= max_total:
         for i in range(n):
-            vectors.append(tuple(2 if j == i else 1 for j in range(n)))
+            yield tuple(2 if j == i else 1 for j in range(n))
     if n + 2 <= max_total:
         for i in range(n):
             for j in range(i + 1, n):
-                vectors.append(tuple(2 if k in (i, j) else 1 for k in range(n)))
+                yield tuple(2 if k in (i, j) else 1 for k in range(n))
         for i in range(n):
-            vectors.append(tuple(3 if j == i else 1 for j in range(n)))
-    return [generate("blowup", base=base, sizes=vec) for vec in vectors]
+            yield tuple(3 if j == i else 1 for j in range(n))

@@ -400,9 +400,9 @@ def _clique_in_host(k: int, seed: int) -> tuple[Graph, list[int]]:
 
 
 def _engine_clique(g: Graph, vs: list[int], class_name: str) -> dict[int, int]:
-    """The coloring theorem_case's verdicts give the clique vs under diamond
-    or gem, one round per vertex: the lowest vertex is eliminated with a
-    budget that covers the color it gets. A lone vertex is colored 1.
+    """The coloring theorem_case's verdicts give the clique vs in any class,
+    one round per vertex: the lowest vertex is eliminated with a budget
+    that covers the color it gets. A lone vertex is colored 1.
     """
     block = sum(1 << v for v in vs)
     case = theorem_case(g, block, class_name, len(vs))
@@ -416,20 +416,15 @@ def _engine_clique(g: Graph, vs: list[int], class_name: str) -> dict[int, int]:
 
 @pytest.mark.parametrize("class_name", list(COLORERS))
 def test_clique_closed_form_is_theorem_case_verdict(class_name):
-    # one clique-base step in every class; under diamond and gem it replays
-    # to the rounds' coloring, and kite, whose verdict is clique-base, gets
-    # the diamond step
+    # one clique-base step in every class, which replays to the coloring
+    # of theorem_case's rounds
     for k in range(1, 13):
         g, vs = _clique_in_host(k, seed=k)
         block = sum(1 << v for v in vs)
         _, omega, steps = _color(g, block, class_name)
         assert omega == k and [s["step"] for s in steps] == ["clique-base"] and steps == _color_clique(block)
-        if class_name == "kite-class":
-            assert theorem_case(g, block, class_name, k).kind == "clique-base"
-            assert steps == _color(g, block, "diamond-class")[2]
-        else:
-            assign = _engine_clique(g, vs, class_name)
-            assert list(replay_trace(steps).items()) == list(assign.items())
+        assign = _engine_clique(g, vs, class_name)
+        assert list(replay_trace(steps).items()) == list(assign.items())
 
 
 def test_every_interpreted_step_kind_is_pinned():

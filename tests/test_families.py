@@ -153,3 +153,19 @@ def test_generate_dispatch():
         generate("H5")
     with pytest.raises(GraphError, match="parameter 't'"):
         generate("G1")  # missing t
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("K", {"k": 10**9}, "vertex count 1000000000 exceeds cap 512"),
+    ("P", {"k": 10**9}, "vertex count 1000000000 exceeds cap 512"),
+    ("C", {"k": 10**9}, "vertex count 1000000000 exceeds cap 512"),
+    ("G1", {"t": 10**9}, "blowup exceeds vertex cap 512"),
+    ("G6", {"t": 10**9}, "blowup exceeds vertex cap 512"),
+    ("G2", {"sizes": [10**9] * 7}, "vertex count 7000000000 exceeds cap 512"),
+    ("blowup", {"base": "C5", "sizes": [10**9] * 5}, "blowup exceeds vertex cap 512"),
+])
+def test_generators_check_the_vertex_cap_first(family, params, message):
+    # each generator raises before it builds an edge or a class: built first,
+    # a parameter of 10**9 would exhaust memory before the cap was checked
+    with pytest.raises(GraphError, match=message):
+        generate(family, **params)

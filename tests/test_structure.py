@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 from itertools import combinations, permutations
 
@@ -5,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import p7c4.coloring as coloring
+import p7c4.structure as structure
+import p7c4.verify as verify
 from p7c4.families import g2, g3, graph_f, petersen
 from p7c4.graphs import (
     Graph,
@@ -21,7 +26,7 @@ from p7c4.graphs import (
     path_graph,
 )
 from p7c4.enumerate import class_members, connected_graphs
-from p7c4.patterns import class_membership
+from p7c4.patterns import class_membership, find_induced_pattern
 from p7c4.structure import (
     _find_cutset,
     _mcsm,
@@ -374,13 +379,11 @@ def test_theorem_case_outcomes():
     for cls in ("diamond-class", "kite-class"):
         got = case(p, cls)
         assert got.kind == "petersen" and _maps_petersen_onto(p, got.blowup, range(10))
-    g = join_with_clique(p, 2)
-    got = case(g, "kite-class")
-    assert got.kind == "peeled-petersen" and got.peel.ell == 2
-    assert _maps_petersen_onto(g, got.blowup, got.peel.remainder)
-    assert case(complete_graph(4), "kite").kind == "clique-base"
+    # K_ell joined to the Petersen graph: test_kite_verdict_on_petersen_joined_to_a_clique
+    got = case(complete_graph(4), "kite")
+    assert (got.kind, got.vertex, got.peel.ell) == ("eliminate", 0, 4)
     got = case(clique_blowup(p, [2] + [1] * 9), "gem-class")
-    assert got.kind == "petersen-blowup" and got.blowup.weights()[0] == 2
+    assert got.kind == "petersen" and got.peel is None and got.blowup.weights()[0] == 2
     # C7: delta 2 is under every class bound at omega 2
     for cls, budget in (("diamond-class", 3), ("kite-class", 3), ("gem-class", 3)):
         got = case(cycle_graph(7), cls)
@@ -391,6 +394,52 @@ def test_theorem_case_outcomes():
         assert got.kind == "contradiction" and got.detail
     with pytest.raises(GraphError):
         case(p, "bull-class")
+
+
+def test_doubling_a_petersen_vertex_leaves_the_diamond_and_kite_classes():
+    # so in a diamond- or kite-class member every Petersen blowup is the
+    # Petersen graph, and one blowup test finds the core in every class
+    p = petersen()
+    for v in range(10):
+        g = clique_blowup(p, [2 if u == v else 1 for u in range(10)])
+        assert find_induced_pattern(g, "diamond") is not None and find_induced_pattern(g, "kite") is not None
+        assert class_membership(g, "gem-class").free
+
+
+@pytest.mark.parametrize("ell", range(4))
+def test_kite_verdict_on_petersen_joined_to_a_clique(ell):
+    g = join_with_clique(petersen(), ell)
+    got = theorem_case(g, g.full_mask(), "kite-class", max_clique_size(g))
+    assert got.kind == "petersen" and got.peel.ell == ell
+    assert _maps_petersen_onto(g, got.blowup, range(10))
+
+
+@pytest.mark.parametrize("cls", ["diamond-class", "kite-class", "gem-class"])
+def test_every_class_eliminates_the_lowest_vertex_of_a_clique(cls):
+    for k in range(1, 13):
+        got = theorem_case(complete_graph(k), (1 << k) - 1, cls, k)
+        assert (got.kind, got.vertex) == ("eliminate", 0) and k <= got.budget
+
+
+THEOREM_KINDS = {"petersen", "eliminate", "contradiction"}
+
+
+def test_theorem_case_kinds_are_pinned():
+    # theorem_case makes exactly THEOREM_KINDS, and coloring and verify
+    # compare case.kind only against them, so a new verdict fails here
+    made = set()
+    for node in ast.walk(ast.parse(inspect.getsource(structure.theorem_case))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "TheoremCase":
+            made |= {c.value for c in ast.walk(node.args[0]) if isinstance(c, ast.Constant)}
+    assert made == THEOREM_KINDS
+    compared = set()
+    for module in (coloring, verify):
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Attribute)
+                    and node.left.attr == "kind" and getattr(node.left.value, "id", None) == "case"):
+                compared |= {c.value for other in node.comparators for c in ast.walk(other)
+                             if isinstance(c, ast.Constant)}
+    assert compared and compared <= THEOREM_KINDS
 
 
 def test_theorem_case_rejects_bad_blocks():
@@ -445,5 +494,8 @@ def test_theorem_case_on_blocks_matches_relabelled_subgraphs():
             got = theorem_case(g, block, cls, omega)
             want = theorem_case(sub, sub.full_mask(), cls, omega)
             assert _case_summary(got, lambda v: v) == _case_summary(want, labels.__getitem__), (g, atom, cls)
-            kinds.add(got.kind)
-    assert kinds >= {"eliminate", "clique-base", "petersen", "peeled-petersen", "petersen-blowup"}
+            kinds.add((got.kind, bool(got.peel and got.peel.ell), got.blowup and max(got.blowup.weights())))
+    # the exceptional graphs go to every class, so non-members contradict;
+    # the Petersen core comes alone, joined to a clique (kite) and blown up (gem)
+    assert {kind for kind, _, _ in kinds} == {"petersen", "eliminate", "contradiction"}
+    assert {("petersen", False, 1), ("petersen", True, 1), ("petersen", False, 3)} <= kinds

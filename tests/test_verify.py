@@ -112,6 +112,15 @@ def test_standard_blowup_corpus():
     assert [g.adj for g in corpus] == [g.adj for g in again]
 
 
+def test_standard_blowup_corpus_stops_at_the_vertex_cap():
+    # the largest total under the cap still lists its whole corpus; a larger
+    # one raises at the first vector over the cap, not after listing them all
+    corpus = standard_blowup_corpus("C5", 512)
+    assert [g.n for g in corpus] == [5 * t for t in range(1, 103)] + [6] * 5 + [7] * 15
+    with pytest.raises(GraphError, match="blowup exceeds vertex cap 512"):
+        standard_blowup_corpus("C5", 10**9)
+
+
 def run_cli(capsys, *argv):
     code = cli_main(list(argv))
     out = capsys.readouterr().out.strip()
