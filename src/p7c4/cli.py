@@ -222,6 +222,7 @@ def _verify(args) -> int:
     import random
 
     from .enumerate import connected_graphs
+    from .families import _base_by_name
     from .verify import standard_blowup_corpus, verify_corpus
 
     base, _, total = (args.blowups or "").partition(":")
@@ -236,9 +237,12 @@ def _verify(args) -> int:
         graphs.extend(g for n in range(1, args.exhaustive + 1) for g in connected_graphs(n))
         desc.append(f"exhaustive connected n<={args.exhaustive}")
     if args.blowups:
-        graphs.extend(standard_blowup_corpus(base, total))
+        blown = standard_blowup_corpus(base, total)
+        if not blown:
+            raise GraphError(f"--blowups needs TOTAL >= {_base_by_name(base).n}, the vertex count of {base}")
+        graphs.extend(blown)
         desc.append(f"blowups {args.blowups}")
-    if args.family or args.corpus or not graphs:
+    if args.family or args.corpus or not (args.exhaustive or args.blowups):
         graphs.extend(_read_corpus(args))
         desc.append(args.family or args.corpus or "stdin")
     if not graphs:

@@ -1,4 +1,5 @@
-"""Decomposition toolbox: clique cutsets and atoms, universal-clique peeling,
+"""Decomposition toolbox: clique cutsets and atoms (one pass of Tarjan's
+algorithm over one minimal elimination ordering), universal-clique peeling,
 bisimplicial vertices, clique-blowup recognition, fixed-graph recognition,
 and the theorem engine that combines them into the three structure theorems.
 
@@ -116,57 +117,48 @@ def _mcsm(adj, block: int) -> tuple[list[int], list[int]]:
     return order, fill
 
 
-def _find_cutset(adj, block: int, order=None) -> tuple[int, int, int, tuple] | None:
-    """(cutset, side_a, side_b, carried) for a clique cutset of the
-    connected vertex mask block, or None: three masks, and carried, the
-    (sigma, fill) that _mcsm returns for side_b | cutset.
+def _splits(adj, block: int):
+    """The clique-cutset splits of the connected vertex mask block, as
+    (cutset, side_a, side_b) masks, in one pass over one MCS-M order
+    (Tarjan, "Decomposition by clique separators", 1985).
 
-    Scans a minimal elimination ordering (Tarjan, "Decomposition by clique
-    separators", 1985): the first v in sigma whose later filled neighbors
-    form a clique that cuts v's component side_a off from the rest gives the
-    split. The scan finds a clique separator whenever one exists, and
-    side_a | cutset is an atom. order, if given, is the (sigma, fill) of
-    block, scanned in place of a fresh _mcsm.
-
-    carried is sigma without side_a. MCS-M numbers the whole cutset before
-    side_a (checked on every labelling of every connected graph n <= 7, not
-    proved). Until then a path that adds weight through side_a enters and
-    leaves it in the clique cutset, whose edge is a shortcut; after, every
-    path from side_a to side_b crosses the numbered cutset. So the runs on
-    block and on side_b | cutset add the same weight and fill inside
-    side_b | cutset, and pick alike.
+    At each v of sigma, if v's later filled neighbors form a clique that
+    separates v's component side_a from the rest, that is a split, and the
+    scan goes on in side_b | cutset. Since sigma is a minimal elimination
+    ordering, every side_a | cutset is an atom, and the scan splits whenever
+    a clique separator exists. No vertex of side_a comes after v: the first
+    one on a path from v inside side_a would be a later filled neighbor of v
+    (Rose, Tarjan & Lueker's path lemma), so the scan never meets a vertex
+    it has cut off.
     """
     if _is_clique_mask(adj, block):
-        return None
-    sigma, fill = _mcsm(adj, block) if order is None else order
+        return
+    sigma, fill = _mcsm(adj, block)
     later = block
     for v in sigma:
         later ^= 1 << v
         cut = fill[v] & later
         if not _is_clique_mask(adj, cut):
             continue
-        comp = _component(adj, 1 << v, block & ~cut)
-        rest = block & ~comp & ~cut
-        if rest:
-            size = comp.bit_count()
-            prefix = all(comp >> u & 1 for u in sigma[:size])
-            kept = sigma[size:] if prefix else [u for u in sigma if not comp >> u & 1]
-            return cut, comp, rest, (kept, fill)
-    return None
+        side_a = _component(adj, 1 << v, block & ~cut)
+        side_b = block & ~side_a & ~cut
+        if side_b:
+            yield cut, side_a, side_b
+            block = side_b | cut
 
 
 def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
     """A clique cutset split if one exists, else None.
 
-    Scans a minimal elimination ordering; by the classical decomposition
-    theorem the scan finds a clique separator whenever one exists.
+    The first split of the one-pass scan that decompose_into_atoms folds:
+    by Tarjan's theorem it finds a clique separator whenever one exists.
     """
     if not g.is_connected():
         raise GraphError("clique cutset search requires a connected graph")
-    found = _find_cutset(g.adj, g.full_mask())
+    found = next(_splits(g.adj, g.full_mask()), None)
     if found is None:
         return None
-    split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in found[:3]))
+    split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in found))
     validate_split(g, split)
     return split
 
@@ -238,13 +230,10 @@ def decompose_into_atoms(g: Graph) -> AtomDecomposition:
 
 
 def _decompose(adj, block: int) -> AtomDecomposition:
-    """decompose_into_atoms on the connected vertex mask block, in one loop
-    over one MCS-M order: each split's left child is the atom side_a | cutset,
-    and the loop goes on with side_b | cutset and the order the split carries."""
+    """decompose_into_atoms on the connected vertex mask block: the splits of
+    one scan down the right spine, each left child the atom side_a | cutset."""
     root = node = AtomDecomposition()
-    order = None
-    while (found := _find_cutset(adj, block, order)) is not None:
-        cut, side_a, side_b, order = found
+    for cut, side_a, side_b in _splits(adj, block):
         node.masks = (cut, side_a, side_b)
         node.left, node.right = AtomDecomposition(masks=(side_a | cut,)), AtomDecomposition()
         node, block = node.right, side_b | cut

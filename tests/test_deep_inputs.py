@@ -14,7 +14,7 @@ from p7c4.families import petersen
 from p7c4.graphs import clique_blowup, complete_graph, cycle_graph, induced_subgraph, path_graph
 from p7c4.patterns import class_membership
 from p7c4 import structure
-from p7c4.structure import COLORING_BOUNDS, CliqueCutsetSplit, _mcsm as mcsm, decompose_into_atoms, validate_split
+from p7c4.structure import COLORING_BOUNDS, CliqueCutsetSplit, _mcsm as mcsm, _splits as splits, decompose_into_atoms, validate_split
 
 from conftest import spider
 
@@ -76,41 +76,29 @@ def test_spider_511_decomposes_and_colors():
 
 
 def test_cap_size_splits_reuse_one_mcsm_order(monkeypatch):
-    # the right block scans the order the split carries and the left block
-    # is an atom that is not searched again: decomposing and colouring run
-    # MCS-M once each, not once per split
-    calls = []
+    # decomposing and colouring run MCS-M once and scan its order once per
+    # connected block, not once per split, and colouring splits only
+    # through structure: it scans the very block that decomposing scans.
+    # The path holds a P7, so it is coloured past the membership test; every
+    # atom of either graph is an edge, coloured in closed form
+    mcsm_blocks, scan_blocks = [], []
 
     def counted(adj, block):
-        calls.append(block)
+        mcsm_blocks.append(block)
         return mcsm(adj, block)
 
+    def scanned(adj, block):
+        scan_blocks.append(block)
+        return splits(adj, block)
+
     monkeypatch.setattr(structure, "_mcsm", counted)
+    monkeypatch.setattr(structure, "_splits", scanned)
     for g in (spider(255), path_graph(512)):
-        calls.clear()
-        decompose_into_atoms(g)
-        assert calls == [g.full_mask()]
-    calls.clear()
-    color_gem_class(spider(255))
-    assert len(calls) == 1
-    # and colouring splits only through structure: it makes exactly the
-    # cutset searches that decomposing makes, in the same order, one per
-    # split plus one on the last atom of the right spine
-    blocks = []
-    find_cutset = structure._find_cutset
-
-    def recorded(adj, block, order=None):
-        blocks.append(block)
-        return find_cutset(adj, block, order)
-
-    monkeypatch.setattr(structure, "_find_cutset", recorded)
-    for g, count in ((spider(255), 510), (spider(3), 6)):
-        blocks.clear()
-        decompose_into_atoms(g)
-        split_blocks = list(blocks)
-        blocks.clear()
-        color_gem_class(g)
-        assert blocks == split_blocks and len(blocks) == count
+        for run in (decompose_into_atoms, lambda g: coloring._color_member(g, "gem-class")):
+            mcsm_blocks.clear()
+            scan_blocks.clear()
+            run(g)
+            assert mcsm_blocks == scan_blocks == [g.full_mask()], run
 
 
 def test_cli_decompose_path_512(capsys):

@@ -14,7 +14,6 @@ from p7c4.families import g2, g3, graph_f, petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
-    _bits,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -28,8 +27,8 @@ from p7c4.graphs import (
 from p7c4.enumerate import class_members, connected_graphs
 from p7c4.patterns import class_membership, find_induced_pattern
 from p7c4.structure import (
-    _find_cutset,
     _mcsm,
+    _splits,
     decompose_into_atoms,
     find_bisimplicial,
     find_clique_cutset,
@@ -141,34 +140,29 @@ def _reference_cases():
 
 
 def _check_spine(adj, block) -> tuple[int, int]:
-    """Walk the right spine as decompose_into_atoms does. At each split check
-    Tarjan's theorem for minimal orderings (side_a | cutset has no clique
-    cutset), the lemma the carried order rests on (side_a precedes the whole
-    cutset in the scanned order) and the carried order against a fresh _mcsm
-    of its block, restricted to the block. Returns the numbers of splits
-    whose side_a is a prefix of the scanned order and of those whose
-    side_a is not."""
+    """Walk the splits of one scan as decompose_into_atoms does and check
+    Tarjan's theorem for minimal orderings at each (side_a | cutset has no
+    clique cutset) and that the split was made at the last vertex of side_a
+    in sigma, so the scan met no vertex it had cut off. Returns the numbers
+    of splits whose side_a is a prefix of the order scanned in their block
+    (sigma without the earlier side_a's) and of those whose side_a is not."""
     counts = [0, 0]
-    order = _mcsm(adj, block)
-    while (found := _find_cutset(adj, block, order)) is not None:
-        cut, side_a, side_b, carried = found
-        assert _find_cutset(adj, side_a | cut) is None, adj
-        position = {v: k for k, v in enumerate(order[0])}
-        assert max(position[v] for v in _bits(side_a)) < min(position[v] for v in _bits(cut)), adj
-        counts[any(not side_a >> u & 1 for u in order[0][:side_a.bit_count()])] += 1
+    sigma, fill = _mcsm(adj, block)
+    for cut, side_a, side_b in _splits(adj, block):
+        assert next(_splits(adj, side_a | cut), None) is None, adj
+        scanned = [u for u in sigma if block >> u & 1]
+        counts[any(not side_a >> u & 1 for u in scanned[:side_a.bit_count()])] += 1
+        k = max(k for k, u in enumerate(sigma) if side_a >> u & 1)
+        assert fill[sigma[k]] & block & sum(1 << u for u in sigma[k + 1:]) == cut, adj
         block = side_b | cut
-        sigma, fill = _mcsm(adj, block)
-        assert carried[0] == sigma, adj
-        assert [carried[1][v] & block for v in sigma] == [fill[v] & block for v in sigma], adj
-        order = carried
     return tuple(counts)
 
 
 def test_mcsm_and_atoms_match_reference(connected_upto7):
     # the bucket queue and the pruned search give the reference ordering and
-    # fill, the one-loop decomposition its split tree, and every order a
-    # split carries the fresh ordering of its block, whether side_a is a
-    # prefix of the scanned order or not
+    # fill, and the one-pass scan the split tree of the reference's fresh
+    # scan of every block, whether side_a is a prefix of the scanned order
+    # or not
     counts = [0, 0]
     for g in [*connected_upto7, *_reference_cases()]:
         assert _mcsm(g.adj, g.full_mask()) == reference_mcsm(g), g
@@ -179,19 +173,46 @@ def test_mcsm_and_atoms_match_reference(connected_upto7):
     assert counts[0] > 0 and counts[1] > 0, counts
 
 
-def test_spine_checks_hold_on_every_labelling():
-    # _check_spine on every labelling of every connected graph on up to 6
-    # vertices
-    splits = 0
-    for n in range(2, 7):
+def test_first_split_of_the_scan_is_the_cutset_search(connected_upto7):
+    # find_clique_cutset and decompose_into_atoms read the same scan: no
+    # cutset exactly when the tree is one atom, else the root's split
+    for g in [*connected_upto7, *_reference_cases()]:
+        split = find_clique_cutset(g)
+        tree = decompose_into_atoms(g).to_json()
+        if split is None:
+            assert "atom" in tree, g
+        else:
+            assert split.to_json() == tree["split"], g
+
+
+def _labellings(max_n: int):
+    """Every distinct labelling of every connected graph on 2..max_n vertices."""
+    for n in range(2, max_n + 1):
         for g in connected_graphs(n):
             seen = set()
             for perm in permutations(range(n)):
                 h = Graph(n, [(perm[u], perm[v]) for u, v in g.edges()])
                 if h.adj not in seen:
                     seen.add(h.adj)
-                    splits += sum(_check_spine(h.adj, h.full_mask()))
-    assert splits == 60055
+                    yield h
+
+
+def test_atoms_match_reference_on_every_labelling():
+    # relabelling moves side_a off the front of the scanned order on some
+    # splits; the tree still matches the reference's fresh scans
+    counts = [0, 0]
+    for h in _labellings(5):
+        assert decompose_into_atoms(h).to_json() == reference_decompose(h), h
+        prefix, other = _check_spine(h.adj, h.full_mask())
+        counts[0] += prefix
+        counts[1] += other
+    assert counts[0] > 0 and counts[1] > 0, counts
+
+
+def test_spine_checks_hold_on_every_labelling():
+    # _check_spine on every labelling of every connected graph on up to 6
+    # vertices
+    assert sum(sum(_check_spine(h.adj, h.full_mask())) for h in _labellings(6)) == 60055
 
 
 def _glued_graph(rng, pieces):
@@ -224,8 +245,8 @@ def _glued_graph(rng, pieces):
 
 
 def test_glued_graphs_match_reference_decomposition():
-    # shuffled labels make side_a a non-prefix of the order on some splits,
-    # where the carried order is sigma filtered rather than sliced
+    # shuffled labels make side_a a non-prefix of the scanned order on some
+    # splits
     rng = random.Random(20230919)
     counts = [0, 0]
     for _ in range(150):

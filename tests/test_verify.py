@@ -242,6 +242,20 @@ def test_cli_verify_corpus_sizes_must_be_positive(capsys, monkeypatch, flag, val
     assert json.loads(captured.err) == {"error": f"{need} >= 1"}
 
 
+@pytest.mark.parametrize("value, n, base", [("Petersen:5", 10, "Petersen"), ("C7:6", 7, "C7")])
+def test_cli_verify_blowups_below_the_base_size(capsys, monkeypatch, value, n, base):
+    # a total under the base's vertex count lists no blowup; this used to
+    # verify the piped stdin graph under the label "blowups ...; stdin"
+    stdin = io.StringIO("Dhc\n")
+    stdin.isatty = lambda: False
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert cli_main(["verify", "--theorem", "T1", "--blowups", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": f"--blowups needs TOTAL >= {n}, the vertex count of {base}"}
+    assert stdin.read() == "Dhc\n"
+
+
 def test_cli_edge_list_input(capsys, tmp_path):
     path = tmp_path / "g.txt"
     path.write_text("3 2\n0 1\n1 2\n")
