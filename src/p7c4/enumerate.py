@@ -1,14 +1,13 @@
 """Small-graph corpora: generation by canonical deletion with isomorph rejection.
 
 Each corpus on n vertices grows from a hereditary family on n - 1 vertices
-(all graphs, or the (P7, C4)-free graphs) by adding a vertex in every
+(all graphs, or the (P7, C4)-free graphs) by adding a vertex x in every
 possible way; connected graphs grow from all graphs. A child is kept only
-if its new vertex is the one a canonical rule deletes: the last vertex of
-the last cell of the degree refinement (McKay, "Isomorph-free exhaustive
-generation", J. Algorithms 26, 1998). Any vertex of a graph in a hereditary
-family can be deleted without leaving it, and the rule is an isomorphism
-invariant, so every class is still reached, and most children are dropped
-before the costly membership test and canonical form.
+if x is the vertex a canonical rule deletes (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998; see _grow). A (P7,
+C4)-free graph's absence memo (graphs) holds P7, C4 and each of the
+diamond, kite and gem it is free of, proven from its parent's memo by
+searches through x, so class_members runs no search.
 
 Canonical forms come from adjacency-string minimization guided by iterated
 degree refinement: candidate labelings are explored cell by cell and pruned
@@ -24,8 +23,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, _bits, _refine, write_graph6
-from .patterns import class_third_pattern, find_induced_pattern
+from .graphs import Graph, GraphError, _bits, _is_clique_mask, _refine, write_graph6
+from .patterns import _ABSENT_BIT, _has_pattern_through, class_third_pattern
 
 
 def _perm_bits(adj: tuple[int, ...], perm: list[int], upto: int) -> int:
@@ -116,25 +115,24 @@ def _extend(parent: Graph, mask: int) -> Graph:
     return Graph._from_adj(n, adj)
 
 
-def _grow(n: int, parents, admits, keeps) -> tuple[Graph, ...]:
+def _grow(n: int, parents, admits, keeps, proves=lambda parent, child: 0) -> tuple[Graph, ...]:
     """Canonical n-vertex graphs G with keeps(G) whose vertex-deleted
     subgraphs lie in parents(n - 1), a hereditary family.
 
     Each graph of parents(n - 1) gains a vertex x adjacent to the vertex set
-    of every mask; admits(parent.adj, mask) and keeps(child) are the rest of
-    the membership test, given that the parent is in the family. admits
-    reads no child, so the masks it rejects are never built or refined.
+    of every mask; admits(parent.adj, mask), which reads no child, and
+    keeps(child) are the rest of the membership test, given the parent's.
     A child is kept only if x is the last vertex of the last cell of the
     refinement (graphs._refine): the canonical deletion. Refinement is
     equivariant and its cell order canonical, so every wanted G has a
-    vertex v in that cell of its own.
-    G - v is isomorphic to some parent, and the mask of v's neighbours on it
-    gives a child isomorphic to G in which x, the image of v, is last in its
-    cell (vertices ascend within a cell) and so passes. Hence every
-    isomorphism class is reached, most children are rejected before keeps
-    and canonical_form, and the found dict removes the remaining duplicates.
-    As the parent is in the family, admits and keeps look only through x:
-    for the (P7, C4)-free graphs, at the C4s and then the P7s that contain x.
+    vertex v in that cell of its own. G - v is isomorphic to some parent,
+    whose child by v's neighbours is isomorphic to G with x, the image of
+    v, last in its cell (vertices ascend within a cell). So every class is
+    reached, most children are rejected before keeps and canonical_form,
+    and the found dict removes the remaining duplicates. The first child
+    of a class stamps the absence memo proves(parent, child) on its
+    canonical form. As the parent is in the family, admits, keeps and
+    proves look only through x.
 
     Cells are ordered by degree first, so x's degree k = |mask| must be the
     largest in the child. A parent vertex keeps its degree outside the mask
@@ -161,7 +159,8 @@ def _grow(n: int, parents, admits, keeps) -> tuple[Graph, ...]:
             child = _extend(parent, mask)
             if _root_cells(child.adj)[-1][-1] == n - 1 and keeps(child):
                 canon = canonical_form(child)
-                found.setdefault(write_graph6(canon), canon)
+                if found.setdefault(write_graph6(canon), canon) is canon:
+                    canon._absent = proves(parent, child)
     return tuple(found[k] for k in sorted(found))
 
 
@@ -186,20 +185,7 @@ def _new_vertex_keeps_c4_free(adj: tuple[int, ...], mask: int) -> bool:
     # child goes through the new vertex x, with x's two cycle neighbours in
     # mask and the opposite vertex v outside it: so every parent vertex
     # outside mask must see a clique inside it
-    for v in range(len(adj)):
-        if mask >> v & 1:
-            continue
-        common = adj[v] & mask
-        if common.bit_count() >= 2:
-            for u in _bits(common):
-                if (adj[u] & common) != common ^ (1 << u):
-                    return False
-    return True
-
-
-def _newest_vertex_keeps_p7_free(g: Graph) -> bool:
-    # g minus its newest vertex is P7-free
-    return not _has_induced_p7_through(g.adj, g.n - 1)
+    return all(_is_clique_mask(adj, adj[v] & mask) for v in range(len(adj)) if not mask >> v & 1)
 
 
 def _has_induced_p7_through(adj: tuple[int, ...], x: int) -> bool:
@@ -222,14 +208,30 @@ def _has_induced_p7_through(adj: tuple[int, ...], x: int) -> bool:
 
 @lru_cache(maxsize=None)
 def p7c4_free_graphs(n: int) -> tuple[Graph, ...]:
-    """All (P7, C4)-free graphs on exactly n vertices (hereditary closure)."""
-    return _grow(n, p7c4_free_graphs, _new_vertex_keeps_c4_free, _newest_vertex_keeps_p7_free)
+    """All (P7, C4)-free graphs on exactly n vertices (hereditary closure),
+    each with P7, C4 and the diamond, kite and gem it is free of proven
+    absent in its memo."""
+    graphs = _grow(n, p7c4_free_graphs, _new_vertex_keeps_c4_free,
+                   lambda g: not _has_induced_p7_through(g.adj, n - 1), _absence_proofs)
+    if n == 1:
+        graphs[0]._absent = sum(_ABSENT_BIT.values())  # K1 is free of every pattern
+    return graphs
+
+
+def _absence_proofs(parent: Graph, child: Graph) -> int:
+    # the parent's bits are exact, so the child is X-free iff the parent is
+    # and no X goes through x; a diamond-free child is also kite- and gem-free
+    bits = _ABSENT_BIT["P7"] | _ABSENT_BIT["C4"]
+    for name in ("diamond", "kite", "gem"):
+        if bits & _ABSENT_BIT["diamond"] or (parent._absent & _ABSENT_BIT[name]
+                                             and not _has_pattern_through(child, child.n - 1, name)):
+            bits |= _ABSENT_BIT[name]
+    return bits
 
 
 @lru_cache(maxsize=None)
 def class_members(class_name: str, n: int) -> tuple[Graph, ...]:
-    """All (P7, C4, X)-free graphs on exactly n vertices."""
-    third = class_third_pattern(class_name)
-    return tuple(
-        g for g in p7c4_free_graphs(n) if find_induced_pattern(g, third) is None
-    )
+    """All (P7, C4, X)-free graphs on exactly n vertices: those of
+    p7c4_free_graphs(n) whose memo proves X absent."""
+    bit = _ABSENT_BIT[class_third_pattern(class_name)]
+    return tuple(g for g in p7c4_free_graphs(n) if g._absent & bit)

@@ -3,11 +3,13 @@
 Every operation here is a pure function, and a graph's vertex count and
 adjacency never change after construction. The one mutable field is
 `_absent`, a memo of the named patterns proven absent (see `patterns`),
-which starts at 0 and only gains bits. A bit is set only after a
-completed search proves absence, and the adjacency it speaks about is
-fixed, so every bit stays true. Two threads that set bits at once can
-only lose a bit, which costs one repeated search and never a wrong
-answer; graphs are therefore safe to share across threads.
+which starts at 0 and only gains bits. A bit is set only once a
+completed search, or the generator's induction (`enumerate`), proves
+absence, and the adjacency it speaks about is fixed, so every bit stays
+true. The generator sets its bits before a graph leaves it. Two threads
+that set bits at once can only lose a bit, which costs one repeated
+search and never a wrong answer; graphs are therefore safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -527,31 +529,33 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
     Cells split by how many neighbors each vertex has in every current cell;
     the pieces are ordered by that signature, so the result is equivariant
     under isomorphism, and vertices keep their order within each cell.
+
+    Later rounds count only against the splitters: the pieces of the cells
+    that split last round, less the last piece of each. Within a cell every
+    other count is equal, and a last piece's count is fixed by the pieces
+    before it, so the groups and their order are those of all the counts.
     """
-    while True:
-        masks = []
-        for cell in cells:
-            m = 0
-            for v in cell:
-                m |= 1 << v
-            masks.append(m)
-        changed = False
+    splitters = cells
+    while splitters:
+        masks = [_mask(cell) for cell in splitters]
         out: list[list[int]] = []
+        splitters = []
         for cell in cells:
             if len(cell) == 1:
                 out.append(cell)
                 continue
-            groups: dict[tuple[int, ...], list[int]] = {}
+            groups: dict[int, list[int]] = {}
             for v in cell:
-                sig = tuple((adj[v] & m).bit_count() for m in masks)
+                a = adj[v]
+                sig = 0  # the counts, each below 2**10, as digits: ints order as their tuples
+                for m in masks:
+                    sig = sig << 10 | (a & m).bit_count()
                 groups.setdefault(sig, []).append(v)
-            if len(groups) > 1:
-                changed = True
-            for sig in sorted(groups):
-                out.append(groups[sig])
-        if not changed:
-            return out
+            pieces = [groups[sig] for sig in sorted(groups)]
+            out += pieces
+            splitters += pieces[:-1]
         cells = out
+    return cells
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:

@@ -16,7 +16,9 @@ also for its canonical tuple. So W takes an initial segment of each twin
 class, and the pattern vertices that land in one class are twins inside
 the pattern, so there are at most m of them. The search therefore returns
 the same witness, or None, as a search over all vertices would, and clique
-blowups cost about as much as their base graph.
+blowups cost about as much as their base graph. A search for a copy
+through a given vertex x keeps the other vertices to the same
+representatives: a copy vertex other than x swaps for a lower twin.
 
 The path search also keeps each position of the path to a layer of the
 allowed mask. Layer 0 is the mask, and layer j holds the vertices of layer
@@ -30,22 +32,22 @@ and an empty middle layer proves absence at once: a spider whose legs have
 at most two edges has nothing in layer 3, however many legs it has.
 
 Each graph remembers which names of PATTERN_NAMES it has been proven
-free of: find_induced_pattern sets the name's bit in `Graph._absent` when
-its search returns None, and answers a later query for that name with
-None at the cost of one bit test. The verifier asks the same member about
-P7, C4 and X under several theorems, and the colourers repeat the
-membership check their caller already made, so most absence queries of
-an exhaustive check are repeats. Witnesses are not memoised: a present
-pattern is usually found early in the search, and keeping each witness
-alive for as long as its graph would hold thousands of them for the
-exhaustive filter's sake. Holes named 'hole(k)' get no bit; no caller
-asks for one twice.
+free of, as bits of `Graph._absent`. find_induced_pattern sets a name's bit
+when its search returns None and answers a later query for the name with
+one bit test, and enumerate.p7c4_free_graphs sets the bits it proves by
+induction as it grows each graph. The verifier asks the same member about
+P7, C4 and X under several theorems, and the colourers repeat their
+caller's membership check, so most absence queries are repeats. Witnesses
+are not memoised: a present pattern is usually found early, and keeping
+each witness alive as long as its graph would hold thousands of them.
+Holes named 'hole(k)' get no bit; no caller asks for one twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 
 from .graphs import (
     Graph,
@@ -63,6 +65,8 @@ _DIAMOND_EDGES = ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))          # K4 minus 0-
 _KITE_EDGES = _DIAMOND_EDGES + ((3, 4),)                            # pendant at a degree-2 vertex
 _GEM_EDGES = ((0, 1), (1, 2), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4))  # P4 plus apex
 _BULL_EDGES = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 4))              # triangle plus two pendants
+_FIXED_EDGES = {"diamond": (4, _DIAMOND_EDGES), "kite": (5, _KITE_EDGES), "gem": (5, _GEM_EDGES),
+                "bull": (5, _BULL_EDGES)}
 
 PATTERN_NAMES = ("P7", "C4", "C7", "diamond", "kite", "gem", "bull")
 _ABSENT_BIT = {name: 1 << i for i, name in enumerate(PATTERN_NAMES)}  # Graph._absent
@@ -79,22 +83,12 @@ def pattern_graph(name: str) -> Graph:
     """The canonical copy of a named pattern (holes via 'hole(k)')."""
     if name == "P7":
         return path_graph(7)
-    if name == "C4":
-        return cycle_graph(4)
-    if name == "C7":
-        return cycle_graph(7)
-    if name == "diamond":
-        return Graph(4, _DIAMOND_EDGES)
-    if name == "kite":
-        return Graph(5, _KITE_EDGES)
-    if name == "gem":
-        return Graph(5, _GEM_EDGES)
-    if name == "bull":
-        return Graph(5, _BULL_EDGES)
-    k = _parse_hole(name)
-    if k is not None:
-        return cycle_graph(k)
-    raise GraphError(f"unknown pattern {name!r}")
+    if name in _FIXED_EDGES:
+        return Graph(*_FIXED_EDGES[name])
+    k = int(name[1]) if name in ("C4", "C7") else _parse_hole(name)
+    if k is None:
+        raise GraphError(f"unknown pattern {name!r}")
+    return cycle_graph(k)
 
 
 def _parse_hole(name: str) -> int | None:
@@ -148,13 +142,12 @@ def find_induced_pattern(g: Graph, pattern: str) -> PatternWitness | None:
         return None
     if pattern == "P7":
         got = _find_induced_path(g, 7, _twin_representatives(g.adj, 1))
-    else:
-        k = int(pattern[1]) if pattern in ("C4", "C7") else _parse_hole(pattern)
-        if k is not None:
-            got = _search_induced_cycles(g, k, lambda cycle: True, _twin_representatives(g.adj, 1))
-        else:
-            pat = pattern_graph(pattern)
-            got = _find_fixed_pattern(g, pat, _twin_representatives(g.adj, _largest_twin_class(pat)))
+    elif pattern in _FIXED_EDGES:
+        pat = pattern_graph(pattern)
+        got = _find_fixed_pattern(g, pat, [_twin_representatives(g.adj, _largest_twin_class(pat))] * pat.n)
+    else:  # a hole; pattern_graph rejects every other name
+        k = pattern_graph(pattern).n
+        got = _search_induced_cycles(g, k, lambda cycle: True, _twin_representatives(g.adj, 1))
     if got is None:
         g._absent |= bit
         return None
@@ -172,26 +165,24 @@ def find_hole(g: Graph, k: int) -> PatternWitness | None:
     return find_induced_pattern(g, f"hole({k})")
 
 
-def _find_fixed_pattern(g: Graph, pat: Graph, allowed: int) -> tuple[int, ...] | None:
-    """Backtracking over partial maps into the vertex mask allowed, with
-    forward checking.
+def _find_fixed_pattern(g: Graph, pat: Graph, masks: list[int]) -> tuple[int, ...] | None:
+    """The lex-least map of every pattern vertex j into masks[j] that
+    induces pat, or None: backtracking over partial maps with forward
+    checking.
 
-    Every pattern vertex keeps a candidate mask; placing a vertex narrows the
-    mask of each later pattern vertex to its neighbours or non-neighbours, and
-    a branch stops as soon as one later mask is empty. Plain backtracking
-    would visit the same candidates in the same order and only fail deeper,
-    so the first complete map, the lex-least one, is unchanged. A tree fails
-    the gem at its second vertex (the apex has no candidate), and a clique
-    fails the diamond and kite at the first (vertex 3 has no non-neighbour
-    of vertex 0).
+    Placing a vertex narrows the mask of each later pattern vertex to its
+    neighbours or non-neighbours, and a branch stops as soon as one later
+    mask is empty. Plain backtracking would visit the same candidates in the
+    same order and only fail deeper, so the first complete map, the
+    lex-least one, is unchanged. A tree fails the gem at its second vertex
+    (the apex has no candidate), and a clique fails the diamond and kite at
+    the first (vertex 3 has no non-neighbour of vertex 0).
     """
     k = pat.n
     if g.n < k:
         return None
     gadj = g.adj
-    padj = pat.adj
-    # links[pos]: for each later pattern vertex, whether it is adjacent to pos
-    links = [tuple(padj[j] >> pos & 1 for j in range(pos + 1, k)) for pos in range(k)]
+    links = _links(pat)
     chosen = [0] * k
 
     def place(pos: int, masks: list[int]) -> bool:
@@ -207,7 +198,39 @@ def _find_fixed_pattern(g: Graph, pat: Graph, allowed: int) -> tuple[int, ...] |
                 return True
         return False
 
-    return tuple(chosen) if place(0, [allowed] * k) else None
+    return tuple(chosen) if place(0, masks) else None
+
+
+@lru_cache(maxsize=None)
+def _links(pat: Graph) -> tuple[tuple[int, ...], ...]:
+    # links[pos]: for each later pattern vertex, whether it is adjacent to pos
+    return tuple(tuple(pat.adj[j] >> pos & 1 for j in range(pos + 1, pat.n)) for pos in range(pat.n))
+
+
+def _has_pattern_through(g: Graph, x: int, name: str) -> bool:
+    """Whether x lies on an induced copy of the named fixed pattern. x is a
+    middle vertex of a diamond iff two adjacent neighbours of x differ in
+    their closed neighbourhoods inside N(x), and an end iff two adjacent
+    neighbours have a common neighbour outside N[x]. Other patterns are
+    placed with x first, once per orbit of their vertices."""
+    adj = g.adj
+    near = adj[x]
+    if name == "diamond":
+        return any(adj[w] & near | 1 << w != adj[u] & near | 1 << u or adj[u] & adj[w] & ~near & ~(1 << x)
+                   for u in _bits(near) for w in _bits(adj[u] & near))
+    rest = _twin_representatives(adj, _largest_twin_class(pattern_graph(name)))
+    return any(_find_fixed_pattern(g, pat, [1 << x] + [rest] * (pat.n - 1)) for pat in _anchored_copies(name))
+
+
+@lru_cache(maxsize=None)
+def _anchored_copies(name: str) -> tuple[Graph, ...]:
+    """The pattern relabelled to start at one vertex of each orbit, then its
+    neighbours; orbits of higher degree, where x lies more often, first."""
+    pat = pattern_graph(name)
+    autos = [p for p in permutations(range(pat.n)) if all(pat.has_edge(p[u], p[v]) for u, v in pat.edges())]
+    starts = sorted({min(p[v] for p in autos) for v in range(pat.n)}, key=lambda v: (-pat.degree(v), v))
+    orders = [sorted(range(pat.n), key=lambda v: (v != s, not pat.has_edge(s, v))) for s in starts]
+    return tuple(Graph(pat.n, [(o.index(u), o.index(v)) for u, v in pat.edges()]) for o in orders)
 
 
 def _find_induced_path(g: Graph, k: int, allowed: int) -> tuple[int, ...] | None:

@@ -4,15 +4,18 @@ The oracles here deliberately avoid the library's own search paths: pattern
 presence is decided by trying every vertex subset, cutsets by trying every
 clique, bisimplicial vertices by trying every 2-partition of a neighborhood,
 and the canonical labelling by the refinement-guided search without any
-automorphism pruning. MCS-M and the atom decomposition have references in
-their first, plainer form: a heap search over every unnumbered vertex, and
-one recursion per split on relabelled induced subgraphs. The fixed-pattern
-search has one too: backtracking that checks each pattern vertex only
-against the vertices already placed. The path and cycle searches have
-theirs: the same backtracking over every vertex of the graph, without the
-library's restriction to a few vertices of each true-twin class. The
-Petersen-blowup cover search has its plain form too: one search per cover
-size, cut only when the deficit exceeds four per remaining set.
+automorphism pruning. That search refines by counting against every cell
+in every round, and the pattern oracles compare a subset with the pattern
+through its labelling, so none of them reaches the library's refinement.
+MCS-M and the atom decomposition have references in their first, plainer
+form: a heap search over every unnumbered vertex, and one recursion per
+split on relabelled induced subgraphs. The fixed-pattern search has one
+too: backtracking that checks each pattern vertex only against the
+vertices already placed. The path and cycle searches have theirs: the
+same backtracking over every vertex of the graph, without the library's
+restriction to a few vertices of each true-twin class. The Petersen-blowup
+cover search has its plain form too: one search per cover size, cut only
+when the deficit exceeds four per remaining set.
 """
 
 import heapq
@@ -22,18 +25,34 @@ import pytest
 
 from p7c4.coloring import _petersen_maximal_independent_sets
 from p7c4.families import petersen
-from p7c4.graphs import Graph, _bits, _refine, induced_subgraph, is_clique, isomorphic
+from p7c4.graphs import Graph, _bits, induced_subgraph, is_clique
 from p7c4.patterns import pattern_graph
 
 
 def brute_has_pattern(g: Graph, pattern: str) -> bool:
+    return any(_brute_copies(g, pattern))
+
+
+def brute_pattern_cover(g: Graph, pattern: str) -> int:
+    """Mask of the vertices that lie on some induced copy of the pattern."""
+    return sum({1 << v for subset in _brute_copies(g, pattern) for v in subset})
+
+
+def _brute_copies(g: Graph, pattern: str):
+    """Every vertex subset of g that induces the pattern."""
     pat = pattern_graph(pattern)
-    if g.n < pat.n:
-        return False
-    return any(
-        isomorphic(induced_subgraph(g, subset), pat)
-        for subset in combinations(range(g.n), pat.n)
-    )
+    key = reference_key(pat)
+    for subset in combinations(range(g.n), pat.n):
+        h = induced_subgraph(g, subset)
+        if h.edge_count() == pat.edge_count() and reference_key(h) == key:
+            yield subset
+
+
+def reference_key(h: Graph):
+    """The edge set of h relabelled by reference_canonical_permutation,
+    which is equal for two graphs exactly when they are isomorphic."""
+    pos = {v: i for i, v in enumerate(reference_canonical_permutation(h))}
+    return h.n, frozenset(frozenset((pos[u], pos[v])) for u, v in h.edges())
 
 
 def has_clique_cutset_bruteforce(g: Graph) -> bool:
@@ -167,7 +186,7 @@ def reference_canonical_permutation(g: Graph) -> tuple[int, ...]:
 
     def search(cells):
         nonlocal best_bits, best_perm
-        cells = _refine(adj, cells)
+        cells = reference_refine(adj, cells)
         prefix = []
         for cell in cells:
             if len(cell) > 1:
@@ -189,6 +208,31 @@ def reference_canonical_permutation(g: Graph) -> tuple[int, ...]:
 
     search([list(range(n))])
     return tuple(best_perm)
+
+
+def reference_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """The coarsest equitable refinement of an ordered partition, each round
+    counting every vertex against every cell: the pieces of a cell are
+    ordered by their signatures, and vertices keep their order in a cell."""
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        changed = False
+        out: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                sig = tuple((adj[v] & m).bit_count() for m in masks)
+                groups.setdefault(sig, []).append(v)
+            if len(groups) > 1:
+                changed = True
+            for sig in sorted(groups):
+                out.append(groups[sig])
+        if not changed:
+            return out
+        cells = out
 
 
 def reference_min_multicover(weights) -> list[tuple[int, ...]]:

@@ -24,6 +24,7 @@ from p7c4.graphs import (
     isomorphic,
     write_graph6,
 )
+from p7c4.patterns import PATTERN_NAMES, find_induced_pattern
 
 # unlabeled-graph counts (classical enumeration values)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -154,6 +155,17 @@ def test_star_canonical_form_refines_linearly(k, monkeypatch):
     monkeypatch.setattr(enumerate_module, "_refine", counting)
     assert canonical_form(_star(k)).degrees() == (1,) * k + (k,)
     assert len(calls) <= k + 1
+
+
+def test_generator_stamps_exactly_the_absent_patterns():
+    # each bit the generator proves by induction equals a search's answer
+    # on a copy with an empty memo
+    for n in range(1, 9):
+        for g in p7c4_free_graphs(n):
+            fresh = Graph._from_adj(g.n, g.adj)
+            for name in ("P7", "C4", "diamond", "kite", "gem"):
+                proven = bool(g._absent & 1 << PATTERN_NAMES.index(name))
+                assert proven == (find_induced_pattern(fresh, name) is None), (write_graph6(g), name)
 
 
 @pytest.mark.parametrize("n", [7, 8])

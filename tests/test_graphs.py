@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from p7c4.graphs import (
     GraphError,
     _bits,
     _is_clique_mask,
+    _refine,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -26,9 +29,10 @@ from p7c4.graphs import (
     write_edge_list,
     write_graph6,
 )
+from p7c4.enumerate import all_graphs
 from p7c4.families import petersen
 
-from conftest import brute_max_clique
+from conftest import brute_max_clique, reference_refine
 
 
 @st.composite
@@ -283,3 +287,19 @@ def test_graph_stats():
 def test_vertex_cap():
     with pytest.raises(GraphError):
         Graph(513)
+
+
+def test_refinement_by_splitters_matches_the_reference():
+    # every graph n <= 8 from the unit partition and from two seeded ordered
+    # partitions, one with shuffled cells: the same cells in the same order
+    rng = random.Random(27)
+    for n in range(1, 9):
+        for g in all_graphs(n):
+            starts = [[list(range(n))]]
+            for shuffled in (False, True):
+                order = rng.sample(range(n), n)
+                cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1)))
+                cells = [order[i:j] for i, j in zip([0, *cuts], [*cuts, n])]
+                starts.append(cells if shuffled else [sorted(c) for c in cells])
+            for cells in starts:
+                assert _refine(g.adj, cells) == reference_refine(g.adj, cells), (write_graph6(g), cells)

@@ -1,5 +1,6 @@
 """Every module-level import in the library is used, the package exports
-exactly its public names, and a CLI subcommand loads only what it runs.
+exactly its public names, a CLI subcommand loads only what it runs, and
+every function the benchmark's tracer wraps by name still exists.
 """
 
 import ast
@@ -128,3 +129,15 @@ def test_classify_loads_only_what_it_runs():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.strip() == str(["p7c4", "p7c4.cli", "p7c4.graphs", "p7c4.patterns"])
+
+
+def test_every_traced_function_resolves():
+    # perfbench/tracing.py wraps these by (module, function) name, and a
+    # traced benchmark run fails with AttributeError on one that is gone
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED")
+    assert traced
+    missing = [(module, name) for module, name, _ in traced
+               if not callable(getattr(importlib.import_module(f"p7c4.{module}"), name, None))]
+    assert missing == []

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import p7c4.patterns as patterns
 from p7c4.coloring import color_gem_class
-from p7c4.enumerate import canonical_form, class_members
+from p7c4.enumerate import canonical_form, class_members, p7c4_free_graphs
 from p7c4.families import g1, g4, graph_f, petersen
 from p7c4.graphs import (
     Graph,
@@ -28,7 +28,9 @@ from p7c4.graphs import (
     write_graph6,
 )
 from p7c4.patterns import (
+    CLASS_NAMES,
     PATTERN_NAMES,
+    _has_pattern_through,
     class_membership,
     find_hole,
     find_induced_pattern,
@@ -38,6 +40,7 @@ from p7c4.verify import verify_corpus
 
 from conftest import (
     brute_has_pattern,
+    brute_pattern_cover,
     reference_fixed_pattern,
     reference_induced_cycle,
     reference_induced_path,
@@ -437,6 +440,31 @@ def test_verify_proves_each_absence_once_per_graph(monkeypatch):
         run = verify_corpus(fresh, theorem)
         assert run.members == len(fresh) and run.violated == 0
     assert searched == Counter({(id(g), p): 1 for g in fresh for p in ("P7", "C4", "gem")})
+
+
+def test_class_members_read_the_generators_proofs(monkeypatch):
+    # p7c4_free_graphs stamps every bit that the class filter reads, so the
+    # filter runs no search
+    for n in range(1, 9):
+        p7c4_free_graphs(n)
+    searched = _count_searches(monkeypatch)
+    for cls in CLASS_NAMES:
+        for n in range(1, 9):
+            assert class_members.__wrapped__(cls, n) == class_members(cls, n)
+    assert searched == Counter()
+
+
+@pytest.mark.parametrize("pattern", ("diamond", "kite", "gem"))
+def test_anchored_pattern_search_matches_bruteforce(connected_upto7, pattern):
+    # every x of every connected graph n <= 7, and of clique blowups whose
+    # twin classes outgrow the pattern's, against the vertices on some copy
+    rng = random.Random(27)
+    blowups = [clique_blowup(base, [rng.randint(1, 3) for _ in range(base.n)])
+               for base in (cycle_graph(4), cycle_graph(5), path_graph(4), path_graph(5)) for _ in range(3)]
+    for g in [*connected_upto7, *blowups]:
+        cover = brute_pattern_cover(g, pattern)
+        for x in range(g.n):
+            assert _has_pattern_through(g, x, pattern) == bool(cover >> x & 1), (write_graph6(g), x)
 
 
 def test_colourer_reuses_the_membership_proof(monkeypatch):
