@@ -15,6 +15,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 512
@@ -384,7 +385,8 @@ def clique_blowup(base: Graph, sizes: list[int]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Exact oracles: clique number, chromatic number, isomorphism
+# Exact searches: clique number, the chromatic oracle, refinement, and one
+# induced-placement engine for fixed patterns and isomorphism
 
 
 def is_clique(g: Graph, vertices: Iterable[int]) -> bool:
@@ -445,19 +447,6 @@ def _max_clique_size(adj, block: int) -> int:
     return best
 
 
-def _greedy_coloring(g: Graph) -> list[int]:
-    # largest-degree-first greedy; used only as an upper bound seed
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    colors = [0] * g.n
-    for v in order:
-        used = {colors[u] for u in _bits(g.adj[v]) if colors[u]}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    return colors
-
-
 def _colorable(g: Graph, k: int) -> dict[int, int] | None:
     """DSATUR-ordered backtracking: a proper k-coloring or None."""
     n = g.n
@@ -501,19 +490,16 @@ def _colorable(g: Graph, k: int) -> dict[int, int] | None:
 
 
 def exact_coloring(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[int, int]:
-    """A minimum proper coloring, found by iterative deepening from the
-    clique lower bound. Oracle-scale only."""
+    """A minimum proper coloring: _colorable with k = omega, omega + 1, ...
+    until one succeeds, which k = n always does. Oracle-scale only."""
     if g.n > limit:
         raise GraphError(f"chromatic oracle limited to {limit} vertices, got {g.n}")
     if g.n == 0:
         return {}
-    lower = max_clique_size(g)
-    upper = max(_greedy_coloring(g))
-    for k in range(lower, upper):
-        got = _colorable(g, k)
-        if got is not None:
-            return got
-    return {v: c for v, c in enumerate(_greedy_coloring(g))}
+    k = max_clique_size(g)
+    while (got := _colorable(g, k)) is None:
+        k += 1
+    return got
 
 
 def exact_chromatic_number(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
@@ -558,10 +544,55 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
     return cells
 
 
+def _find_fixed_pattern(g: Graph, pat: Graph, masks: list[int]) -> tuple[int, ...] | None:
+    """The lex-least tuple (v_0, ..., v_k-1) with each v_j in masks[j] and
+    v_i ~ v_j in g exactly when i ~ j in pat, or None: an induced placement
+    of the k-vertex graph pat, by backtracking with forward checking.
+
+    Position j is tried with the ascending bits of masks[j]. Each vertex
+    placed narrows the mask of every later position to its neighbours or
+    to its other non-neighbours, so a placement agrees with all earlier
+    ones. A branch stops as soon as one later mask is empty. Such a branch
+    could not complete, so the first complete tuple is the one plain
+    backtracking over the same candidates finds: the lex-least. The empty
+    pattern places as ().
+    """
+    k = pat.n
+    if g.n < k:
+        return None
+    gadj = g.adj
+    links = _links(pat)
+    chosen = [0] * k
+
+    def place(pos: int, masks: list[int]) -> bool:
+        # masks[j - pos]: the candidates for pattern vertex j >= pos
+        for v in _bits(masks[0]):
+            chosen[pos] = v
+            if pos + 1 == k:
+                return True
+            near = gadj[v]
+            far = ~(near | 1 << v)
+            rest = [m & (near if linked else far) for m, linked in zip(masks[1:], links[pos])]
+            if all(rest) and place(pos + 1, rest):
+                return True
+        return False
+
+    return tuple(chosen) if not k or place(0, masks) else None
+
+
+@lru_cache(maxsize=32)  # room for the 10 graphs that `patterns` places; isomorphism adds one per call
+def _links(pat: Graph) -> tuple[tuple[int, ...], ...]:
+    # links[pos]: for each later pattern vertex, whether it is adjacent to pos
+    return tuple(tuple(pat.adj[j] >> pos & 1 for j in range(pos + 1, pat.n)) for pos in range(pat.n))
+
+
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """An adjacency-preserving bijection g -> h, or None.
 
-    Degree-refinement classes prune the backtracking; intended for n <= 16.
+    Refinement gives each vertex of g the cell of h it must map into; g,
+    relabelled rarest cell first, then by label, is placed in h by
+    _find_fixed_pattern, so keys come in that order. Exponential in the
+    worst case: a relabelled C41 as g does not finish in 20 s.
     """
     if g.n != h.n or g.edge_count() != h.edge_count():
         return None
@@ -570,31 +601,11 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     if [len(c) for c in cells_g] != [len(c) for c in by_color]:
         return None
     cg = {v: i for i, cell in enumerate(cells_g) for v in cell}
-    # map rarest classes first
-    order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), v))
-    mapping: dict[int, int] = {}
-    used = 0
-
-    def go(i: int) -> bool:
-        nonlocal used
-        if i == len(order):
-            return True
-        v = order[i]
-        for w in by_color[cg[v]]:
-            if used >> w & 1:
-                continue
-            ok = all(g.has_edge(v, u) == h.has_edge(w, mapping[u]) for u in mapping)
-            if not ok:
-                continue
-            mapping[v] = w
-            used |= 1 << w
-            if go(i + 1):
-                return True
-            del mapping[v]
-            used ^= 1 << w
-        return False
-
-    return dict(mapping) if go(0) else None
+    order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), v))  # rarest cells first
+    pos = {v: i for i, v in enumerate(order)}
+    pat = Graph._from_adj(g.n, tuple(_mask(pos[u] for u in _bits(g.adj[v])) for v in order))
+    got = _find_fixed_pattern(h, pat, [_mask(by_color[cg[v]]) for v in order])
+    return None if got is None else dict(zip(order, got))
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:

@@ -4,6 +4,9 @@ A witness lists vertices in the pattern's canonical labeling order (path
 order for paths, cycle order for holes). Searches are exhaustive
 backtracking, so a None result proves absence. The returned witness is
 always the lexicographically least one, which keeps outputs deterministic.
+Paths and holes have their own searches here. The diamond, kite, gem and
+bull are placed by graphs._find_fixed_pattern, the library's one search for
+an induced placement of a fixed graph, which find_isomorphism also runs.
 
 Each search runs only on the m lowest vertices of every true-twin class of
 the graph (vertices with the same closed neighborhood), where m is the size
@@ -53,6 +56,7 @@ from .graphs import (
     Graph,
     GraphError,
     _bits,
+    _find_fixed_pattern,
     _true_twin_classes,
     _twin_representatives,
     cycle_graph,
@@ -163,48 +167,6 @@ def _largest_twin_class(pat: Graph) -> int:
 def find_hole(g: Graph, k: int) -> PatternWitness | None:
     """A k-hole in cycle order, or None with an exhaustive-search guarantee."""
     return find_induced_pattern(g, f"hole({k})")
-
-
-def _find_fixed_pattern(g: Graph, pat: Graph, masks: list[int]) -> tuple[int, ...] | None:
-    """The lex-least map of every pattern vertex j into masks[j] that
-    induces pat, or None: backtracking over partial maps with forward
-    checking.
-
-    Placing a vertex narrows the mask of each later pattern vertex to its
-    neighbours or non-neighbours, and a branch stops as soon as one later
-    mask is empty. Plain backtracking would visit the same candidates in the
-    same order and only fail deeper, so the first complete map, the
-    lex-least one, is unchanged. A tree fails the gem at its second vertex
-    (the apex has no candidate), and a clique fails the diamond and kite at
-    the first (vertex 3 has no non-neighbour of vertex 0).
-    """
-    k = pat.n
-    if g.n < k:
-        return None
-    gadj = g.adj
-    links = _links(pat)
-    chosen = [0] * k
-
-    def place(pos: int, masks: list[int]) -> bool:
-        # masks[j - pos]: the candidates for pattern vertex j >= pos
-        for v in _bits(masks[0]):
-            chosen[pos] = v
-            if pos + 1 == k:
-                return True
-            near = gadj[v]
-            far = ~(near | 1 << v)
-            rest = [m & (near if linked else far) for m, linked in zip(masks[1:], links[pos])]
-            if all(rest) and place(pos + 1, rest):
-                return True
-        return False
-
-    return tuple(chosen) if place(0, masks) else None
-
-
-@lru_cache(maxsize=None)
-def _links(pat: Graph) -> tuple[tuple[int, ...], ...]:
-    # links[pos]: for each later pattern vertex, whether it is adjacent to pos
-    return tuple(tuple(pat.adj[j] >> pos & 1 for j in range(pos + 1, pat.n)) for pos in range(pat.n))
 
 
 def _has_pattern_through(g: Graph, x: int, name: str) -> bool:

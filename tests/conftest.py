@@ -15,7 +15,10 @@ vertices already placed. The path and cycle searches have theirs: the
 same backtracking over every vertex of the graph, without the library's
 restriction to a few vertices of each true-twin class. The Petersen-blowup
 cover search has its plain form too: one search per cover size, cut only
-when the deficit exceeds four per remaining set.
+when the deficit exceeds four per remaining set. Isomorphism has its own
+backtracking over the refinement cells, which checks each vertex only
+against the vertices already mapped and never reaches the library's
+placement engine.
 """
 
 import heapq
@@ -233,6 +236,42 @@ def reference_refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[
         if not changed:
             return out
         cells = out
+
+
+def reference_find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
+    """An isomorphism g -> h or None: vertices of g in rarest-cell-first
+    order (then by label), each tried against the vertices of its cell of h
+    in ascending order and checked against the vertices already mapped."""
+    if g.n != h.n or g.edge_count() != h.edge_count():
+        return None
+    cells_g = reference_refine(g.adj, [list(range(g.n))])
+    by_color = reference_refine(h.adj, [list(range(h.n))])
+    if [len(c) for c in cells_g] != [len(c) for c in by_color]:
+        return None
+    cg = {v: i for i, cell in enumerate(cells_g) for v in cell}
+    order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), v))
+    mapping: dict[int, int] = {}
+    used = 0
+
+    def go(i: int) -> bool:
+        nonlocal used
+        if i == len(order):
+            return True
+        v = order[i]
+        for w in by_color[cg[v]]:
+            if used >> w & 1:
+                continue
+            if not all(g.has_edge(v, u) == h.has_edge(w, mapping[u]) for u in mapping):
+                continue
+            mapping[v] = w
+            used |= 1 << w
+            if go(i + 1):
+                return True
+            del mapping[v]
+            used ^= 1 << w
+        return False
+
+    return dict(mapping) if go(0) else None
 
 
 def reference_min_multicover(weights) -> list[tuple[int, ...]]:

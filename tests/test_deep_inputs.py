@@ -3,6 +3,7 @@ blocks deep must finish under the default recursion limit, and clique
 blowups must be recognised about as fast as their base graphs."""
 
 import json
+import random
 import tracemalloc
 
 import pytest
@@ -11,7 +12,8 @@ from p7c4 import coloring
 from p7c4.cli import cli_main
 from p7c4.coloring import color_diamond_class, color_gem_class, color_kite_class, validate_certificate
 from p7c4.families import petersen
-from p7c4.graphs import clique_blowup, complete_graph, cycle_graph, induced_subgraph, path_graph
+from p7c4.graphs import (Graph, clique_blowup, complete_graph, cycle_graph, empty_graph, find_isomorphism,
+                         induced_subgraph, path_graph)
 from p7c4.patterns import class_membership
 from p7c4 import structure
 from p7c4.structure import COLORING_BOUNDS, CliqueCutsetSplit, _mcsm as mcsm, _splits as splits, decompose_into_atoms, validate_split
@@ -136,3 +138,14 @@ def test_blowup_membership_at_the_cap(base, size):
     assert (diamond.pattern, diamond.vertices) == ("diamond", (0, size, size + 1, 2 * size))
     kite = class_membership(g, "kite-class").witness
     assert (kite.pattern, kite.vertices) == ("kite", (0, size, size + 1, 2 * size, 3 * size))
+
+
+@pytest.mark.parametrize("g", [cycle_graph(511), path_graph(512), empty_graph(512)], ids=["C511", "P512", "E512"])
+def test_isomorphism_at_the_cap(g):
+    # the placement recurses once per vertex, so 512 levels must fit
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    iso = find_isomorphism(g, h)
+    assert sorted(iso) == sorted(iso.values()) == list(range(g.n))
+    assert all(h.has_edge(iso[u], iso[v]) for u, v in g.edges())

@@ -32,7 +32,7 @@ from p7c4.graphs import (
 from p7c4.enumerate import all_graphs
 from p7c4.families import petersen
 
-from conftest import brute_max_clique, reference_refine
+from conftest import brute_max_clique, reference_find_isomorphism, reference_refine
 
 
 @st.composite
@@ -266,6 +266,83 @@ def test_isomorphic():
     c6 = cycle_graph(6)
     two_triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert not isomorphic(c6, two_triangles)
+
+
+def _relabelled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _same_degrees(g: Graph, rng: random.Random) -> Graph:
+    """g after seeded double-edge swaps ab, cd -> ad, cb, which keep every
+    degree; g needs two edges."""
+    edges = sorted(g.edges())
+    for _ in range(4 * len(edges)):
+        i, j = rng.sample(range(len(edges)), 2)
+        (a, b), (c, d) = edges[i], edges[j]
+        if rng.randrange(2):
+            c, d = d, c
+        new = [tuple(sorted(e)) for e in ((a, d), (c, b))]
+        if len({a, b, c, d}) == 4 and not set(new) & set(edges):
+            edges[i], edges[j] = new
+    return Graph(g.n, edges)
+
+
+def _assert_same_isomorphism(g: Graph, h: Graph):
+    got, want = find_isomorphism(g, h), reference_find_isomorphism(g, h)
+    assert got == want, (write_graph6(g), write_graph6(h))
+    assert want is None or list(got) == list(want)
+
+
+def test_isomorphism_matches_reference_on_every_small_graph():
+    # every graph n <= 7 against two seeded relabellings: equal maps, keys
+    # in the same order
+    rng = random.Random(28)
+    corpus = [empty_graph(0)] + [g for n in range(1, 8) for g in all_graphs(n)]
+    assert len(corpus) == 1 + 1252
+    for g in corpus:
+        for _ in range(2):
+            _assert_same_isomorphism(g, _relabelled(g, rng))
+    assert find_isomorphism(empty_graph(0), empty_graph(0)) == {}
+
+
+def test_isomorphism_matches_reference_on_equal_degree_sequences():
+    rng = random.Random(7)
+    apart = 0
+    for _ in range(300):
+        n = rng.randrange(6, 13)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4])
+        if g.edge_count() < 2:
+            continue
+        h = _relabelled(_same_degrees(g, rng), rng)
+        assert sorted(g.degrees()) == sorted(h.degrees())
+        _assert_same_isomorphism(g, h)
+        _assert_same_isomorphism(h, g)
+        apart += reference_find_isomorphism(g, h) is None
+    assert apart >= 100  # most pairs are not isomorphic, so both answers are tested
+    from p7c4.families import graph_f
+
+    for g, h in ((petersen(), graph_f()), (graph_f(), petersen()), (petersen(), _relabelled(petersen(), rng))):
+        _assert_same_isomorphism(g, h)
+
+
+def test_placement_cache_is_bounded():
+    # every relabelled g that find_isomorphism places is a new key of _links
+    from p7c4.graphs import _links
+
+    bound = _links.cache_info().maxsize
+    assert bound is not None
+    rng = random.Random(1)
+    seen = set()
+    misses = _links.cache_info().misses
+    while len(seen) < 1000:
+        g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.5])
+        if g not in seen:
+            seen.add(g)
+            assert isomorphic(g, _relabelled(g, rng))
+    assert _links.cache_info().misses - misses > bound
+    assert _links.cache_info().currsize <= bound
 
 
 def test_isomorphic_petersen_vs_f():

@@ -108,6 +108,14 @@ def test_shared_names_are_one_object():
     assert verify.THEOREMS is patterns.THEOREMS
 
 
+def test_one_placement_engine():
+    # fixed patterns, the generator's through-x tests and isomorphism all
+    # place a graph with the same search
+    from p7c4 import graphs, patterns
+
+    assert patterns._find_fixed_pattern is graphs._find_fixed_pattern
+
+
 def test_package_names_follow_their_module(monkeypatch):
     # nothing is cached in the package, so a patched function is seen through it
     from p7c4 import graphs

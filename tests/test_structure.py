@@ -44,6 +44,7 @@ from conftest import (
     brute_is_bisimplicial,
     has_clique_cutset_bruteforce,
     reference_decompose,
+    reference_find_isomorphism,
     reference_mcsm,
     spider,
     windmill,
@@ -352,6 +353,22 @@ def test_blowup_recognition_roundtrip():
         assert sorted(v for c in cert.classes for v in c) == list(range(g.n))
     assert recognize_clique_blowup(graph_f(), p) is None
     assert recognize_clique_blowup(cycle_graph(7), p) is None
+
+
+def test_blowup_certificates_match_the_reference_isomorphism(monkeypatch):
+    # seeded, relabelled clique blowups: the certificate, its base map
+    # included, is the one the reference isomorphism search gives
+    rng = random.Random(28)
+    cases = []
+    for base in (cycle_graph(5), cycle_graph(7), petersen(), g3()):
+        for _ in range(20):
+            g = clique_blowup(base, [rng.randint(1, 3) for _ in range(base.n)])
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            cases.append((Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()]), base))
+    got = [recognize_clique_blowup(g, base).to_json() for g, base in cases]
+    monkeypatch.setattr(structure, "find_isomorphism", reference_find_isomorphism)
+    assert got == [recognize_clique_blowup(g, base).to_json() for g, base in cases]
 
 
 def test_blowup_rejects_twin_base():
