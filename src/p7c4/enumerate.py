@@ -4,10 +4,11 @@ Each corpus on n vertices grows from a hereditary family on n - 1 vertices
 (all graphs, or the (P7, C4)-free graphs) by adding a vertex x in every
 possible way; connected graphs grow from all graphs. A child is kept only
 if x is the vertex a canonical rule deletes (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998; see _grow). A (P7,
-C4)-free graph's absence memo (graphs) holds P7, C4 and each of the
-diamond, kite and gem it is free of, proven from its parent's memo by
-searches through x, so class_members runs no search.
+exhaustive generation", J. Algorithms 26, 1998; see _grow), and children
+are deduplicated by their canonical adjacency string, read off the same
+refinement. A (P7, C4)-free graph's absence memo (graphs) holds P7, C4
+and each of the diamond, kite and gem it is free of, proven from its
+parent's memo by searches through x, so class_members runs no search.
 
 Canonical forms come from adjacency-string minimization guided by iterated
 degree refinement: candidate labelings are explored cell by cell and pruned
@@ -15,15 +16,15 @@ against the best prefix found so far (McKay, "Practical graph isomorphism",
 1981). A branch vertex that is a twin of an earlier one in its cell is
 skipped: swapping the two is an automorphism fixing the partition, so its
 subtree repeats leaf strings already met and cannot change the result.
-Distinct children of one class can survive the test, so the canonical form
-still removes duplicates. Desk scale only, by design.
+Distinct children of one class can survive the test, so the canonical
+string still removes duplicates. Desk scale only, by design.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, _bits, _is_clique_mask, _refine, write_graph6
+from .graphs import Graph, GraphError, _bits, _is_clique_mask, _refine, _relabel, write_graph6
 from .patterns import _ABSENT_BIT, _has_pattern_through, class_third_pattern
 
 
@@ -40,19 +41,25 @@ def _perm_bits(adj: tuple[int, ...], perm: list[int], upto: int) -> int:
 
 
 def canonical_permutation(g: Graph) -> tuple[int, ...]:
-    """A relabeling minimizing the adjacency string over all labelings
-    consistent with iterated degree refinement.
+    """A relabeling minimizing the adjacency string over the labelings
+    consistent with iterated degree refinement (see _canonical_order)."""
+    return _canonical_order(g.adj, _refine(g.adj, [list(range(g.n))]))[1]
 
-    Refinement is equivariant under isomorphism, so the minimized string is
-    a canonical key: two graphs get the same string iff they are isomorphic.
-    The search skips a branch vertex v that is a twin of an earlier branch
-    vertex u of the same cell (same neighbours outside {u, v}): swapping u
-    and v is an automorphism that fixes the partition, so v's subtree holds
-    the leaf strings of u's, none of them below the best already met, and
-    the permutation returned is the one the unpruned search returns.
+
+def _canonical_order(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, tuple[int, ...]]:
+    """The least adjacency string (_perm_bits) over the labelings that
+    refine cells, the unit partition's refinement, and a relabeling giving it.
+
+    Refinement is equivariant under isomorphism, so the string is a
+    canonical key, and for one n it is the canonical graph6 body: the ints
+    sort as those strings do. The search skips a branch vertex v that is a
+    twin of an earlier branch vertex u of the same cell (same neighbours
+    outside {u, v}): swapping u and v is an automorphism that fixes the
+    partition, so v's subtree holds the leaf strings of u's, none of them
+    below the best already met, and the relabeling is the one the unpruned
+    search returns.
     """
-    n = g.n
-    adj = g.adj
+    n = len(adj)
     best_bits: int | None = None
     best_perm: list[int] | None = None
     total = n * (n - 1) // 2
@@ -83,25 +90,12 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
             rest = [u for u in cells[pivot] if u != v]
             search(_refine(adj, [*cells[:pivot], [v], rest, *cells[pivot + 1:]]))
 
-    search(_root_cells(adj))
-    return tuple(best_perm)
-
-
-@lru_cache(maxsize=1)
-def _root_cells(adj: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    # the refinement of the unit partition, which _grow's deletion test and
-    # then canonical_form ask for, one child after the other
-    return tuple(map(tuple, _refine(adj, [list(range(len(adj)))])))
+    search(cells)
+    return best_bits, tuple(best_perm)
 
 
 def canonical_form(g: Graph) -> Graph:
-    perm = canonical_permutation(g)
-    pos = {v: i for i, v in enumerate(perm)}
-    adj = [0] * g.n
-    for u, v in g.edges():
-        adj[pos[u]] |= 1 << pos[v]
-        adj[pos[v]] |= 1 << pos[u]
-    return Graph._from_adj(g.n, tuple(adj))
+    return _relabel(g.adj, canonical_permutation(g))
 
 
 def canonical_key(g: Graph) -> str:
@@ -128,11 +122,12 @@ def _grow(n: int, parents, admits, keeps, proves=lambda parent, child: 0) -> tup
     vertex v in that cell of its own. G - v is isomorphic to some parent,
     whose child by v's neighbours is isomorphic to G with x, the image of
     v, last in its cell (vertices ascend within a cell). So every class is
-    reached, most children are rejected before keeps and canonical_form,
-    and the found dict removes the remaining duplicates. The first child
-    of a class stamps the absence memo proves(parent, child) on its
-    canonical form. As the parent is in the family, admits, keeps and
-    proves look only through x.
+    reached, and most children are rejected before keeps and the canonical
+    search, which starts from the cells the test read. Its least adjacency
+    string keys the found dict, which removes the remaining duplicates;
+    only a new key builds its canonical graph, and it gets the absence
+    memo proves(parent, child). As the parent is in the family, admits,
+    keeps and proves look only through x.
 
     Cells are ordered by degree first, so x's degree k = |mask| must be the
     largest in the child. A parent vertex keeps its degree outside the mask
@@ -144,7 +139,7 @@ def _grow(n: int, parents, admits, keeps, proves=lambda parent, child: 0) -> tup
         raise GraphError("need at least one vertex")
     if n == 1:
         return (Graph(1),)
-    found: dict[str, Graph] = {}
+    found: dict[int, Graph] = {}  # canonical adjacency string -> canonical graph
     for parent in parents(n - 1):
         adj = parent.adj
         # heavier[k]: the parent's vertices of degree above k
@@ -157,9 +152,11 @@ def _grow(n: int, parents, admits, keeps, proves=lambda parent, child: 0) -> tup
             if heavier[k] & ~mask or (k and heavier[k - 1] & mask) or not admits(adj, mask):
                 continue
             child = _extend(parent, mask)
-            if _root_cells(child.adj)[-1][-1] == n - 1 and keeps(child):
-                canon = canonical_form(child)
-                if found.setdefault(write_graph6(canon), canon) is canon:
+            cells = _refine(child.adj, [list(range(n))])
+            if cells[-1][-1] == n - 1 and keeps(child):
+                bits, perm = _canonical_order(child.adj, cells)
+                if bits not in found:
+                    canon = found[bits] = _relabel(child.adj, perm)
                     canon._absent = proves(parent, child)
     return tuple(found[k] for k in sorted(found))
 

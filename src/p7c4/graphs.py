@@ -15,7 +15,6 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 512
@@ -316,17 +315,19 @@ def write_edge_list(g: Graph) -> str:
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
-    """Subgraph induced by the given set, relabeled 0..k-1 in sorted order.
-
-    The sorted order is the recorded index mapping: new index i corresponds
-    to sorted(vertices)[i].
-    """
+    """Subgraph induced by the given set, relabeled 0..k-1 in sorted order:
+    new index i is sorted(vertices)[i]."""
     block = _vertex_mask(g, vertices)
     if not block:
         raise GraphError("induced subgraph of the empty set")
-    vs = list(_bits(block))
-    pos = {v: i for i, v in enumerate(vs)}
-    return Graph._from_adj(len(vs), tuple(_mask(pos[w] for w in _bits(g.adj[v] & block)) for v in vs))
+    return _relabel(g.adj, list(_bits(block)))
+
+
+def _relabel(adj, order) -> Graph:
+    """The graph induced on order's distinct vertices, order[i] relabelled i."""
+    block = _mask(order)
+    pos = {v: i for i, v in enumerate(order)}
+    return Graph._from_adj(len(order), tuple(_mask(pos[w] for w in _bits(adj[v] & block)) for v in order))
 
 
 def join_with_clique(g: Graph, ell: int) -> Graph:
@@ -549,30 +550,30 @@ def _find_fixed_pattern(g: Graph, pat: Graph, masks: list[int]) -> tuple[int, ..
     v_i ~ v_j in g exactly when i ~ j in pat, or None: an induced placement
     of the k-vertex graph pat, by backtracking with forward checking.
 
-    Position j is tried with the ascending bits of masks[j]. Each vertex
-    placed narrows the mask of every later position to its neighbours or
-    to its other non-neighbours, so a placement agrees with all earlier
-    ones. A branch stops as soon as one later mask is empty. Such a branch
-    could not complete, so the first complete tuple is the one plain
-    backtracking over the same candidates finds: the lex-least. The empty
-    pattern places as ().
+    Position j tries the ascending bits of masks[j]. The vertex placed at
+    pos narrows each later mask to its neighbours or other non-neighbours,
+    as the bits of pat.adj[pos] >> pos + 1 say, and a branch stops at the
+    first empty one: it could not complete, so the first complete tuple is
+    the lex-least, the one plain backtracking finds. Nothing is kept
+    between calls. The empty pattern places as ().
     """
     k = pat.n
     if g.n < k:
         return None
     gadj = g.adj
-    links = _links(pat)
+    padj = pat.adj
     chosen = [0] * k
 
     def place(pos: int, masks: list[int]) -> bool:
         # masks[j - pos]: the candidates for pattern vertex j >= pos
+        later = padj[pos] >> pos + 1  # bit j - pos - 1: j ~ pos in pat
         for v in _bits(masks[0]):
             chosen[pos] = v
             if pos + 1 == k:
                 return True
             near = gadj[v]
             far = ~(near | 1 << v)
-            rest = [m & (near if linked else far) for m, linked in zip(masks[1:], links[pos])]
+            rest = [m & (near if later >> j & 1 else far) for j, m in enumerate(masks[1:])]
             if all(rest) and place(pos + 1, rest):
                 return True
         return False
@@ -580,18 +581,12 @@ def _find_fixed_pattern(g: Graph, pat: Graph, masks: list[int]) -> tuple[int, ..
     return tuple(chosen) if not k or place(0, masks) else None
 
 
-@lru_cache(maxsize=32)  # room for the 10 graphs that `patterns` places; isomorphism adds one per call
-def _links(pat: Graph) -> tuple[tuple[int, ...], ...]:
-    # links[pos]: for each later pattern vertex, whether it is adjacent to pos
-    return tuple(tuple(pat.adj[j] >> pos & 1 for j in range(pos + 1, pat.n)) for pos in range(pat.n))
-
-
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """An adjacency-preserving bijection g -> h, or None.
 
     Refinement gives each vertex of g the cell of h it must map into; g,
-    relabelled rarest cell first, then by label, is placed in h by
-    _find_fixed_pattern, so keys come in that order. Exponential in the
+    relabelled by _relabel rarest cell first, then by label, is placed in h
+    by _find_fixed_pattern, so keys come in that order. Exponential in the
     worst case: a relabelled C41 as g does not finish in 20 s.
     """
     if g.n != h.n or g.edge_count() != h.edge_count():
@@ -602,9 +597,8 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
         return None
     cg = {v: i for i, cell in enumerate(cells_g) for v in cell}
     order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), v))  # rarest cells first
-    pos = {v: i for i, v in enumerate(order)}
-    pat = Graph._from_adj(g.n, tuple(_mask(pos[u] for u in _bits(g.adj[v])) for v in order))
-    got = _find_fixed_pattern(h, pat, [_mask(by_color[cg[v]]) for v in order])
+    cell_masks = [_mask(cell) for cell in by_color]
+    got = _find_fixed_pattern(h, _relabel(g.adj, order), [cell_masks[cg[v]] for v in order])
     return None if got is None else dict(zip(order, got))
 
 

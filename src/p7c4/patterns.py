@@ -57,6 +57,7 @@ from .graphs import (
     GraphError,
     _bits,
     _find_fixed_pattern,
+    _relabel,
     _true_twin_classes,
     _twin_representatives,
     cycle_graph,
@@ -192,7 +193,7 @@ def _anchored_copies(name: str) -> tuple[Graph, ...]:
     autos = [p for p in permutations(range(pat.n)) if all(pat.has_edge(p[u], p[v]) for u, v in pat.edges())]
     starts = sorted({min(p[v] for p in autos) for v in range(pat.n)}, key=lambda v: (-pat.degree(v), v))
     orders = [sorted(range(pat.n), key=lambda v: (v != s, not pat.has_edge(s, v))) for s in starts]
-    return tuple(Graph(pat.n, [(o.index(u), o.index(v)) for u, v in pat.edges()]) for o in orders)
+    return tuple(_relabel(pat.adj, o) for o in orders)
 
 
 def _find_induced_path(g: Graph, k: int, allowed: int) -> tuple[int, ...] | None:

@@ -19,6 +19,7 @@ from .graphs import (
     _component,
     _is_clique_mask,
     _mask,
+    _relabel,
     _true_twin_classes,
     _vertex_mask,
     find_isomorphism,
@@ -364,8 +365,7 @@ def _blowup(adj, block: int, base: Graph) -> BlowupCertificate | None:
     classes = _true_twin_classes(adj, block)
     if len(classes) != base.n:
         return None
-    nbs = [adj[(c & -c).bit_length() - 1] for c in classes]  # neighborhoods of the lowest vertices c & -c
-    quotient = Graph._from_adj(base.n, tuple(_mask(j for j, c in enumerate(classes) if nb & c & -c) for nb in nbs))
+    quotient = _relabel(adj, [(c & -c).bit_length() - 1 for c in classes])  # on the lowest vertex of each class
     iso = find_isomorphism(base, quotient)
     if iso is None:
         return None
@@ -457,5 +457,5 @@ def theorem_case(g: Graph, block: int, class_name: str, omega: int) -> TheoremCa
                   f" > max(2, omega-1) = {max(2, omega - 1)}")
     else:
         detail = (f"connected cutset-free member with delta {delta} >= omega+1 = {omega + 1}"
-                  " whose universal-clique peel leaves neither the Petersen graph nor F")
+                  " whose universal-clique peel does not leave the Petersen graph")
     return TheoremCase("contradiction", peel=peel, detail=detail)

@@ -87,7 +87,7 @@ def _check_structure_theorem(g: Graph, theorem: str, diag: dict) -> dict:
         name = "Petersen" if case.kind == "petersen" else None
         diag["remainder"] = name
         ok = name is not None
-        diag["conclusion"] = f"peel remainder is {name or 'neither Petersen nor F'}"
+        diag["conclusion"] = f"peel remainder is {name or 'not Petersen'}"
     else:  # T3
         if case.kind == "petersen":
             return _vacuous(diag, "clique blowup of the Petersen graph")

@@ -5,6 +5,7 @@ import pytest
 import p7c4.enumerate as enumerate_module
 from conftest import brute_has_pattern, brute_p7_cover, reference_canonical_permutation
 from p7c4.enumerate import (
+    _canonical_order,
     _has_induced_p7_through,
     all_graphs,
     canonical_form,
@@ -18,6 +19,7 @@ from p7c4.families import petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
+    _refine,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -181,6 +183,19 @@ def test_canonical_form_is_isomorphic_relabeling(small_graphs):
         cf = canonical_form(g)
         assert isomorphic(cf, g)
         assert canonical_key(cf) == canonical_key(g)
+
+
+def test_canonical_order_bits_are_the_graph6_body():
+    # for one n the generator's int keys sort as canonical_key's strings do
+    for n in range(1, 8):
+        total = n * (n - 1) // 2
+        for g in all_graphs(n):
+            flipped = Graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges()])
+            bits, perm = _canonical_order(flipped.adj, _refine(flipped.adj, [list(range(n))]))
+            padded = bits << -total % 6
+            body = "".join(chr(63 + (padded >> 6 * i & 63)) for i in reversed(range((total + 5) // 6)))
+            assert body == canonical_key(g)[1:], write_graph6(g)
+            assert perm == canonical_permutation(flipped)
 
 
 def test_canonical_key_separates_all_small_graphs(small_graphs):

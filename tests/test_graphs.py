@@ -10,6 +10,7 @@ from p7c4.graphs import (
     _bits,
     _is_clique_mask,
     _refine,
+    _relabel,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -327,22 +328,37 @@ def test_isomorphism_matches_reference_on_equal_degree_sequences():
         _assert_same_isomorphism(g, h)
 
 
-def test_placement_cache_is_bounded():
-    # every relabelled g that find_isomorphism places is a new key of _links
-    from p7c4.graphs import _links
+def test_isomorphism_leaves_no_memory_behind():
+    # each call places a new 100-vertex pattern, two disjoint cycles;
+    # nothing of it may outlive the call
+    import gc
+    import tracemalloc
 
-    bound = _links.cache_info().maxsize
-    assert bound is not None
     rng = random.Random(1)
-    seen = set()
-    misses = _links.cache_info().misses
-    while len(seen) < 1000:
-        g = Graph(12, [(u, v) for u in range(12) for v in range(u + 1, 12) if rng.random() < 0.5])
-        if g not in seen:
-            seen.add(g)
-            assert isomorphic(g, _relabelled(g, rng))
-    assert _links.cache_info().misses - misses > bound
-    assert _links.cache_info().currsize <= bound
+    pairs = []
+    for m in range(3, 36):  # C(100 - m) on labels 0.., then Cm
+        g = Graph(100, [(v, (v + 1) % (100 - m)) for v in range(100 - m)]
+                  + [(100 - m + v, 100 - m + (v + 1) % m) for v in range(m)])
+        pairs.append((g, _relabelled(g, rng)))
+    tracemalloc.start()
+    try:
+        found = [isomorphic(g, h) for g, h in pairs]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(found)
+    assert retained < 500_000, retained
+
+
+def test_relabel_matches_an_edge_built_relabelling(small_graphs):
+    rng = random.Random(3)
+    for g in small_graphs:
+        for k in (g.n, rng.randint(1, g.n), rng.randint(1, g.n)):  # a permutation, then two subsets
+            order = rng.sample(range(g.n), k)
+            pos = {v: i for i, v in enumerate(order)}
+            expected = Graph(len(order), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
+            assert _relabel(g.adj, order) == expected, (write_graph6(g), order)
 
 
 def test_isomorphic_petersen_vs_f():

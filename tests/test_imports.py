@@ -116,6 +116,13 @@ def test_one_placement_engine():
     assert patterns._find_fixed_pattern is graphs._find_fixed_pattern
 
 
+def test_graphs_keeps_no_cache():
+    # the placement engine and every other graph function keep no state between calls
+    from p7c4 import graphs
+
+    assert [name for name, f in vars(graphs).items() if hasattr(f, "cache_info")] == []
+
+
 def test_package_names_follow_their_module(monkeypatch):
     # nothing is cached in the package, so a patched function is seen through it
     from p7c4 import graphs
