@@ -15,7 +15,11 @@ replayable trace of derivation steps, whose every mapping is a list of
 pairs, so a trace read back from JSON replays as it is. _apply alone
 executes a step: replay_trace folds it over a trace, and _color runs each
 step it decides through it, so the assignment is the trace's replay by
-construction.
+construction. A cutset merge costs O(|left| + colors) on the cheaper side:
+when the right coloring holds more than twice as many vertices as the left
+one and the permutation have entries, the permutation is composed into a
+color table the right coloring carries (_Recolored) and the left one is
+written into its dict; otherwise the right one is copied, O(|right|).
 
 If a certified class member reaches a state where no theorem case applies,
 that falsifies the underlying structure theorem; it is raised loudly as
@@ -83,7 +87,7 @@ def validate_certificate(g: Graph, cert: ColoringCertificate) -> None:
 
 def replay_trace(trace) -> dict[int, int]:
     """Re-execute a derivation trace; returns the reconstructed assignment."""
-    stack: list[dict[int, int]] = []
+    stack: list = []
     try:
         for step in trace:
             _apply(stack, step)
@@ -91,32 +95,143 @@ def replay_trace(trace) -> dict[int, int]:
         raise GraphError(f"malformed trace: {exc!r}") from exc
     if len(stack) != 1:
         raise GraphError("trace does not reduce to a single coloring")
-    return stack[0]
+    return _plain(stack[0])
 
 
-def _apply(stack: list[dict[int, int]], step: dict) -> None:
+class _Recolored:
+    """A block coloring under a pending color table: vertex v has the real
+    color table[stored[v]]. The table holds exactly the stored colors in
+    use, so composing a permutation into it fails, as copying would, when a
+    color in use is missing, and its values are the palette. inv gives a
+    stored color for each real one, so the table stays as small as the
+    palette. It reads like a dict of real colors; absorb writes to it.
+    """
+
+    __slots__ = ("stored", "table", "inv")
+
+    def __init__(self, coloring: dict) -> None:
+        colors = set(coloring.values())
+        self.stored, self.table, self.inv = coloring, dict(zip(colors, colors)), None
+
+    def recolor(self, perm: dict) -> bool:
+        """Each real color c replaced by perm[c], or False, with nothing
+        changed, if one of them is not an int (inv would take 1.0 or True
+        for 1)."""
+        table, inv = {}, {}
+        for s, c in self.table.items():
+            c = perm[c]
+            if type(c) is not int:
+                return False
+            table[s] = c
+            inv[c] = s
+        self.table, self.inv = table, inv
+        return True
+
+    def __len__(self) -> int:
+        return len(self.stored)
+
+    def __getitem__(self, v) -> int:
+        return self.table[self.stored[v]]
+
+    def keys(self):
+        return self.stored.keys()
+
+    def items(self):
+        table = self.table
+        return ((v, table[s]) for v, s in self.stored.items())
+
+    def plain(self) -> dict[int, int]:
+        table = self.table
+        return {v: table[s] for v, s in self.stored.items()}
+
+    def absorb(self, new) -> bool:
+        """new's real colors written as a dict update would write them, or
+        False, part way, at the first the table cannot hold: a color that is
+        not an int, or a vertex that changes color (its stored color could
+        fall out of use)."""
+        stored, table, inv = self.stored, self.table, self.inv
+        for v, c in new.items():
+            if type(c) is not int:
+                return False
+            old = stored.get(v, _NEW)
+            if old is not _NEW:
+                if table[old] != c:
+                    return False
+                continue
+            s = inv.get(c, _NEW)
+            if s is _NEW:
+                s = inv[c] = object()
+                table[s] = c
+            stored[v] = s
+        return True
+
+
+_NEW = object()
+
+
+def _plain(coloring) -> dict[int, int]:
+    return coloring if type(coloring) is dict else coloring.plain()
+
+
+def _recolor(coloring, perm: dict, beside: int):
+    """coloring with each color c replaced by perm[c].
+
+    When coloring has more than twice beside + len(perm) vertices (beside:
+    the size of a cutset merge's left coloring), perm is composed into its
+    color table in O(colors) and its dict is kept; otherwise, or when a
+    composed color is not an int, it is copied. The factor 2 weighs the
+    work per entry: a copied vertex is one lookup and one store, while a
+    composed color is stored in the table and in inv, and an absorbed
+    vertex is looked up in stored and in inv before its store.
+    """
+    if len(coloring) > 2 * (beside + len(perm)):
+        lazy = coloring if type(coloring) is _Recolored else _Recolored(coloring)
+        if lazy.recolor(perm):
+            return lazy
+    return {v: perm[c] for v, c in coloring.items()}
+
+
+def _write(stack: list, new: dict) -> None:
+    """stack[-1].update(new), for new's real colors."""
+    top = stack[-1]
+    if type(top) is dict:
+        top.update(new)
+    elif not top.absorb(new):
+        stack[-1] = top.plain()
+        stack[-1].update(new)
+
+
+def _apply(stack: list, step: dict) -> None:
     """Execute one trace step on a stack of block colorings, in place.
 
     This is the one definition of what a step means: replay_trace folds it
     over a trace, and _color runs every step it emits through it. Each
     mapping a step carries (an assignment, a permutation) is a list of pairs.
+    A block coloring is a dict, or a _Recolored one that a cutset merge
+    left: the merge costs O(|left| + colors) when right holds more than
+    twice as many vertices as left and the permutation have entries
+    (_recolor), O(|right|) otherwise.
     """
     kind = step["step"]
     if kind == "eliminate-vertex":
-        stack[-1][step["vertex"]] = step["color"]
+        top = stack[-1]
+        if type(top) is dict:
+            top[step["vertex"]] = step["color"]
+        else:
+            _write(stack, {step["vertex"]: step["color"]})
     elif kind == "cutset-merge":
         right = stack.pop()
         left = stack[-1]
         perm = dict(step["permutation"])
-        merged = {v: perm[c] for v, c in right.items()}
+        merged = _recolor(right, perm, len(left))
         if any(merged[v] != left[v] for v in step["cutset"]):
             raise GraphError("cutset colors disagree on replay")
-        merged.update(left)
         stack[-1] = merged
+        _write(stack, left)
     elif kind in ("clique-base", "blowup-color"):
         stack.append(dict(step["assignment"]))
     elif kind == "peel":
-        stack[-1].update(step["assignment"])
+        _write(stack, dict(step["assignment"]))
     elif kind == "components-merge":
         count = step["count"]
         if not 1 <= count <= len(stack):
@@ -129,7 +244,7 @@ def _apply(stack: list[dict[int, int]], step: dict) -> None:
         raise GraphError(f"unknown trace step {kind!r}")
 
 
-def _cutset_permutation(left: dict[int, int], right: dict[int, int], cutset) -> list[tuple[int, int]]:
+def _cutset_permutation(left, right, cutset) -> list[tuple[int, int]]:
     """Permutation of right's colors, as (color, new color) pairs, that agrees
     with left on the cutset and sends right's other colors to the smallest
     colors left free.
@@ -142,7 +257,7 @@ def _cutset_permutation(left: dict[int, int], right: dict[int, int], cutset) -> 
         raise GraphError("block colorings are not injective on the cutset")
     taken = set(perm.values())
     nxt = 1
-    for c in sorted(set(right.values())):
+    for c in sorted(set(right.values() if type(right) is dict else right.table.values())):
         if c in perm:
             continue
         while nxt in taken:
@@ -166,7 +281,7 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     """
     adj = g.adj
     steps: list[dict] = []
-    done: list[dict[int, int]] = []
+    done: list = []
     omega = 1
     work: list[tuple] = [("block", block)]
     while work:
@@ -209,7 +324,7 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             _apply(done, step)
         steps += new
     (assign,) = done
-    return assign, omega, steps
+    return _plain(assign), omega, steps
 
 
 def _color_clique(block: int) -> list[dict]:
@@ -325,14 +440,7 @@ def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     failed states is kept.
     """
     sets = _petersen_maximal_independent_sets()
-    by_vertex, edges, pentagons = _petersen_cover_tables()
-
-    def lower(d: tuple[int, ...]) -> int:
-        return max(
-            max(d[u] + d[v] for u, v in edges),
-            max(ceil(sum(d[u] for u in c) / 2) for c in pentagons),
-            ceil(sum(d) / 4),
-        )
+    tables = _petersen_cover_tables()
 
     def greedy() -> list[tuple[int, ...]]:
         deficit = list(weights)
@@ -345,28 +453,38 @@ def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
         return chosen
 
     upper_sets = greedy()
-
-    def go(deficit: tuple[int, ...], left: int) -> list[tuple[int, ...]] | None:
-        if not any(deficit):
-            return []
-        if lower(deficit) > left:
-            return None
-        v = max(range(10), key=lambda u: (deficit[u], -u))
-        for s in by_vertex[v]:
-            nd = list(deficit)
-            for u in s:
-                if nd[u] > 0:
-                    nd[u] -= 1
-            got = go(tuple(nd), left - 1)
-            if got is not None:
-                return [s] + got
-        return None
-
-    for k in range(lower(weights), len(upper_sets)):
-        got = go(tuple(weights), k)
+    for k in range(_cover_lower(tables, weights), len(upper_sets)):
+        got = _cover(tables, tuple(weights), k)
         if got is not None:
             return got
     return upper_sets
+
+
+def _cover_lower(tables: tuple, d: tuple[int, ...]) -> int:
+    _, edges, pentagons = tables
+    return max(
+        max(d[u] + d[v] for u, v in edges),
+        max(ceil(sum(d[u] for u in c) / 2) for c in pentagons),
+        ceil(sum(d) / 4),
+    )
+
+
+def _cover(tables: tuple, deficit: tuple[int, ...], left: int) -> list[tuple[int, ...]] | None:
+    # the first cover of deficit by at most left sets in _min_multicover's order
+    if not any(deficit):
+        return []
+    if _cover_lower(tables, deficit) > left:
+        return None
+    v = max(range(10), key=lambda u: (deficit[u], -u))
+    for s in tables[0][v]:
+        nd = list(deficit)
+        for u in s:
+            if nd[u] > 0:
+                nd[u] -= 1
+        got = _cover(tables, tuple(nd), left - 1)
+        if got is not None:
+            return [s] + got
+    return None
 
 
 def _blowup_step(cert: BlowupCertificate) -> dict:

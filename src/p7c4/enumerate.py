@@ -59,39 +59,35 @@ def _canonical_order(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int,
     below the best already met, and the relabeling is the one the unpruned
     search returns.
     """
+    bits, perm = _least_leaf(adj, cells, None)
+    return bits, tuple(perm)
+
+
+def _least_leaf(adj: tuple[int, ...], cells: list[list[int]], best: tuple | None) -> tuple:
+    """best, or the (bits, perm) of a leaf below cells with a smaller string:
+    _canonical_order's search, one call per node."""
     n = len(adj)
-    best_bits: int | None = None
-    best_perm: list[int] | None = None
-    total = n * (n - 1) // 2
-
-    def search(cells) -> None:
-        nonlocal best_bits, best_perm
-        prefix: list[int] = []
-        for cell in cells:
-            if len(cell) > 1:
-                break
-            prefix.append(cell[0])
-        if best_bits is not None and len(prefix) > 1:
-            plen = len(prefix) * (len(prefix) - 1) // 2
-            if _perm_bits(adj, prefix, len(prefix)) > best_bits >> (total - plen):
-                return
-        if len(prefix) == n:
-            bits = _perm_bits(adj, prefix, n)
-            if best_bits is None or bits < best_bits:
-                best_bits = bits
-                best_perm = prefix
-            return
-        pivot = next(i for i, c in enumerate(cells) if len(c) > 1)
-        branched: list[int] = []
-        for v in cells[pivot]:
-            if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in branched):
-                continue
-            branched.append(v)
-            rest = [u for u in cells[pivot] if u != v]
-            search(_refine(adj, [*cells[:pivot], [v], rest, *cells[pivot + 1:]]))
-
-    search(cells)
-    return best_bits, tuple(best_perm)
+    prefix: list[int] = []
+    for cell in cells:
+        if len(cell) > 1:
+            break
+        prefix.append(cell[0])
+    if best is not None and len(prefix) > 1:
+        plen = len(prefix) * (len(prefix) - 1) // 2
+        if _perm_bits(adj, prefix, len(prefix)) > best[0] >> (n * (n - 1) // 2 - plen):
+            return best
+    if len(prefix) == n:
+        bits = _perm_bits(adj, prefix, n)
+        return (bits, prefix) if best is None or bits < best[0] else best
+    pivot = next(i for i, c in enumerate(cells) if len(c) > 1)
+    branched: list[int] = []
+    for v in cells[pivot]:
+        if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in branched):
+            continue
+        branched.append(v)
+        rest = [u for u in cells[pivot] if u != v]
+        best = _least_leaf(adj, _refine(adj, [*cells[:pivot], [v], rest, *cells[pivot + 1:]], [[v]]), best)
+    return best
 
 
 def canonical_form(g: Graph) -> Graph:
@@ -190,17 +186,18 @@ def _has_induced_p7_through(adj: tuple[int, ...], x: int) -> bool:
     # grow that arm from x first, then the other arm from x. A vertex joins
     # at end if it is off the path, sees end and sees neither the far end
     # other nor an inner vertex (inner: the union of their neighbourhoods)
-    def grow(end: int, other: int, used: int, inner: int, size: int, first: bool) -> bool:
-        if size == 7:
-            return True
-        if first and size >= 4 and grow(other, end, used, inner, size, False):
-            return True
-        for w in _bits(adj[end] & ~adj[other] & ~used & ~inner):
-            if grow(w, other, used | 1 << w, inner | adj[end], size + 1, first):
-                return True
-        return False
+    return any(_p7_arm(adj, w, x, 1 << x | 1 << w, 0, 2, True) for w in _bits(adj[x]))
 
-    return any(grow(w, x, 1 << x | 1 << w, 0, 2, True) for w in _bits(adj[x]))
+
+def _p7_arm(adj, end: int, other: int, used: int, inner: int, size: int, first: bool) -> bool:
+    if size == 7:
+        return True
+    if first and size >= 4 and _p7_arm(adj, other, end, used, inner, size, False):
+        return True
+    for w in _bits(adj[end] & ~adj[other] & ~used & ~inner):
+        if _p7_arm(adj, w, other, used | 1 << w, inner | adj[end], size + 1, first):
+            return True
+    return False
 
 
 @lru_cache(maxsize=None)

@@ -413,81 +413,73 @@ def max_clique_size(g: Graph) -> int:
 
 def _max_clique_size(adj, block: int) -> int:
     """Clique number of the subgraph induced on the nonempty mask block."""
-    best = 0
+    return _expand(adj, block, 0, 0)
 
-    def color_order(cand: int) -> list[tuple[int, int]]:
-        # greedy partition of cand into stable sets; returns (vertex, class-no)
-        order = []
-        color = 0
-        rest = cand
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append((v, color))
-                rest ^= 1 << v
-                avail &= ~adj[v]
-                avail ^= 1 << v
-        return order
 
-    def expand(cand: int, size: int) -> None:
-        nonlocal best
-        order = color_order(cand)
-        for v, bound in reversed(order):
-            if size + bound <= best:
-                return
-            newcand = cand & adj[v]
-            if newcand:
-                expand(newcand, size + 1)
-            elif size + 1 > best:
-                best = size + 1
-            cand ^= 1 << v
+def _color_order(adj, cand: int) -> list[tuple[int, int]]:
+    # greedy partition of cand into stable sets; returns (vertex, class-no)
+    order = []
+    color = 0
+    rest = cand
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            v = (avail & -avail).bit_length() - 1
+            order.append((v, color))
+            rest ^= 1 << v
+            avail &= ~adj[v]
+            avail ^= 1 << v
+    return order
 
-    expand(block, 0)
+
+def _expand(adj, cand: int, size: int, best: int) -> int:
+    """The larger of best and size plus the clique number of cand, by branch
+    and bound with the greedy coloring bound."""
+    for v, bound in reversed(_color_order(adj, cand)):
+        if size + bound <= best:
+            return best
+        newcand = cand & adj[v]
+        if newcand:
+            best = _expand(adj, newcand, size + 1, best)
+        elif size + 1 > best:
+            best = size + 1
+        cand ^= 1 << v
     return best
 
 
 def _colorable(g: Graph, k: int) -> dict[int, int] | None:
     """DSATUR-ordered backtracking: a proper k-coloring or None."""
-    n = g.n
-    adj = g.adj
-    colors = [0] * n
-    neigh_colors: list[set[int]] = [set() for _ in range(n)]
-
-    def pick() -> int:
-        cand, key = -1, (-1, -1, 0)
-        for v in range(n):
-            if colors[v]:
-                continue
-            k2 = (len(neigh_colors[v]), adj[v].bit_count(), -v)
-            if k2 > key:
-                cand, key = v, k2
-        return cand
-
-    def go(colored: int, maxused: int) -> bool:
-        if colored == n:
-            return True
-        v = pick()
-        for c in range(1, min(maxused + 1, k) + 1):
-            if c in neigh_colors[v]:
-                continue
-            colors[v] = c
-            touched = []
-            for u in _bits(adj[v]):
-                if not colors[u] and c not in neigh_colors[u]:
-                    neigh_colors[u].add(c)
-                    touched.append(u)
-            if go(colored + 1, max(maxused, c)):
-                return True
-            for u in touched:
-                neigh_colors[u].discard(c)
-            colors[v] = 0
-        return False
-
-    if go(0, 0):
-        return {v: colors[v] for v in range(n)}
+    colors = [0] * g.n
+    if _dsatur(g.adj, k, colors, [set() for _ in range(g.n)], 0, 0):
+        return dict(enumerate(colors))
     return None
+
+
+def _dsatur(adj, k: int, colors: list[int], neigh_colors: list[set], colored: int, maxused: int) -> bool:
+    """Extend the partial coloring colors (0: uncolored) to a proper one
+    with colors up to k, trying the uncolored vertex of most distinct
+    neighbour colors, then highest degree, then lowest label."""
+    n = len(adj)
+    if colored == n:
+        return True
+    v = max((u for u in range(n) if not colors[u]),
+            key=lambda u: (len(neigh_colors[u]), adj[u].bit_count(), -u))
+    for c in range(1, min(maxused + 1, k) + 1):
+        if c in neigh_colors[v]:
+            continue
+        colors[v] = c
+        touched = []
+        for u in _bits(adj[v]):
+            if not colors[u] and c not in neigh_colors[u]:
+                neigh_colors[u].add(c)
+                touched.append(u)
+        if _dsatur(adj, k, colors, neigh_colors, colored + 1, max(maxused, c)):
+            return True
+        for u in touched:
+            neigh_colors[u].discard(c)
+        colors[v] = 0
+    return False
 
 
 def exact_coloring(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> dict[int, int]:
@@ -510,7 +502,8 @@ def exact_chromatic_number(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     return max(exact_coloring(g, limit).values())
 
 
-def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(adj: tuple[int, ...], cells: list[list[int]],
+            splitters: list[list[int]] | None = None) -> list[list[int]]:
     """Coarsest equitable refinement of an ordered partition.
 
     Cells split by how many neighbors each vertex has in every current cell;
@@ -521,8 +514,12 @@ def _refine(adj: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
     that split last round, less the last piece of each. Within a cell every
     other count is equal, and a last piece's count is fixed by the pieces
     before it, so the groups and their order are those of all the counts.
+    By the same argument the first round counts only against splitters
+    when given: a caller that splits one cell of an equitable partition
+    into [v] and the rest passes [[v]].
     """
-    splitters = cells
+    if splitters is None:
+        splitters = cells
     while splitters:
         masks = [_mask(cell) for cell in splitters]
         out: list[list[int]] = []
@@ -557,28 +554,25 @@ def _find_fixed_pattern(g: Graph, pat: Graph, masks: list[int]) -> tuple[int, ..
     the lex-least, the one plain backtracking finds. Nothing is kept
     between calls. The empty pattern places as ().
     """
-    k = pat.n
-    if g.n < k:
+    if g.n < pat.n:
         return None
-    gadj = g.adj
-    padj = pat.adj
-    chosen = [0] * k
+    chosen = [0] * pat.n
+    return tuple(chosen) if not pat.n or _place(g.adj, pat.adj, chosen, 0, masks) else None
 
-    def place(pos: int, masks: list[int]) -> bool:
-        # masks[j - pos]: the candidates for pattern vertex j >= pos
-        later = padj[pos] >> pos + 1  # bit j - pos - 1: j ~ pos in pat
-        for v in _bits(masks[0]):
-            chosen[pos] = v
-            if pos + 1 == k:
-                return True
-            near = gadj[v]
-            far = ~(near | 1 << v)
-            rest = [m & (near if later >> j & 1 else far) for j, m in enumerate(masks[1:])]
-            if all(rest) and place(pos + 1, rest):
-                return True
-        return False
 
-    return tuple(chosen) if not k or place(0, masks) else None
+def _place(gadj, padj, chosen: list[int], pos: int, masks: list[int]) -> bool:
+    # masks[j - pos]: the candidates for pattern vertex j >= pos
+    later = padj[pos] >> pos + 1  # bit j - pos - 1: j ~ pos in pat
+    for v in _bits(masks[0]):
+        chosen[pos] = v
+        if pos + 1 == len(chosen):
+            return True
+        near = gadj[v]
+        far = ~(near | 1 << v)
+        rest = [m & (near if later >> j & 1 else far) for j, m in enumerate(masks[1:])]
+        if all(rest) and _place(gadj, padj, chosen, pos + 1, rest):
+            return True
+    return False
 
 
 def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:

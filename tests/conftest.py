@@ -18,7 +18,8 @@ cover search has its plain form too: one search per cover size, cut only
 when the deficit exceeds four per remaining set. Isomorphism has its own
 backtracking over the refinement cells, which checks each vertex only
 against the vertices already mapped and never reaches the library's
-placement engine.
+placement engine. The trace interpreter has its eager form, in which every
+cutset merge copies the right-hand coloring under the permutation.
 """
 
 import heapq
@@ -28,7 +29,7 @@ import pytest
 
 from p7c4.coloring import _petersen_maximal_independent_sets
 from p7c4.families import petersen
-from p7c4.graphs import Graph, _bits, induced_subgraph, is_clique
+from p7c4.graphs import Graph, GraphError, _bits, induced_subgraph, is_clique
 from p7c4.patterns import pattern_graph
 
 
@@ -307,6 +308,49 @@ def reference_min_multicover(weights) -> list[tuple[int, ...]]:
         if got is not None:
             return got
     return upper
+
+
+def reference_replay(trace) -> dict[int, int]:
+    """Re-execute a derivation trace; returns the reconstructed assignment."""
+    stack: list[dict[int, int]] = []
+    try:
+        for step in trace:
+            _reference_apply(stack, step)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise GraphError(f"malformed trace: {exc!r}") from exc
+    if len(stack) != 1:
+        raise GraphError("trace does not reduce to a single coloring")
+    return stack[0]
+
+
+def _reference_apply(stack: list[dict[int, int]], step: dict) -> None:
+    """Execute one trace step on a stack of block colorings, in place."""
+    kind = step["step"]
+    if kind == "eliminate-vertex":
+        stack[-1][step["vertex"]] = step["color"]
+    elif kind == "cutset-merge":
+        right = stack.pop()
+        left = stack[-1]
+        perm = dict(step["permutation"])
+        merged = {v: perm[c] for v, c in right.items()}
+        if any(merged[v] != left[v] for v in step["cutset"]):
+            raise GraphError("cutset colors disagree on replay")
+        merged.update(left)
+        stack[-1] = merged
+    elif kind in ("clique-base", "blowup-color"):
+        stack.append(dict(step["assignment"]))
+    elif kind == "peel":
+        stack[-1].update(step["assignment"])
+    elif kind == "components-merge":
+        count = step["count"]
+        if not 1 <= count <= len(stack):
+            raise GraphError(f"components-merge of {count!r} colorings with {len(stack)} on the stack")
+        merged = {}
+        for part in stack[-count:]:
+            merged.update(part)
+        stack[-count:] = [merged]
+    else:
+        raise GraphError(f"unknown trace step {kind!r}")
 
 
 def reference_mcsm(g: Graph) -> tuple[list[int], list[int]]:

@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from conftest import reference_min_multicover, spider
+from conftest import reference_min_multicover, reference_replay, spider, windmill
 from p7c4 import coloring
 from p7c4.coloring import (
     ColoringCertificate,
@@ -190,6 +190,21 @@ def test_merge_rejects_improper_blocks():
         _cutset_permutation({0: 1, 1: 1}, {0: 1, 1: 2, 2: 1}, [0, 1])
     with pytest.raises(GraphError):
         _cutset_permutation({0: 1, 1: 2}, {0: 2, 1: 2, 2: 1}, [0, 1])
+
+
+def test_cutset_permutation_reads_a_color_table():
+    # a block whose colors {1, 2} were moved to {2, 3} by a merge that kept
+    # its dict: the permutation is the one of its plain copy
+    stack = []
+    for step in ({"step": "clique-base", "assignment": [(0, 3), (1, 2)]},
+                 {"step": "clique-base", "assignment": [(v, 2 - v % 2) for v in range(1, 13)]},
+                 {"step": "cutset-merge", "cutset": [1], "permutation": [(1, 2), (2, 3)]},
+                 {"step": "clique-base", "assignment": [(1, 4), (2, 1), (30, 2)]}):
+        coloring._apply(stack, step)
+    recolored, block = stack
+    assert type(recolored) is coloring._Recolored and sorted(recolored.table.values()) == [2, 3]
+    assert _cutset_permutation(block, recolored, [1, 2]) == [(2, 4), (3, 1)]
+    assert _cutset_permutation(block, recolored.plain(), [1, 2]) == [(2, 4), (3, 1)]
 
 
 def test_structural_contradiction_surfaces_loudly():
@@ -440,3 +455,145 @@ def test_every_interpreted_step_kind_is_pinned():
                 kinds |= {c.value for c in ast.walk(other) if isinstance(c, ast.Constant)}
     assert kinds == {s["step"] for s in EVERY_STEP_KIND}
 
+
+
+def _replay_agrees(trace) -> bool:
+    """replay_trace and the eager reference give equal dicts, values of equal
+    types in equal insertion order, or both raise GraphError; True if the
+    trace replays."""
+    try:
+        want = [(v, c, type(c)) for v, c in reference_replay(trace).items()]
+    except GraphError:
+        with pytest.raises(GraphError):
+            replay_trace(trace)
+        return False
+    assert [(v, c, type(c)) for v, c in replay_trace(trace).items()] == want, trace
+    return True
+
+
+_ODD_COLORS = (0, -1, 1.0, True, "1", None, [1])
+
+
+def _mutant(trace: list, n: int, rng: Random) -> list:
+    """A copy of trace with one seeded change: a permutation pair, a color,
+    a dropped or swapped step, or a replaced cutset vertex."""
+    t = json.loads(json.dumps(trace))
+    merges = [s for s in t if s["step"] == "cutset-merge"]
+    colored = [s for s in t if "assignment" in s or "color" in s]
+    top = max([c for s in colored for c in ([s["color"]] if "color" in s else [c for _, c in s["assignment"]])])
+
+    def color():
+        return rng.choice(_ODD_COLORS) if rng.random() < 0.2 else rng.randint(1, top + 1)
+
+    kind = rng.choice(["pair", "color", "drop", "swap", "cutset"] if merges else ["color", "drop", "swap"])
+    if kind == "pair":
+        pair = rng.choice(rng.choice(merges)["permutation"])
+        pair[rng.randint(0, 1)] = color()
+    elif kind == "color":
+        step = rng.choice(colored)
+        if "color" in step:
+            step["color"] = color()
+        else:
+            rng.choice(step["assignment"])[1] = color()
+    elif kind == "drop":
+        del t[rng.randrange(len(t))]
+    elif kind == "swap" and len(t) > 1:
+        i = rng.randrange(len(t) - 1)
+        t[i], t[i + 1] = t[i + 1], t[i]
+    elif kind == "cutset":
+        cutset = rng.choice(merges)["cutset"]
+        cutset[rng.randrange(len(cutset))] = rng.randrange(n)
+    return t
+
+
+def test_replay_matches_the_eager_reference_on_the_corpus():
+    # every _color trace of the COLOR_DIGEST corpus, then four seeded
+    # mutants of each trace on 6 or 7 vertices
+    rng = Random(30)
+    replayed = mutants = 0
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            for class_name in COLORERS:
+                try:
+                    _, _, steps = _color(g, g.full_mask(), class_name)
+                except StructuralContradiction:
+                    continue
+                assert _replay_agrees(steps)
+                replayed += 1
+                for _ in range(4 if n >= 6 else 0):
+                    mutants += _replay_agrees(_mutant(steps, n, rng))
+    assert replayed == 3467 and mutants > 1000
+
+
+@pytest.mark.parametrize("g", [spider(40), windmill(40), clique_blowup(cycle_graph(7), [3, 2, 4, 2, 3, 2, 3])],
+                         ids=["spider40", "windmill40", "C7-blowup"])
+def test_replay_matches_the_eager_reference_on_mutated_spines(g):
+    # mutants of traces whose merges keep the right coloring's dict; the
+    # C7 blowup is a member of the gem class only
+    rng = Random(g.n)
+    for colorer in COLORERS.values():
+        try:
+            trace = list(colorer(g).trace)
+        except GraphError:
+            continue
+        assert _replay_agrees(trace)
+        for _ in range(60):
+            _replay_agrees(_mutant(trace, g.n, rng))
+
+
+@pytest.mark.parametrize("g", [spider(255), windmill(255)], ids=["spider255", "windmill255"])
+def test_replay_matches_the_eager_reference_at_the_cap(g):
+    for colorer in COLORERS.values():
+        assert _replay_agrees(colorer(g).trace)
+
+
+_LEFT = {"step": "clique-base", "assignment": [(0, 1), (1, 2)]}
+_RIGHT = {"step": "clique-base", "assignment": [(v, 2 - v % 2) for v in range(1, 13)]}
+
+
+def _merge(perm, cutset=(1,)):
+    return {"step": "cutset-merge", "cutset": list(cutset), "permutation": perm}
+
+
+# traces whose right coloring holds more than twice as many vertices as the
+# left one and the permutation have entries, at each point where the color
+# table cannot hold a merge or a write
+TABLE_LIMITS = {
+    "non-int-color": [_LEFT, _RIGHT, _merge([(1, "2"), (2, 1)], ())],
+    "bool-color": [_LEFT, _RIGHT, _merge([(1, True), (2, 2)], ())],
+    "unhashable-color": [_LEFT, _RIGHT, _merge([(1, [2]), (2, 1)], ())],
+    "not-one-to-one": [_LEFT, _RIGHT, _merge([(1, 2), (2, 2)])],
+    "extra-pairs": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1), (7, 7)])],
+    "missing-color": [_LEFT, _RIGHT, _merge([(1, 2)])],
+    "cutset-disagrees": [_LEFT, _RIGHT, _merge([(1, 1), (2, 2)])],
+    "left-recolors-right": [{"step": "clique-base", "assignment": [(0, 1), (1, 2), (3, 1)]}, _RIGHT,
+                            _merge([(1, 2), (2, 1)])],
+    "new-color-from-left": [{"step": "clique-base", "assignment": [(0, 3), (1, 2)]}, _RIGHT,
+                            _merge([(1, 2), (2, 1)])],
+    "equal-colors-of-two-types": [_LEFT, {"step": "clique-base", "assignment": [(1, 1), (2, 1.0)] + [
+                                      (v, 2) for v in range(3, 13)]}, _merge([(1, 2), (2, 1)])],
+    "eliminate-then-recolor": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1)]),
+                               {"step": "eliminate-vertex", "vertex": 20, "color": 4},
+                               {"step": "eliminate-vertex", "vertex": 2, "color": 3}],
+    "eliminate-a-float": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1)]),
+                          {"step": "eliminate-vertex", "vertex": 21, "color": 2.0}],
+    "left-of-bools": [{"step": "clique-base", "assignment": [(0, True), (1, 2)]}, _RIGHT, _merge([(1, 2), (2, 1)])],
+    "peel-onto-table": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1)]),
+                        {"step": "peel", "assignment": [(20, 5), (2, 1), (20, 6), (0, 4)]}],
+    "peel-a-dict": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1)]), {"step": "peel", "assignment": {20: 5}}],
+    "two-tables-composed": [_LEFT, _LEFT, _RIGHT, _merge([(1, 2), (2, 1)]), _merge([(1, 1), (2, 2), (3, 3)]),
+                            {"step": "clique-base", "assignment": [(30, 1)]},
+                            {"step": "components-merge", "count": 2}],
+    "table-as-left": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1)]),
+                      {"step": "clique-base", "assignment": [(2, 5), (20, 6)]}, _merge([(5, 1), (6, 3)], (2,))],
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_LIMITS))
+def test_replay_matches_the_eager_reference_at_the_table_limits(name):
+    _replay_agrees(TABLE_LIMITS[name])
+
+
+def test_malformed_traces_fail_in_the_reference_too():
+    for trace in MALFORMED_TRACES.values():
+        assert not _replay_agrees(trace)

@@ -4,13 +4,15 @@ blowups must be recognised about as fast as their base graphs."""
 
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
 
 from p7c4 import coloring
 from p7c4.cli import cli_main
-from p7c4.coloring import color_diamond_class, color_gem_class, color_kite_class, validate_certificate
+from p7c4.coloring import (color_diamond_class, color_gem_class, color_kite_class, replay_trace,
+                           validate_certificate)
 from p7c4.families import petersen
 from p7c4.graphs import (Graph, clique_blowup, complete_graph, cycle_graph, empty_graph, find_isomorphism,
                          induced_subgraph, path_graph)
@@ -18,7 +20,7 @@ from p7c4.patterns import class_membership
 from p7c4 import structure
 from p7c4.structure import COLORING_BOUNDS, CliqueCutsetSplit, _mcsm as mcsm, _splits as splits, decompose_into_atoms, validate_split
 
-from conftest import spider
+from conftest import spider, windmill
 
 
 def _validate_tree(g, tree) -> int:
@@ -149,3 +151,41 @@ def test_isomorphism_at_the_cap(g):
     iso = find_isomorphism(g, h)
     assert sorted(iso) == sorted(iso.values()) == list(range(g.n))
     assert all(h.has_edge(iso[u], iso[v]) for u, v in g.edges())
+
+
+@pytest.mark.parametrize("g", [spider(255), windmill(255)], ids=["spider255", "windmill255"])
+def test_cap_size_spines_color_and_replay(g):
+    # 509 or 508 cutset merges on one right spine, under every class; the
+    # trace replays after a JSON round trip, under the default recursion limit
+    assert sys.getrecursionlimit() <= 1000
+    for color in (color_diamond_class, color_kite_class, color_gem_class):
+        cert = color(g)
+        validate_certificate(g, cert)
+        trace = json.loads(json.dumps(cert.to_json()))["trace"]
+        assert list(replay_trace(trace).items()) == list(cert.assignment.items())
+
+
+@pytest.mark.parametrize("g, merges", [(spider(255), 509), (windmill(255), 508)], ids=["spider255", "windmill255"])
+def test_spine_merges_keep_the_larger_coloring(g, merges):
+    # a merge whose right coloring holds more than twice as many vertices
+    # as the left one and the permutation have entries keeps right's dict
+    # and recolors its table, which stays as small as the palette; any
+    # other merge copies right
+    stack, seen, kept = [], 0, 0
+    for step in color_gem_class(g).trace:
+        if step["step"] == "cutset-merge":
+            right, left = stack[-1], stack[-2]
+            held = right if type(right) is dict else right.stored
+            larger = len(right) > 2 * (len(left) + len(step["permutation"]))
+        coloring._apply(stack, step)
+        if step["step"] != "cutset-merge":
+            continue
+        merged = stack[-1]
+        seen += 1
+        if larger:
+            assert merged.stored is held
+            assert sorted(merged.table.values()) == sorted(set(merged.plain().values()))
+            kept += 1
+        else:
+            assert type(merged) is dict and merged is not held
+    assert seen == merges and merges - 10 < kept < merges

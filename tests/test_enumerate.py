@@ -150,9 +150,9 @@ def test_star_canonical_form_refines_linearly(k, monkeypatch):
     real = enumerate_module._refine
     calls = []
 
-    def counting(adj, cells):
+    def counting(adj, cells, *splitters):
         calls.append(1)
-        return real(adj, cells)
+        return real(adj, cells, *splitters)
 
     monkeypatch.setattr(enumerate_module, "_refine", counting)
     assert canonical_form(_star(k)).degrees() == (1,) * k + (k,)

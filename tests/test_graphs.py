@@ -396,3 +396,47 @@ def test_refinement_by_splitters_matches_the_reference():
                 starts.append(cells if shuffled else [sorted(c) for c in cells])
             for cells in starts:
                 assert _refine(g.adj, cells) == reference_refine(g.adj, cells), (write_graph6(g), cells)
+
+
+def test_refinement_from_one_splitter_matches_the_reference():
+    # the canonical search's step: one cell of an equitable partition split
+    # into [v] and the rest, refined against [v] alone
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            equitable = reference_refine(g.adj, [list(range(n))])
+            for i, cell in enumerate(equitable):
+                for v in cell if len(cell) > 1 else ():
+                    cells = [*equitable[:i], [v], [u for u in cell if u != v], *equitable[i + 1:]]
+                    assert _refine(g.adj, cells, [[v]]) == reference_refine(g.adj, cells), (write_graph6(g), v)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # each backtracking search recurses through a module-level function, so
+    # a call leaves no reference cycle for the collector
+    import gc
+
+    from p7c4.coloring import _min_multicover
+    from p7c4.enumerate import _has_induced_p7_through, canonical_permutation
+
+    pet, c40, p8 = petersen(), cycle_graph(40), path_graph(8)
+    calls = {
+        "isomorphic": lambda: isomorphic(c40, c40),
+        "canonical_permutation": lambda: canonical_permutation(pet),
+        "p7_through": lambda: _has_induced_p7_through(p8.adj, 0),
+        "max_clique_size": lambda: max_clique_size(pet),
+        "exact_chromatic_number": lambda: exact_chromatic_number(pet),
+        "min_multicover": lambda: _min_multicover((2, 3, 1, 2, 2, 3, 2, 1, 2, 2)),
+    }
+    for call in calls.values():  # fill the module caches first
+        call()
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            for _ in range(10):
+                call()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
