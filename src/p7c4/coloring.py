@@ -15,11 +15,8 @@ replayable trace of derivation steps, whose every mapping is a list of
 pairs, so a trace read back from JSON replays as it is. _apply alone
 executes a step: replay_trace folds it over a trace, and _color runs each
 step it decides through it, so the assignment is the trace's replay by
-construction. A cutset merge costs O(|left| + colors) on the cheaper side:
-when the right coloring holds more than twice as many vertices as the left
-one and the permutation have entries, the permutation is composed into a
-color table the right coloring carries (_Recolored) and the left one is
-written into its dict; otherwise the right one is copied, O(|right|).
+construction. A cutset merge renames the colors of its left coloring, an
+atom's, and writes them into the right coloring's dict, in O(|left|).
 
 If a certified class member reaches a state where no theorem case applies,
 that falsifies the underlying structure theorem; it is raised loudly as
@@ -87,7 +84,7 @@ def validate_certificate(g: Graph, cert: ColoringCertificate) -> None:
 
 def replay_trace(trace) -> dict[int, int]:
     """Re-execute a derivation trace; returns the reconstructed assignment."""
-    stack: list = []
+    stack: list[dict[int, int]] = []
     try:
         for step in trace:
             _apply(stack, step)
@@ -95,143 +92,34 @@ def replay_trace(trace) -> dict[int, int]:
         raise GraphError(f"malformed trace: {exc!r}") from exc
     if len(stack) != 1:
         raise GraphError("trace does not reduce to a single coloring")
-    return _plain(stack[0])
+    return stack[0]
 
 
-class _Recolored:
-    """A block coloring under a pending color table: vertex v has the real
-    color table[stored[v]]. The table holds exactly the stored colors in
-    use, so composing a permutation into it fails, as copying would, when a
-    color in use is missing, and its values are the palette. inv gives a
-    stored color for each real one, so the table stays as small as the
-    palette. It reads like a dict of real colors; absorb writes to it.
-    """
-
-    __slots__ = ("stored", "table", "inv")
-
-    def __init__(self, coloring: dict) -> None:
-        colors = set(coloring.values())
-        self.stored, self.table, self.inv = coloring, dict(zip(colors, colors)), None
-
-    def recolor(self, perm: dict) -> bool:
-        """Each real color c replaced by perm[c], or False, with nothing
-        changed, if one of them is not an int (inv would take 1.0 or True
-        for 1)."""
-        table, inv = {}, {}
-        for s, c in self.table.items():
-            c = perm[c]
-            if type(c) is not int:
-                return False
-            table[s] = c
-            inv[c] = s
-        self.table, self.inv = table, inv
-        return True
-
-    def __len__(self) -> int:
-        return len(self.stored)
-
-    def __getitem__(self, v) -> int:
-        return self.table[self.stored[v]]
-
-    def keys(self):
-        return self.stored.keys()
-
-    def items(self):
-        table = self.table
-        return ((v, table[s]) for v, s in self.stored.items())
-
-    def plain(self) -> dict[int, int]:
-        table = self.table
-        return {v: table[s] for v, s in self.stored.items()}
-
-    def absorb(self, new) -> bool:
-        """new's real colors written as a dict update would write them, or
-        False, part way, at the first the table cannot hold: a color that is
-        not an int, or a vertex that changes color (its stored color could
-        fall out of use)."""
-        stored, table, inv = self.stored, self.table, self.inv
-        for v, c in new.items():
-            if type(c) is not int:
-                return False
-            old = stored.get(v, _NEW)
-            if old is not _NEW:
-                if table[old] != c:
-                    return False
-                continue
-            s = inv.get(c, _NEW)
-            if s is _NEW:
-                s = inv[c] = object()
-                table[s] = c
-            stored[v] = s
-        return True
-
-
-_NEW = object()
-
-
-def _plain(coloring) -> dict[int, int]:
-    return coloring if type(coloring) is dict else coloring.plain()
-
-
-def _recolor(coloring, perm: dict, beside: int):
-    """coloring with each color c replaced by perm[c].
-
-    When coloring has more than twice beside + len(perm) vertices (beside:
-    the size of a cutset merge's left coloring), perm is composed into its
-    color table in O(colors) and its dict is kept; otherwise, or when a
-    composed color is not an int, it is copied. The factor 2 weighs the
-    work per entry: a copied vertex is one lookup and one store, while a
-    composed color is stored in the table and in inv, and an absorbed
-    vertex is looked up in stored and in inv before its store.
-    """
-    if len(coloring) > 2 * (beside + len(perm)):
-        lazy = coloring if type(coloring) is _Recolored else _Recolored(coloring)
-        if lazy.recolor(perm):
-            return lazy
-    return {v: perm[c] for v, c in coloring.items()}
-
-
-def _write(stack: list, new: dict) -> None:
-    """stack[-1].update(new), for new's real colors."""
-    top = stack[-1]
-    if type(top) is dict:
-        top.update(new)
-    elif not top.absorb(new):
-        stack[-1] = top.plain()
-        stack[-1].update(new)
-
-
-def _apply(stack: list, step: dict) -> None:
+def _apply(stack: list[dict[int, int]], step: dict) -> None:
     """Execute one trace step on a stack of block colorings, in place.
 
     This is the one definition of what a step means: replay_trace folds it
     over a trace, and _color runs every step it emits through it. Each
     mapping a step carries (an assignment, a permutation) is a list of pairs.
-    A block coloring is a dict, or a _Recolored one that a cutset merge
-    left: the merge costs O(|left| + colors) when right holds more than
-    twice as many vertices as left and the permutation have entries
-    (_recolor), O(|right|) otherwise.
+    A cutset merge pops the left coloring, renames its colors by the
+    permutation and writes them into the right coloring's dict: in the right
+    spine of structure._decompose the left child is an atom, so the merge
+    costs O(|left|).
     """
     kind = step["step"]
     if kind == "eliminate-vertex":
-        top = stack[-1]
-        if type(top) is dict:
-            top[step["vertex"]] = step["color"]
-        else:
-            _write(stack, {step["vertex"]: step["color"]})
+        stack[-1][step["vertex"]] = step["color"]
     elif kind == "cutset-merge":
-        right = stack.pop()
-        left = stack[-1]
+        left = stack.pop(-2)
+        right = stack[-1]
         perm = dict(step["permutation"])
-        merged = _recolor(right, perm, len(left))
-        if any(merged[v] != left[v] for v in step["cutset"]):
+        if any(perm[left[v]] != right[v] for v in step["cutset"]):
             raise GraphError("cutset colors disagree on replay")
-        stack[-1] = merged
-        _write(stack, left)
+        right.update((v, perm[c]) for v, c in left.items())
     elif kind in ("clique-base", "blowup-color"):
         stack.append(dict(step["assignment"]))
     elif kind == "peel":
-        _write(stack, dict(step["assignment"]))
+        stack[-1].update(step["assignment"])
     elif kind == "components-merge":
         count = step["count"]
         if not 1 <= count <= len(stack):
@@ -244,20 +132,20 @@ def _apply(stack: list, step: dict) -> None:
         raise GraphError(f"unknown trace step {kind!r}")
 
 
-def _cutset_permutation(left, right, cutset) -> list[tuple[int, int]]:
-    """Permutation of right's colors, as (color, new color) pairs, that agrees
-    with left on the cutset and sends right's other colors to the smallest
-    colors left free.
+def _cutset_permutation(right: dict[int, int], left: dict[int, int], cutset) -> list[tuple[int, int]]:
+    """Renaming of left's colors, as (color, new color) pairs, that agrees
+    with right on the cutset and sends left's other colors, in order, to the
+    smallest colors the cutset does not use.
 
     Requires both sides injective on the cutset, which holds whenever the
     cutset is a clique properly colored.
     """
-    perm = {right[v]: left[v] for v in cutset}
+    perm = {left[v]: right[v] for v in cutset}
     if len(perm) != len(cutset) or len(set(perm.values())) != len(cutset):
         raise GraphError("block colorings are not injective on the cutset")
     taken = set(perm.values())
     nxt = 1
-    for c in sorted(set(right.values() if type(right) is dict else right.table.values())):
+    for c in sorted(set(left.values())):
         if c in perm:
             continue
         while nxt in taken:
@@ -281,7 +169,7 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     """
     adj = g.adj
     steps: list[dict] = []
-    done: list = []
+    done: list[dict[int, int]] = []
     omega = 1
     work: list[tuple] = [("block", block)]
     while work:
@@ -294,7 +182,7 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
         elif kind == "cutset":
             cutset = list(_bits(arg))
             new = [{"step": "cutset-merge", "cutset": cutset,
-                    "permutation": _cutset_permutation(done[-2], done[-1], cutset)}]
+                    "permutation": _cutset_permutation(done[-1], done[-2], cutset)}]
         elif kind == "eliminate":
             v, budget = rest
             new = [{"step": "eliminate-vertex", "vertex": v,
@@ -324,7 +212,7 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             _apply(done, step)
         steps += new
     (assign,) = done
-    return _plain(assign), omega, steps
+    return assign, omega, steps
 
 
 def _color_clique(block: int) -> list[dict]:

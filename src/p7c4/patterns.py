@@ -217,25 +217,22 @@ def _find_induced_path(g: Graph, k: int, allowed: int) -> tuple[int, ...] | None
         return None
     at = [layers[min(p, k - 1 - p)] for p in range(k)]
     path = [0] * k
-
-    def extend(pos: int, free: int, blocked: int) -> bool:
-        # free: allowed minus the path; blocked: union of neighborhoods of
-        # path[0..pos-2]
-        last = path[pos - 1]
-        cand = adj[last] & free & ~blocked & at[pos]
-        for v in _bits(cand):
-            path[pos] = v
-            if pos + 1 == k:
-                return True
-            if extend(pos + 1, free & ~(1 << v), blocked | adj[last]):
-                return True
-        return False
-
     for start in _bits(allowed):
         path[0] = start
-        if k == 1 or extend(1, allowed & ~(1 << start), 0):
-            return tuple(path[:k])
+        if k == 1 or _extend_path(adj, at, path, 1, allowed & ~(1 << start), 0):
+            return tuple(path)
     return None
+
+
+def _extend_path(adj, at: list[int], path: list[int], pos: int, free: int, blocked: int) -> bool:
+    # fills path[pos:] from the layers at; free: allowed minus the path;
+    # blocked: union of neighborhoods of path[0..pos-2]
+    last = path[pos - 1]
+    for v in _bits(adj[last] & free & ~blocked & at[pos]):
+        path[pos] = v
+        if pos + 1 == len(path) or _extend_path(adj, at, path, pos + 1, free & ~(1 << v), blocked | adj[last]):
+            return True
+    return False
 
 
 def _search_induced_cycles(g: Graph, k: int, stop, allowed: int) -> tuple[int, ...] | None:
@@ -251,35 +248,36 @@ def _search_induced_cycles(g: Graph, k: int, stop, allowed: int) -> tuple[int, .
         return None
     adj = g.adj
     cyc = [0] * k
-
-    def extend(pos: int, free: int, blocked: int) -> bool:
-        # free: allowed minus the cycle so far; blocked: union of
-        # neighborhoods of cyc[1..pos-2]; the start vertex is handled
-        # separately since the final vertex must close the cycle
-        start = cyc[0]
-        last = cyc[pos - 1]
-        cand = adj[last] & free & ~blocked
-        if pos == k - 1:
-            cand &= adj[start]
-            cand &= ~((1 << (cyc[1] + 1)) - 1)  # mirror symmetry: c1 < c_{k-1}
-        elif pos >= 2:
-            cand &= ~adj[start]
-        # every later vertex exceeds the start in the lex-least tuple
-        cand &= ~((1 << (start + 1)) - 1)
-        for v in _bits(cand):
-            cyc[pos] = v
-            if pos + 1 == k:
-                if stop(tuple(cyc)):
-                    return True
-            elif extend(pos + 1, free & ~(1 << v), blocked | (adj[last] if pos >= 2 else 0)):
-                return True
-        return False
-
     for start in _bits(allowed):
         cyc[0] = start
-        if extend(1, allowed & ~(1 << start), 0):
+        if _extend_cycle(adj, cyc, stop, 1, allowed & ~(1 << start), 0):
             return tuple(cyc)
     return None
+
+
+def _extend_cycle(adj, cyc: list[int], stop, pos: int, free: int, blocked: int) -> bool:
+    # fills cyc[pos:]; free: allowed minus the cycle so far; blocked: union
+    # of neighborhoods of cyc[1..pos-2]; the start vertex is handled
+    # separately since the final vertex must close the cycle
+    k = len(cyc)
+    start = cyc[0]
+    last = cyc[pos - 1]
+    cand = adj[last] & free & ~blocked
+    if pos == k - 1:
+        cand &= adj[start]
+        cand &= ~((1 << (cyc[1] + 1)) - 1)  # mirror symmetry: c1 < c_{k-1}
+    elif pos >= 2:
+        cand &= ~adj[start]
+    # every later vertex exceeds the start in the lex-least tuple
+    cand &= ~((1 << (start + 1)) - 1)
+    for v in _bits(cand):
+        cyc[pos] = v
+        if pos + 1 == k:
+            if stop(tuple(cyc)):
+                return True
+        elif _extend_cycle(adj, cyc, stop, pos + 1, free & ~(1 << v), blocked | (adj[last] if pos >= 2 else 0)):
+            return True
+    return False
 
 
 def _normalize_class(class_name: str) -> str:

@@ -19,7 +19,8 @@ when the deficit exceeds four per remaining set. Isomorphism has its own
 backtracking over the refinement cells, which checks each vertex only
 against the vertices already mapped and never reaches the library's
 placement engine. The trace interpreter has its eager form, in which every
-cutset merge copies the right-hand coloring under the permutation.
+cutset merge builds a new coloring: a copy of the right-hand one with the
+left-hand one, renamed by the permutation, written over it.
 """
 
 import heapq
@@ -324,19 +325,21 @@ def reference_replay(trace) -> dict[int, int]:
 
 
 def _reference_apply(stack: list[dict[int, int]], step: dict) -> None:
-    """Execute one trace step on a stack of block colorings, in place."""
+    """Execute one trace step on a stack of block colorings, the cutset merge
+    in its eager form."""
     kind = step["step"]
     if kind == "eliminate-vertex":
         stack[-1][step["vertex"]] = step["color"]
     elif kind == "cutset-merge":
         right = stack.pop()
-        left = stack[-1]
+        left = stack.pop()
         perm = dict(step["permutation"])
-        merged = {v: perm[c] for v, c in right.items()}
-        if any(merged[v] != left[v] for v in step["cutset"]):
+        moved = {v: perm[c] for v, c in left.items()}
+        if any(moved[v] != right[v] for v in step["cutset"]):
             raise GraphError("cutset colors disagree on replay")
-        merged.update(left)
-        stack[-1] = merged
+        merged = dict(right)
+        merged.update(moved)
+        stack.append(merged)
     elif kind in ("clique-base", "blowup-color"):
         stack.append(dict(step["assignment"]))
     elif kind == "peel":

@@ -167,25 +167,19 @@ def test_cap_size_spines_color_and_replay(g):
 
 @pytest.mark.parametrize("g, merges", [(spider(255), 509), (windmill(255), 508)], ids=["spider255", "windmill255"])
 def test_spine_merges_keep_the_larger_coloring(g, merges):
-    # a merge whose right coloring holds more than twice as many vertices
-    # as the left one and the permutation have entries keeps right's dict
-    # and recolors its table, which stays as small as the palette; any
-    # other merge copies right
-    stack, seen, kept = [], 0, 0
-    for step in color_gem_class(g).trace:
-        if step["step"] == "cutset-merge":
-            right, left = stack[-1], stack[-2]
-            held = right if type(right) is dict else right.stored
-            larger = len(right) > 2 * (len(left) + len(step["permutation"]))
-        coloring._apply(stack, step)
-        if step["step"] != "cutset-merge":
-            continue
-        merged = stack[-1]
-        seen += 1
-        if larger:
-            assert merged.stored is held
-            assert sorted(merged.table.values()) == sorted(set(merged.plain().values()))
-            kept += 1
-        else:
-            assert type(merged) is dict and merged is not held
-    assert seen == merges and merges - 10 < kept < merges
+    # every merge writes its left coloring, an atom (an edge or a triangle),
+    # into the right one's own dict: right stays on the stack as the same
+    # object and gains exactly the left vertices outside the cutset, so the
+    # merges write O(n) entries in all
+    for color in (color_diamond_class, color_kite_class, color_gem_class):
+        stack, seen = [], 0
+        for step in color(g).trace:
+            if step["step"] != "cutset-merge":
+                coloring._apply(stack, step)
+                continue
+            left, right = stack[-2], stack[-1]
+            before = len(right)
+            coloring._apply(stack, step)
+            assert len(left) <= 3 and stack[-1] is right and len(right) == before + len(left) - len(step["cutset"])
+            seen += 1
+        assert seen == merges and len(stack) == 1 and len(stack[0]) == g.n

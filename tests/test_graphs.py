@@ -417,9 +417,12 @@ def test_searches_leave_no_cyclic_garbage():
 
     from p7c4.coloring import _min_multicover
     from p7c4.enumerate import _has_induced_p7_through, canonical_permutation
+    from p7c4.patterns import _find_induced_path, _search_induced_cycles
 
     pet, c40, p8 = petersen(), cycle_graph(40), path_graph(8)
     calls = {
+        "P7": lambda: _find_induced_path(p8, 7, p8.full_mask()),
+        "C4": lambda: _search_induced_cycles(pet, 4, lambda cycle: True, pet.full_mask()),
         "isomorphic": lambda: isomorphic(c40, c40),
         "canonical_permutation": lambda: canonical_permutation(pet),
         "p7_through": lambda: _has_induced_p7_through(p8.adj, 0),

@@ -1,6 +1,7 @@
-"""Every module-level import in the library is used, the package exports
-exactly its public names, a CLI subcommand loads only what it runs, and
-every function the benchmark's tracer wraps by name still exists.
+"""Every module-level import in the library is used, no closure calls
+itself, the package exports exactly its public names, a CLI subcommand
+loads only what it runs, and every function the benchmark's tracer wraps
+by name still exists.
 """
 
 import ast
@@ -39,6 +40,34 @@ def test_no_unused_module_imports(path):
 def test_unused_import_is_reported():
     source = "from .graphs import Graph, _bits\n\ndef f(g: Graph):\n    return g\n"
     assert _unused_imports(source) == ["_bits (line 1)"]
+
+
+def _self_calling_closures(source: str) -> list[str]:
+    """Functions nested inside a function that call themselves by name: each
+    call of the outer function then leaves a reference cycle (the closure's
+    cell holds the function, whose closure holds the cell) for the collector."""
+    out = []
+    for outer in ast.walk(ast.parse(source)):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == inner.name
+                    for n in ast.walk(inner)):
+                out.append(f"{outer.name}.{inner.name} (line {inner.lineno})")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_closure_calls_itself(path):
+    # a backtracking search recurses through a module-level function
+    assert _self_calling_closures(path.read_text()) == []
+
+
+def test_self_calling_closure_is_reported():
+    source = ("def f(n):\n    def go(k):\n        return k and go(k - 1)\n    def h():\n        return go(n)\n"
+              "    return h()\n\ndef g(k):\n    return k and g(k - 1)\n")
+    assert _self_calling_closures(source) == ["f.go (line 2)"]
 
 
 ORACLES = {"exact_coloring", "exact_chromatic_number", "graph_stats"}
