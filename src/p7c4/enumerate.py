@@ -1,14 +1,14 @@
 """Small-graph corpora: generation by canonical deletion with isomorph rejection.
 
-Each corpus on n vertices grows from a hereditary family on n - 1 vertices
-(all graphs, or the (P7, C4)-free graphs) by adding a vertex x in every
-possible way; connected graphs grow from all graphs. A child is kept only
-if x is the vertex a canonical rule deletes (McKay, "Isomorph-free
+all_graphs and p7c4_free_graphs on n vertices grow from their own members
+on n - 1 vertices by adding a vertex x in every possible way, and
+connected_graphs keeps the connected members of all_graphs. A child is
+kept only if x is the vertex a canonical rule deletes (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998; see _grow), and children
 are deduplicated by their canonical adjacency string, read off the same
 refinement. A (P7, C4)-free graph's absence memo (graphs) holds P7, C4
 and each of the diamond, kite and gem it is free of, proven from its
-parent's memo by searches through x, so class_members runs no search.
+parent's memo by tests through x, so class_members runs no search.
 
 Canonical forms come from adjacency-string minimization guided by iterated
 degree refinement: candidate labelings are explored cell by cell and pruned
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, _bits, _is_clique_mask, _refine, _relabel, write_graph6
+from .graphs import Graph, GraphError, _refine, _relabel, write_graph6
 from .patterns import _ABSENT_BIT, _has_pattern_through, class_third_pattern
 
 
@@ -99,31 +99,27 @@ def canonical_key(g: Graph) -> str:
     return write_graph6(canonical_form(g))
 
 
-def _extend(parent: Graph, mask: int) -> Graph:
-    n = parent.n + 1
-    adj = tuple(a | ((mask >> v & 1) << (n - 1)) for v, a in enumerate(parent.adj)) + (mask,)
-    return Graph._from_adj(n, adj)
-
-
-def _grow(n: int, parents, admits, keeps, proves=lambda parent, child: 0) -> tuple[Graph, ...]:
-    """Canonical n-vertex graphs G with keeps(G) whose vertex-deleted
-    subgraphs lie in parents(n - 1), a hereditary family.
+def _grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph, ...]:
+    """Canonical n-vertex graphs free of the patterns named in forbid whose
+    vertex-deleted subgraphs lie in parents(n - 1), a hereditary family.
 
     Each graph of parents(n - 1) gains a vertex x adjacent to the vertex set
-    of every mask; admits(parent.adj, mask), which reads no child, and
-    keeps(child) are the rest of the membership test, given the parent's.
-    A child is kept only if x is the last vertex of the last cell of the
-    refinement (graphs._refine): the canonical deletion. Refinement is
-    equivariant and its cell order canonical, so every wanted G has a
-    vertex v in that cell of its own. G - v is isomorphic to some parent,
-    whose child by v's neighbours is isomorphic to G with x, the image of
-    v, last in its cell (vertices ascend within a cell). So every class is
-    reached, and most children are rejected before keeps and the canonical
-    search, which starts from the cells the test read. Its least adjacency
-    string keys the found dict, which removes the remaining duplicates;
-    only a new key builds its canonical graph, and it gets the absence
-    memo proves(parent, child). As the parent is in the family, admits,
-    keeps and proves look only through x.
+    of every mask. A child is kept only if x is the last vertex of the last
+    cell of the refinement (graphs._refine): the canonical deletion.
+    Refinement is equivariant and its cell order canonical, so every wanted
+    G has a vertex v in that cell of its own. G - v is isomorphic to some
+    parent, whose child by v's neighbours is isomorphic to G with x, the
+    image of v, last in its cell (vertices ascend within a cell). So every
+    class is reached. The canonical search starts from the cells the test
+    read, and its least adjacency string keys found, which removes the
+    remaining duplicates.
+
+    As the parent is in the family, the child is in it iff x lies on no
+    forbidden pattern (patterns._has_pattern_through). C4 fails about half
+    the masks, so it is tested before the child is built; every other name
+    once per new key, which stays in found as None if rejected. A kept
+    graph's memo holds the forbidden names and each of the diamond, kite
+    and gem that its parent's memo holds and x lies on no copy of.
 
     Cells are ordered by degree first, so x's degree k = |mask| must be the
     largest in the child. A parent vertex keeps its degree outside the mask
@@ -135,7 +131,10 @@ def _grow(n: int, parents, admits, keeps, proves=lambda parent, child: 0) -> tup
         raise GraphError("need at least one vertex")
     if n == 1:
         return (Graph(1),)
-    found: dict[int, Graph] = {}  # canonical adjacency string -> canonical graph
+    c4 = "C4" in forbid
+    later = [name for name in forbid if name != "C4"]
+    stamp = sum(_ABSENT_BIT[name] for name in forbid)
+    found: dict[int, Graph | None] = {}  # canonical adjacency string -> canonical graph, or None
     for parent in parents(n - 1):
         adj = parent.adj
         # heavier[k]: the parent's vertices of degree above k
@@ -145,59 +144,39 @@ def _grow(n: int, parents, admits, keeps, proves=lambda parent, child: 0) -> tup
                 heavier[k] |= 1 << v
         for mask in range(1 << (n - 1)):
             k = mask.bit_count()
-            if heavier[k] & ~mask or (k and heavier[k - 1] & mask) or not admits(adj, mask):
+            if heavier[k] & ~mask or (k and heavier[k - 1] & mask) or c4 and _has_pattern_through(adj, mask, "C4"):
                 continue
-            child = _extend(parent, mask)
-            cells = _refine(child.adj, [list(range(n))])
-            if cells[-1][-1] == n - 1 and keeps(child):
-                bits, perm = _canonical_order(child.adj, cells)
-                if bits not in found:
-                    canon = found[bits] = _relabel(child.adj, perm)
-                    canon._absent = proves(parent, child)
-    return tuple(found[k] for k in sorted(found))
-
-
-def _always(*_) -> bool:
-    return True
+            child = tuple(a | (mask >> v & 1) << (n - 1) for v, a in enumerate(adj)) + (mask,)
+            cells = _refine(child, [list(range(n))])
+            if cells[-1][-1] != n - 1:
+                continue
+            bits, perm = _canonical_order(child, cells)
+            if bits in found:
+                continue
+            found[bits] = None
+            if any(_has_pattern_through(adj, mask, name) for name in later):
+                continue
+            absent = stamp
+            for name in ("diamond", "kite", "gem"):  # a diamond-free graph is kite- and gem-free
+                bit = _ABSENT_BIT[name]
+                if absent & _ABSENT_BIT["diamond"] or (parent._absent & bit & ~absent
+                                                       and not _has_pattern_through(adj, mask, name)):
+                    absent |= bit
+            canon = found[bits] = _relabel(child, perm)
+            canon._absent = absent
+    return tuple(g for _, g in sorted(found.items()) if g is not None)
 
 
 @lru_cache(maxsize=None)
 def all_graphs(n: int) -> tuple[Graph, ...]:
     """All graphs on exactly n vertices, one canonical copy per class."""
-    return _grow(n, all_graphs, _always, _always)
+    return _grow(n, all_graphs)
 
 
 @lru_cache(maxsize=None)
 def connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs on exactly n vertices, canonical copies."""
-    return _grow(n, all_graphs, _always, Graph.is_connected)
-
-
-def _new_vertex_keeps_c4_free(adj: tuple[int, ...], mask: int) -> bool:
-    # the parent with adjacency adj is C4-free, so an induced C4 of the
-    # child goes through the new vertex x, with x's two cycle neighbours in
-    # mask and the opposite vertex v outside it: so every parent vertex
-    # outside mask must see a clique inside it
-    return all(_is_clique_mask(adj, adj[v] & mask) for v in range(len(adj)) if not mask >> v & 1)
-
-
-def _has_induced_p7_through(adj: tuple[int, ...], x: int) -> bool:
-    # an induced P7 through x has three or more vertices on one side of x:
-    # grow that arm from x first, then the other arm from x. A vertex joins
-    # at end if it is off the path, sees end and sees neither the far end
-    # other nor an inner vertex (inner: the union of their neighbourhoods)
-    return any(_p7_arm(adj, w, x, 1 << x | 1 << w, 0, 2, True) for w in _bits(adj[x]))
-
-
-def _p7_arm(adj, end: int, other: int, used: int, inner: int, size: int, first: bool) -> bool:
-    if size == 7:
-        return True
-    if first and size >= 4 and _p7_arm(adj, other, end, used, inner, size, False):
-        return True
-    for w in _bits(adj[end] & ~adj[other] & ~used & ~inner):
-        if _p7_arm(adj, w, other, used | 1 << w, inner | adj[end], size + 1, first):
-            return True
-    return False
+    return tuple(g for g in all_graphs(n) if g.is_connected())
 
 
 @lru_cache(maxsize=None)
@@ -205,22 +184,10 @@ def p7c4_free_graphs(n: int) -> tuple[Graph, ...]:
     """All (P7, C4)-free graphs on exactly n vertices (hereditary closure),
     each with P7, C4 and the diamond, kite and gem it is free of proven
     absent in its memo."""
-    graphs = _grow(n, p7c4_free_graphs, _new_vertex_keeps_c4_free,
-                   lambda g: not _has_induced_p7_through(g.adj, n - 1), _absence_proofs)
+    graphs = _grow(n, p7c4_free_graphs, ("C4", "P7"))
     if n == 1:
         graphs[0]._absent = sum(_ABSENT_BIT.values())  # K1 is free of every pattern
     return graphs
-
-
-def _absence_proofs(parent: Graph, child: Graph) -> int:
-    # the parent's bits are exact, so the child is X-free iff the parent is
-    # and no X goes through x; a diamond-free child is also kite- and gem-free
-    bits = _ABSENT_BIT["P7"] | _ABSENT_BIT["C4"]
-    for name in ("diamond", "kite", "gem"):
-        if bits & _ABSENT_BIT["diamond"] or (parent._absent & _ABSENT_BIT[name]
-                                             and not _has_pattern_through(child, child.n - 1, name)):
-            bits |= _ABSENT_BIT[name]
-    return bits
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,7 @@ MODES = ("diamond", "gem")
 
 DIAMOND_PROPERTIES = ("NA-1", "NA-2", "NA-3", "NA-4", "NA-5", "NA-6")
 GEM_PROPERTIES = tuple(f"M{i}" for i in range(1, 15))
+_PROPERTIES = {"diamond": DIAMOND_PROPERTIES, "gem": GEM_PROPERTIES}
 
 
 @dataclass(frozen=True)
@@ -173,10 +174,11 @@ def _rule_violation(g: Graph, part: SevenHolePartition, rows) -> tuple[int, int]
     return None
 
 
-def _battery(g: Graph, part: SevenHolePartition, mode: str, ids) -> list[PropertyReport]:
-    """Coverage (ids[0]), then NA-3 or the pair rules, in the order of ids."""
+def _battery(g: Graph, part: SevenHolePartition, mode: str) -> list[PropertyReport]:
+    """Coverage, then NA-3 or the pair rules, in the order of the mode's properties."""
     if part.mode != mode:
         raise GraphError(f"{mode} property battery needs a {mode}-mode partition")
+    ids = _PROPERTIES[mode]
     bad = min(part.unclassified, default=None)
     reports = [PropertyReport(ids[0], bad is None, None if bad is None else (bad,))]
     for pid in ids[1:]:
@@ -191,12 +193,12 @@ def _battery(g: Graph, part: SevenHolePartition, mode: str, ids) -> list[Propert
 
 def check_diamond_properties(g: Graph, part: SevenHolePartition) -> list[PropertyReport]:
     """Evaluate NA-1..NA-6 on a diamond-mode partition."""
-    return _battery(g, part, "diamond", DIAMOND_PROPERTIES)
+    return _battery(g, part, "diamond")
 
 
 def check_gem_properties(g: Graph, part: SevenHolePartition) -> list[PropertyReport]:
     """Evaluate M1..M14 on a gem-mode partition."""
-    return _battery(g, part, "gem", GEM_PROPERTIES)
+    return _battery(g, part, "gem")
 
 
 def _locate(part: SevenHolePartition, v: int) -> tuple[str, int] | None:
@@ -208,10 +210,11 @@ def _locate(part: SevenHolePartition, v: int) -> tuple[str, int] | None:
 
 
 def recheck_counterexample(g: Graph, part: SevenHolePartition, report: PropertyReport) -> bool:
-    """Confirm that a failing report's tuple really violates its property."""
-    if report.holds or report.counterexample is None:
-        return False
+    """Confirm that a failing report's tuple really violates its property,
+    one of the properties of the partition's mode."""
     pid, ce = report.property_id, report.counterexample
+    if report.holds or ce is None or pid not in _PROPERTIES[part.mode]:
+        return False
     if pid in ("NA-1", "M1"):
         return ce[0] in part.unclassified
     if len(ce) != 2 or ce[0] == ce[1]:
@@ -226,7 +229,7 @@ def recheck_counterexample(g: Graph, part: SevenHolePartition, report: PropertyR
     return any(
         pu[0] in s and pv[0] in t and (pv[1] - pu[1]) % 7 in offsets
         and (adjacent is None or g.has_edge(u, v) == adjacent)
-        for s, t, offsets, adjacent in _PAIR_RULES.get(pid, ())
+        for s, t, offsets, adjacent in _PAIR_RULES[pid]
     )
 
 

@@ -7,8 +7,10 @@ always the lexicographically least one, which keeps outputs deterministic.
 Paths and holes have their own searches here. The diamond, kite, gem and
 bull are placed by graphs._find_fixed_pattern, the library's one search for
 an induced placement of a fixed graph, which find_isomorphism also runs.
+_has_pattern_through is the generator's one test of whether a new vertex
+lies on a copy of a pattern.
 
-Each search runs only on the m lowest vertices of every true-twin class of
+Each witness search runs on the m lowest vertices of every true-twin class of
 the graph (vertices with the same closed neighborhood), where m is the size
 of the pattern's largest true-twin class: 1 for paths, holes, the gem and
 the bull, 2 for the diamond and the kite. This loses no witness. Let W be
@@ -19,9 +21,7 @@ also for its canonical tuple. So W takes an initial segment of each twin
 class, and the pattern vertices that land in one class are twins inside
 the pattern, so there are at most m of them. The search therefore returns
 the same witness, or None, as a search over all vertices would, and clique
-blowups cost about as much as their base graph. A search for a copy
-through a given vertex x keeps the other vertices to the same
-representatives: a copy vertex other than x swaps for a lower twin.
+blowups cost about as much as their base graph.
 
 The path search also keeps each position of the path to a layer of the
 allowed mask. Layer 0 is the mask, and layer j holds the vertices of layer
@@ -57,6 +57,8 @@ from .graphs import (
     GraphError,
     _bits,
     _find_fixed_pattern,
+    _is_clique_mask,
+    _place,
     _relabel,
     _true_twin_classes,
     _twin_representatives,
@@ -170,19 +172,46 @@ def find_hole(g: Graph, k: int) -> PatternWitness | None:
     return find_induced_pattern(g, f"hole({k})")
 
 
-def _has_pattern_through(g: Graph, x: int, name: str) -> bool:
-    """Whether x lies on an induced copy of the named fixed pattern. x is a
+def _has_pattern_through(adj: tuple[int, ...], near: int, name: str) -> bool:
+    """Whether a vertex x added to the graph with rows adj, as vertex
+    len(adj) adjacent to the vertices of near, lies on an induced C4, P7,
+    diamond, kite or gem (name). x's row is near; no test needs bit x in
+    another row.
+
+    x is on a C4 iff a vertex outside N[x] sees two non-adjacent
+    neighbours of x; a P7 is grown from x arm by arm (_p7_arm). x is a
     middle vertex of a diamond iff two adjacent neighbours of x differ in
     their closed neighbourhoods inside N(x), and an end iff two adjacent
-    neighbours have a common neighbour outside N[x]. Other patterns are
-    placed with x first, once per orbit of their vertices."""
-    adj = g.adj
-    near = adj[x]
+    neighbours have a common neighbour outside N[x]. The kite and gem are
+    placed with x first, once per orbit of their vertices.
+    """
+    if name == "C4":
+        return not all(_is_clique_mask(adj, adj[v] & near) for v in range(len(adj)) if not near >> v & 1)
     if name == "diamond":
-        return any(adj[w] & near | 1 << w != adj[u] & near | 1 << u or adj[u] & adj[w] & ~near & ~(1 << x)
+        return any(adj[w] & near | 1 << w != adj[u] & near | 1 << u or adj[u] & adj[w] & ~near
                    for u in _bits(near) for w in _bits(adj[u] & near))
-    rest = _twin_representatives(adj, _largest_twin_class(pattern_graph(name)))
-    return any(_find_fixed_pattern(g, pat, [1 << x] + [rest] * (pat.n - 1)) for pat in _anchored_copies(name))
+    x = len(adj)
+    rows = adj + (near,)
+    if name == "P7":
+        return any(_p7_arm(rows, w, x, 1 << x | 1 << w, 0, 2, True) for w in _bits(near))
+    rest = (1 << x) - 1
+    return any(_place(rows, pat.adj, [0] * pat.n, 0, [1 << x] + [rest] * (pat.n - 1))
+               for pat in _anchored_copies(name))
+
+
+def _p7_arm(adj, end: int, other: int, used: int, inner: int, size: int, first: bool) -> bool:
+    # an induced P7 through x has three or more vertices on one side of x:
+    # grow that arm from x first, then the other arm from x. A vertex joins
+    # at end if it is off the path, sees end and sees neither the far end
+    # other nor an inner vertex (inner: the union of their neighbourhoods)
+    if size == 7:
+        return True
+    if first and size >= 4 and _p7_arm(adj, other, end, used, inner, size, False):
+        return True
+    for w in _bits(adj[end] & ~adj[other] & ~used & ~inner):
+        if _p7_arm(adj, w, other, used | 1 << w, inner | adj[end], size + 1, first):
+            return True
+    return False
 
 
 @lru_cache(maxsize=None)

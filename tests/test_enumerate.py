@@ -1,12 +1,12 @@
 import hashlib
+from collections import Counter
 
 import pytest
 
 import p7c4.enumerate as enumerate_module
-from conftest import brute_has_pattern, brute_p7_cover, reference_canonical_permutation
+from conftest import brute_has_pattern, reference_canonical_permutation
 from p7c4.enumerate import (
     _canonical_order,
-    _has_induced_p7_through,
     all_graphs,
     canonical_form,
     canonical_key,
@@ -170,12 +170,22 @@ def test_generator_stamps_exactly_the_absent_patterns():
                 assert proven == (find_induced_pattern(fresh, name) is None), (write_graph6(g), name)
 
 
-@pytest.mark.parametrize("n", [7, 8])
-def test_anchored_p7_search_matches_bruteforce(n):
-    for g in connected_graphs(n):
-        cover = brute_p7_cover(g)
-        for x in range(n):
-            assert _has_induced_p7_through(g.adj, x) == bool(cover >> x & 1), (write_graph6(g), x)
+def test_generator_tests_each_pattern_once_per_key(monkeypatch):
+    # C4 is decided on each mask before the child is built, and never again;
+    # P7 once per new canonical key: 3,121 kept and 20 rejected for n <= 8
+    for n in range(1, 9):
+        p7c4_free_graphs(n)
+    tested = Counter()
+    real = enumerate_module._has_pattern_through
+
+    def counting(adj, near, name):
+        tested[name] += 1
+        return real(adj, near, name)
+
+    monkeypatch.setattr(enumerate_module, "_has_pattern_through", counting)
+    for n in range(1, 9):
+        assert p7c4_free_graphs.__wrapped__(n) == p7c4_free_graphs(n)
+    assert (tested["C4"], tested["P7"]) == (16250, 3141)
 
 
 def test_canonical_form_is_isomorphic_relabeling(small_graphs):

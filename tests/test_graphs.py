@@ -416,8 +416,8 @@ def test_searches_leave_no_cyclic_garbage():
     import gc
 
     from p7c4.coloring import _min_multicover
-    from p7c4.enumerate import _has_induced_p7_through, canonical_permutation
-    from p7c4.patterns import _find_induced_path, _search_induced_cycles
+    from p7c4.enumerate import canonical_permutation
+    from p7c4.patterns import _find_induced_path, _has_pattern_through, _search_induced_cycles
 
     pet, c40, p8 = petersen(), cycle_graph(40), path_graph(8)
     calls = {
@@ -425,7 +425,7 @@ def test_searches_leave_no_cyclic_garbage():
         "C4": lambda: _search_induced_cycles(pet, 4, lambda cycle: True, pet.full_mask()),
         "isomorphic": lambda: isomorphic(c40, c40),
         "canonical_permutation": lambda: canonical_permutation(pet),
-        "p7_through": lambda: _has_induced_p7_through(p8.adj, 0),
+        "p7_through": lambda: _has_pattern_through(path_graph(7).adj, 1, "P7"),
         "max_clique_size": lambda: max_clique_size(pet),
         "exact_chromatic_number": lambda: exact_chromatic_number(pet),
         "min_multicover": lambda: _min_multicover((2, 3, 1, 2, 2, 3, 2, 1, 2, 2)),

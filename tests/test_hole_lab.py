@@ -142,6 +142,22 @@ def test_recheck_rejects_pairs_outside_the_rules():
     assert not recheck_counterexample(g, part, PropertyReport("NA-5", False, na4.counterexample))
 
 
+def test_recheck_confirms_only_the_partitions_own_properties():
+    # over every 7-hole of F and G5, each battery's failing reports are
+    # confirmed on its own mode's partition, and every report of the other
+    # mode's properties, for every vertex and pair, is refused
+    for g in (graph_f(), g5()):
+        for hole in all_seven_holes(g):
+            for mode, checker in BATTERIES:
+                part = partition_around_hole(g, hole, mode)
+                assert all(recheck_counterexample(g, part, r) for r in checker(g, part) if not r.holds)
+                other = GEM_PROPERTIES if mode == "diamond" else DIAMOND_PROPERTIES
+                tuples = [(v,) for v in range(g.n)] + [(u, v) for u in range(g.n) for v in range(g.n) if u != v]
+                confirmed = [(pid, ce) for pid in other for ce in tuples
+                             if recheck_counterexample(g, part, PropertyReport(pid, False, ce))]
+                assert confirmed == [], (hole, mode)
+
+
 def test_partition_covers_every_vertex(small_graphs):
     for g in small_graphs:
         holes = all_seven_holes(g)

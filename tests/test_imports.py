@@ -143,6 +143,7 @@ def test_one_placement_engine():
     from p7c4 import graphs, patterns
 
     assert patterns._find_fixed_pattern is graphs._find_fixed_pattern
+    assert patterns._place is graphs._place
 
 
 def test_graphs_keeps_no_cache():
