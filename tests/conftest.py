@@ -158,6 +158,14 @@ def brute_p7_cover(g: Graph) -> int:
     return cover
 
 
+def split_off(g: Graph, x: int) -> tuple[tuple[int, ...], int]:
+    """The rows of g - x and x's neighbour mask in it, the vertices above x
+    moving down one: g as g - x plus a new vertex, numbered len(rows)."""
+    def drop(a):
+        return a & (1 << x) - 1 | a >> x + 1 << x
+    return tuple(drop(a) for v, a in enumerate(g.adj) if v != x), drop(g.adj[x])
+
+
 def _mask_is_connected(g: Graph, m: int) -> bool:
     seen = frontier = m & -m
     while frontier:

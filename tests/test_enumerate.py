@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import p7c4.enumerate as enumerate_module
-from conftest import brute_has_pattern, reference_canonical_permutation
+from conftest import brute_has_pattern, brute_p7_cover, reference_canonical_permutation, split_off
 from p7c4.enumerate import (
     _canonical_order,
     all_graphs,
@@ -26,7 +26,7 @@ from p7c4.graphs import (
     isomorphic,
     write_graph6,
 )
-from p7c4.patterns import PATTERN_NAMES, find_induced_pattern
+from p7c4.patterns import PATTERN_NAMES, _has_pattern_through, find_induced_pattern
 
 # unlabeled-graph counts (classical enumeration values)
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -186,6 +186,16 @@ def test_generator_tests_each_pattern_once_per_key(monkeypatch):
     for n in range(1, 9):
         assert p7c4_free_graphs.__wrapped__(n) == p7c4_free_graphs(n)
     assert (tested["C4"], tested["P7"]) == (16250, 3141)
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_anchored_p7_search_matches_bruteforce(n):
+    # the generator's P7 test: each x of a connected graph, asked about as a
+    # vertex added to g - x
+    for g in connected_graphs(n):
+        cover = brute_p7_cover(g)
+        for x in range(n):
+            assert _has_pattern_through(*split_off(g, x), "P7") == bool(cover >> x & 1), (write_graph6(g), x)
 
 
 def test_canonical_form_is_isomorphic_relabeling(small_graphs):
