@@ -12,11 +12,14 @@ re-colored. No exact chromatic oracle is run; those judge the colorer in
 the tests.
 A certificate carries the assignment, the claimed bound, and a flat
 replayable trace of derivation steps, whose every mapping is a list of
-pairs, so a trace read back from JSON replays as it is. _apply alone
-executes a step: replay_trace folds it over a trace, and _color runs each
-step it decides through it, so the assignment is the trace's replay by
-construction. A cutset merge renames the colors of its left coloring, an
-atom's, and writes them into the right coloring's dict, in O(|left|).
+pairs, so a trace read back from JSON replays as it is. Its four step
+kinds are the cases of the induction: clique-base, blowup-color (a peeled
+clique included), eliminate-vertex, and cutset-merge (components merge over
+the empty cutset). _apply alone executes a step: replay_trace folds it over
+a trace, and _color runs each step it decides through it, so the assignment
+is the trace's replay by construction. A cutset merge renames the colors of
+its left coloring, an atom's, and writes them into the right coloring's
+dict, in O(|left|).
 
 If a certified class member reaches a state where no theorem case applies,
 that falsifies the underlying structure theorem; it is raised loudly as
@@ -118,16 +121,6 @@ def _apply(stack: list[dict[int, int]], step: dict) -> None:
         right.update((v, perm[c]) for v, c in left.items())
     elif kind in ("clique-base", "blowup-color"):
         stack.append(dict(step["assignment"]))
-    elif kind == "peel":
-        stack[-1].update(step["assignment"])
-    elif kind == "components-merge":
-        count = step["count"]
-        if not 1 <= count <= len(stack):
-            raise GraphError(f"components-merge of {count!r} colorings with {len(stack)} on the stack")
-        merged = {}
-        for part in stack[-count:]:  # first component first: tests pin _color's insertion order
-            merged.update(part)
-        stack[-count:] = [merged]
     else:
         raise GraphError(f"unknown trace step {kind!r}")
 
@@ -161,9 +154,11 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     One work stack stands in for the recursion over components, clique
     cutsets and eliminated vertices. A connected block pushes the atom tree
     of structure._decompose, each split below its two children for the
-    cutset merge; a block or atom that is a clique goes to _color_clique
-    instead. Each work item decides its trace steps, and each step runs
-    through _apply, replay_trace's interpreter, on the done stack of block
+    cutset merge, and a disconnected block its m components below m - 1
+    merges over the empty cutset (identity permutations, as every block
+    coloring uses the colors 1..k); a clique goes to _color_clique instead.
+    Each other work item decides one trace step, which runs through
+    _apply, replay_trace's interpreter, on the done stack of block
     colorings; steps come out in post-order. omega is the largest clique
     number of an atom, as each clique lies inside one atom.
     """
@@ -177,25 +172,23 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
         if kind == "node" and arg.left is not None:
             work += [("cutset", arg.masks[0]), ("node", arg.right), ("node", arg.left)]
             continue
-        if kind == "components":
-            new = [{"step": "components-merge", "count": arg}]
-        elif kind == "cutset":
+        if kind == "cutset":
             cutset = list(_bits(arg))
-            new = [{"step": "cutset-merge", "cutset": cutset,
-                    "permutation": _cutset_permutation(done[-1], done[-2], cutset)}]
+            step = {"step": "cutset-merge", "cutset": cutset,
+                    "permutation": _cutset_permutation(done[-1], done[-2], cutset)}
         elif kind == "eliminate":
             v, budget = rest
-            new = [{"step": "eliminate-vertex", "vertex": v,
-                    "color": _eliminate(g, arg, done[-1], v, budget, class_name)}]
+            step = {"step": "eliminate-vertex", "vertex": v,
+                    "color": _eliminate(g, arg, done[-1], v, budget, class_name)}
         else:
             mask = arg.masks[0] if kind == "node" else arg
             if _is_clique_mask(adj, mask):
                 omega = max(omega, mask.bit_count())
-                new = _color_clique(mask)
+                step = _color_clique(mask)
             elif kind == "block":
                 comps = _components(adj, mask)
                 if len(comps) > 1:
-                    work.append(("components", len(comps)))
+                    work += [("cutset", 0)] * (len(comps) - 1)
                     work += [("block", c) for c in reversed(comps)]
                 else:
                     work.append(("node", _decompose(adj, mask)))
@@ -207,32 +200,28 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
                 if case.kind == "eliminate":
                     work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
                     continue
-                new = _color_case(g, mask, case, class_name)
-        for step in new:
-            _apply(done, step)
-        steps += new
+                step = _color_case(g, mask, case, class_name)
+        _apply(done, step)
+        steps.append(step)
     (assign,) = done
     return assign, omega, steps
 
 
-def _color_clique(block: int) -> list[dict]:
+def _color_clique(block: int) -> dict:
     """The one clique-base step of the clique v1 < ... < vk, in every class:
     vi takes k-i+1, vk first. Every class's verdicts on a clique eliminate
     one vertex at a time, the lowest first, so this is their coloring."""
     top_down = reversed(list(_bits(block)))
-    return [{"step": "clique-base", "assignment": [(v, c) for c, v in enumerate(top_down, start=1)]}]
+    return {"step": "clique-base", "assignment": [(v, c) for c, v in enumerate(top_down, start=1)]}
 
 
-def _color_case(g: Graph, block: int, case: TheoremCase, class_name: str) -> list[dict]:
-    """Turn the structure theorem's verdict on a cutset-free block into steps: _blowup_step
-    covers every Petersen core, and a peeled clique takes the colors after the cover's three."""
+def _color_case(g: Graph, block: int, case: TheoremCase, class_name: str) -> dict:
+    """The one blowup-color step of the theorem's verdict on a cutset-free block: the cover
+    of its Petersen core, and under kite the peeled clique on the colors after the cover's."""
     if case.kind != "petersen":
         raise StructuralContradiction(class_name, induced_subgraph(g, _bits(block)), case.detail)
-    steps = [_blowup_step(case.blowup)]
-    if case.peel is not None and case.peel.ell > 0:
-        peeled = sorted(set(_bits(block)) - case.peel.remainder)
-        steps.append({"step": "peel", "assignment": [(v, c) for c, v in enumerate(peeled, start=4)]})
-    return steps
+    peeled = [] if case.peel is None else sorted(set(_bits(block)) - case.peel.remainder)
+    return _blowup_step(case.blowup, peeled)
 
 
 def _eliminate(g: Graph, block: int, assign: dict[int, int], v: int, budget: int, class_name: str) -> int:
@@ -316,7 +305,9 @@ def _petersen_cover_tables() -> tuple[tuple, tuple, tuple]:
 
 def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Fewest maximal independent sets of the Petersen graph covering each
-    vertex i at least weights[i] times (sets may repeat).
+    vertex i at least weights[i] times (sets may repeat): the first cover
+    the exhaustive search _cover finds, at each size from the counting
+    lower bound up.
 
     A search state (deficits d, l sets left) is cut when l is below any of
     three counting bounds: an independent set meets an edge in at most one
@@ -327,25 +318,11 @@ def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     each of 3,000 random weight vectors (entries up to 51), so no memo of
     failed states is kept.
     """
-    sets = _petersen_maximal_independent_sets()
     tables = _petersen_cover_tables()
-
-    def greedy() -> list[tuple[int, ...]]:
-        deficit = list(weights)
-        chosen = []
-        while any(d > 0 for d in deficit):
-            best = max(sets, key=lambda s: (sum(1 for v in s if deficit[v] > 0), s))
-            chosen.append(best)
-            for v in best:
-                deficit[v] -= 1
-        return chosen
-
-    upper_sets = greedy()
-    for k in range(_cover_lower(tables, weights), len(upper_sets)):
-        got = _cover(tables, tuple(weights), k)
-        if got is not None:
-            return got
-    return upper_sets
+    k = _cover_lower(tables, weights)
+    while (got := _cover(tables, tuple(weights), k)) is None:
+        k += 1
+    return got
 
 
 def _cover_lower(tables: tuple, d: tuple[int, ...]) -> int:
@@ -375,10 +352,10 @@ def _cover(tables: tuple, deficit: tuple[int, ...], left: int) -> list[tuple[int
     return None
 
 
-def _blowup_step(cert: BlowupCertificate) -> dict:
-    """The blowup-color step: one chosen independent-set instance per color."""
+def _blowup_step(cert: BlowupCertificate, clique=()) -> dict:
+    """The blowup-color step: one independent-set instance per color, then clique's vertices."""
     chosen = _min_multicover(cert.weights())
-    assign = []
+    assign = [(v, c) for c, v in enumerate(clique, start=len(chosen) + 1)]
     for base_v in range(10):
         instances = [color for color, s in enumerate(chosen, start=1) if base_v in s]
         assign += zip(sorted(cert.classes[cert.class_map[base_v]]), instances)

@@ -216,7 +216,7 @@ def recheck_counterexample(g: Graph, part: SevenHolePartition, report: PropertyR
     if report.holds or ce is None or pid not in _PROPERTIES[part.mode]:
         return False
     if pid in ("NA-1", "M1"):
-        return ce[0] in part.unclassified
+        return len(ce) == 1 and ce[0] in part.unclassified
     if len(ce) != 2 or ce[0] == ce[1]:
         return False
     u, v = ce

@@ -285,19 +285,13 @@ def reference_find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
 
 
 def reference_min_multicover(weights) -> list[tuple[int, ...]]:
-    """The first cover found depth-first at the smallest size, from the
-    edge and total-count bounds alone and a fresh memo of failed states
-    for each size."""
+    """The first cover found depth-first at the least feasible size, sizes
+    tried upward from the edge and total-count bounds alone, with a fresh
+    memo of failed states for each size."""
     sets = _petersen_maximal_independent_sets()
     by_vertex = [[s for s in sets if v in s] for v in range(10)]
     p = petersen()
-    lower = max(max(weights[u] + weights[v] for u, v in p.edges()), -(-sum(weights) // 4))
-    deficit, upper = list(weights), []
-    while any(d > 0 for d in deficit):
-        best = max(sets, key=lambda s: (sum(1 for v in s if deficit[v] > 0), s))
-        upper.append(best)
-        for v in best:
-            deficit[v] -= 1
+    k = max(max(weights[u] + weights[v] for u, v in p.edges()), -(-sum(weights) // 4))
 
     def go(deficit, left, memo):
         if sum(deficit) == 0:
@@ -312,11 +306,9 @@ def reference_min_multicover(weights) -> list[tuple[int, ...]]:
         memo.add((deficit, left))
         return None
 
-    for k in range(lower, len(upper)):
-        got = go(tuple(weights), k, set())
-        if got is not None:
-            return got
-    return upper
+    while (got := go(tuple(weights), k, set())) is None:
+        k += 1
+    return got
 
 
 def reference_replay(trace) -> dict[int, int]:
@@ -350,16 +342,6 @@ def _reference_apply(stack: list[dict[int, int]], step: dict) -> None:
         stack.append(merged)
     elif kind in ("clique-base", "blowup-color"):
         stack.append(dict(step["assignment"]))
-    elif kind == "peel":
-        stack[-1].update(step["assignment"])
-    elif kind == "components-merge":
-        count = step["count"]
-        if not 1 <= count <= len(stack):
-            raise GraphError(f"components-merge of {count!r} colorings with {len(stack)} on the stack")
-        merged = {}
-        for part in stack[-count:]:
-            merged.update(part)
-        stack[-count:] = [merged]
     else:
         raise GraphError(f"unknown trace step {kind!r}")
 

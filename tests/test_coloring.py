@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from conftest import reference_min_multicover, reference_replay, spider, windmill
+from conftest import _reference_apply, reference_min_multicover, reference_replay, spider, windmill
 from p7c4 import coloring
 from p7c4.coloring import (
     ColoringCertificate,
@@ -57,7 +57,7 @@ def test_examples_diamond():
 def test_examples_kite():
     cert = color_kite_class(join_with_clique(petersen(), 2))
     assert cert.colors_used == 5 and cert.claimed_bound == 5
-    assert any(s["step"] == "peel" for s in cert.trace)
+    assert [s["step"] for s in cert.trace] == ["blowup-color"]  # the clique rides in the core's step
     assert color_kite_class(Graph(1)).colors_used == 1
     cert = color_kite_class(complete_graph(6))
     assert cert.colors_used == 6 and cert.claimed_bound == 7
@@ -289,18 +289,19 @@ def test_malformed_trace_is_a_graph_error(name):
         replay_trace(MALFORMED_TRACES[name])
 
 
-# One hand-written trace with all six step kinds: two blocks joined at the
-# cutset {1}, a peeled blowup block and a blowup block, merged as three
-# components. Pins the step semantics that the colourer runs its steps through.
+# One hand-written trace with all four step kinds: two blocks joined at the
+# cutset {1}, a blowup block with a peeled vertex on color 3 and a blowup
+# block, merged as three components over the empty cutset, as _color merges
+# them. Pins the step semantics that the colourer runs its steps through.
 EVERY_STEP_KIND = (
     {"step": "clique-base", "assignment": [(0, 1), (1, 2)]},
     {"step": "clique-base", "assignment": [(2, 1)]},
     {"step": "eliminate-vertex", "vertex": 1, "color": 2},
     {"step": "cutset-merge", "cutset": [1], "permutation": [(1, 3), (2, 2)]},
-    {"step": "blowup-color", "assignment": [(3, 1), (4, 2)]},
-    {"step": "peel", "assignment": [(5, 3)]},
+    {"step": "blowup-color", "assignment": [(3, 1), (4, 2), (5, 3)]},
     {"step": "blowup-color", "assignment": [(6, 2), (7, 1)]},
-    {"step": "components-merge", "count": 3},
+    {"step": "cutset-merge", "cutset": [], "permutation": [(1, 1), (2, 2), (3, 3)]},
+    {"step": "cutset-merge", "cutset": [], "permutation": [(1, 1), (2, 2), (3, 3)]},
 )
 
 
@@ -308,7 +309,9 @@ def test_replay_of_every_step_kind():
     # the left block {0: 1, 1: 2} renamed by the permutation and written
     # into the right one, {2: 1, 1: 2}
     assert list(replay_trace(EVERY_STEP_KIND[:4]).items()) == [(2, 1), (1, 2), (0, 3)]
-    assert replay_trace(EVERY_STEP_KIND) == {2: 1, 1: 2, 0: 3, 3: 1, 4: 2, 5: 3, 6: 2, 7: 1}
+    # the components merge into the last one's dict, the later ones first
+    assert list(replay_trace(EVERY_STEP_KIND).items()) == [(6, 2), (7, 1), (3, 1), (4, 2), (5, 3), (2, 1), (1, 2),
+                                                           (0, 3)]
 
 
 def test_replay_leaves_the_certificate_untouched():
@@ -328,7 +331,7 @@ def test_replay_leaves_the_certificate_untouched():
         assert json.dumps(cert.to_json()) == before
         assert replay_trace(cert.trace) == replay_trace(cert.trace) == cert.assignment
         kinds |= {s["step"] for s in cert.trace}
-    assert kinds == {s["step"] for s in EVERY_STEP_KIND} - {"components-merge"}
+    assert kinds == {s["step"] for s in EVERY_STEP_KIND}
 
 
 def test_trace_survives_its_json():
@@ -363,15 +366,16 @@ PETERSEN_CORES = [(cls, 0) for cls in COLORERS] + [("kite-class", ell) for ell i
 def test_petersen_cores_are_colored_by_the_cover(class_name, ell):
     # the Petersen graph in every class, and K_ell joined to it under kite,
     # each also under three relabellings: one blowup-color step, a minimum
-    # cover, so the bound is met exactly
+    # cover, so the bound is met exactly, with the clique on colors 4..ell+3
     g = join_with_clique(petersen(), ell)
     for h in [g] + [_relabelled(g, seed) for seed in range(3)]:
         cert = COLORERS[class_name](h)
         validate_certificate(h, cert)
         assert cert.colors_used == cert.claimed_bound == ell + 3
-        kinds = [s["step"] for s in cert.trace]
-        assert kinds.count("blowup-color") == 1 and "exceptional-graph" not in kinds
-        assert kinds.count("peel") == (ell > 0)
+        (step,) = cert.trace
+        assert step["step"] == "blowup-color"
+        clique = {v for v in range(h.n) if h.adj[v] | 1 << v == h.full_mask()}
+        assert [c for v, c in step["assignment"] if v in clique] == list(range(4, ell + 4))
 
 
 # sha256 of _color on every graph on <= 7 vertices under each class.
@@ -384,8 +388,12 @@ def test_petersen_cores_are_colored_by_the_cover(class_name, ell):
 # cutset merge began renaming the left coloring, an atom, onto the right
 # one's colors instead of the right one onto the left's: permutations,
 # assignments and their insertion order changed, and with them some greedy
-# colors of later eliminations
-COLOR_DIGEST = "b82fba9b96170053379734a09befde865f09059efe6bc3d68ab52225e5f8f1c4"
+# colors of later eliminations. Re-pinned again when the components of a
+# disconnected block began merging by cutset-merge steps over the empty
+# cutset instead of one components-merge step: the traces and the
+# assignments' insertion order changed; the assignments as dicts, omega and
+# every refusal did not
+COLOR_DIGEST = "982e774608a9817ecf18a105bc317566bdf7e39f6fef26065a20e4090cedf07b"
 
 
 def _color_digest() -> str:
@@ -440,22 +448,46 @@ def test_clique_closed_form_is_theorem_case_verdict(class_name):
         g, vs = _clique_in_host(k, seed=k)
         block = sum(1 << v for v in vs)
         _, omega, steps = _color(g, block, class_name)
-        assert omega == k and [s["step"] for s in steps] == ["clique-base"] and steps == _color_clique(block)
+        assert omega == k and [s["step"] for s in steps] == ["clique-base"] and steps == [_color_clique(block)]
         assign = _engine_clique(g, vs, class_name)
         assert list(replay_trace(steps).items()) == list(assign.items())
 
 
-def test_every_interpreted_step_kind_is_pinned():
-    # the kinds _apply compares against are exactly EVERY_STEP_KIND's, so an
-    # interpreter branch that no pinned trace runs fails here
-    tree = ast.parse(inspect.getsource(coloring._apply))
+def _compared_kinds(func) -> set:
+    """The constants that func's comparisons of the name kind compare against."""
     kinds = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(inspect.getsource(func))):
         if isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "kind":
             for other in node.comparators:
                 kinds |= {c.value for c in ast.walk(other) if isinstance(c, ast.Constant)}
-    assert kinds == {s["step"] for s in EVERY_STEP_KIND}
+    return kinds
 
+
+def test_every_interpreted_step_kind_is_pinned():
+    # the kinds _apply compares against are exactly EVERY_STEP_KIND's, so an
+    # interpreter branch that no pinned trace runs fails here; the eager
+    # reference compares against the same kinds, so a step kind dropped or
+    # added in one interpreter cannot leave the other behind
+    kinds = _compared_kinds(coloring._apply)
+    assert kinds == {s["step"] for s in EVERY_STEP_KIND}
+    assert _compared_kinds(_reference_apply) == kinds
+
+
+def test_component_merges_keep_their_colors():
+    # every block coloring uses the colors 1..k without a gap, so each merge
+    # over the empty cutset that _color emits renames nothing: its
+    # permutation is the identity on 1..k
+    cases = [(g, cls) for cls in COLORERS for n in range(1, 9) for g in class_members(cls, n)]
+    cases += [(g, cls) for g in (spider(40), windmill(40)) for cls in COLORERS]
+    cases.append((clique_blowup(cycle_graph(7), [3, 2, 4, 2, 3, 2, 3]), "gem-class"))
+    merges = 0
+    for g, class_name in cases:
+        _, _, steps = _color(g, g.full_mask(), class_name)
+        for s in steps:
+            if s["step"] == "cutset-merge" and not s["cutset"]:
+                assert s["permutation"] == [(c, c) for c in range(1, len(s["permutation"]) + 1)], s
+                merges += 1
+    assert len(cases) == 3821 and merges == 2233  # none on the spider, the windmill or the blowup
 
 
 def _replay_agrees(trace) -> bool:
@@ -480,13 +512,14 @@ def _mutant(trace: list, n: int, rng: Random) -> list:
     a dropped or swapped step, or a replaced cutset vertex."""
     t = json.loads(json.dumps(trace))
     merges = [s for s in t if s["step"] == "cutset-merge"]
+    cutsets = [s["cutset"] for s in merges if s["cutset"]]
     colored = [s for s in t if "assignment" in s or "color" in s]
     top = max([c for s in colored for c in ([s["color"]] if "color" in s else [c for _, c in s["assignment"]])])
 
     def color():
         return rng.choice(_ODD_COLORS) if rng.random() < 0.2 else rng.randint(1, top + 1)
 
-    kind = rng.choice(["pair", "color", "drop", "swap", "cutset"] if merges else ["color", "drop", "swap"])
+    kind = rng.choice(["pair"] * bool(merges) + ["color", "drop", "swap"] + ["cutset"] * bool(cutsets))
     if kind == "pair":
         pair = rng.choice(rng.choice(merges)["permutation"])
         pair[rng.randint(0, 1)] = color()
@@ -502,7 +535,7 @@ def _mutant(trace: list, n: int, rng: Random) -> list:
         i = rng.randrange(len(t) - 1)
         t[i], t[i + 1] = t[i + 1], t[i]
     elif kind == "cutset":
-        cutset = rng.choice(merges)["cutset"]
+        cutset = rng.choice(cutsets)
         cutset[rng.randrange(len(cutset))] = rng.randrange(n)
     return t
 
@@ -582,12 +615,8 @@ MERGE_LIMITS = {
     "eliminate-a-float": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1)]),
                           {"step": "eliminate-vertex", "vertex": 21, "color": 2.0}],
     "left-of-bools": [{"step": "clique-base", "assignment": [(0, True), (1, 2)]}, _RIGHT, _merge([(1, 2), (2, 1)])],
-    "peel-over-a-merge": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1)]),
-                          {"step": "peel", "assignment": [(20, 5), (2, 1), (20, 6), (0, 4)]}],
-    "peel-a-dict": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1)]), {"step": "peel", "assignment": {20: 5}}],
     "two-spine-merges": [_LEFT, _LEFT, _RIGHT, _merge([(1, 2), (2, 1)]), _merge([(1, 3), (2, 1), (3, 3)]),
-                         {"step": "clique-base", "assignment": [(30, 1)]},
-                         {"step": "components-merge", "count": 2}],
+                         {"step": "clique-base", "assignment": [(30, 1)]}, _merge([(1, 1), (2, 2), (3, 3)], ())],
     "merged-as-left": [_LEFT, _RIGHT, _merge([(1, 2), (2, 1)]),
                        {"step": "clique-base", "assignment": [(2, 5), (20, 6)]}, _merge([(2, 5), (1, 3)], (2,))],
 }

@@ -391,17 +391,23 @@ CLI_GOLDEN: dict[str, str] = {
     # when a cutset merge began renaming the left coloring onto the right
     # one's colors: the traces and assignments changed in every class, and
     # colors_used did under gem only: FB]eG, on 7 vertices, went from 4 to 3
-    # colors, which moves the gem oracle-check digest.
+    # colors, which moves the gem oracle-check digest. Re-pinned again when
+    # components began merging by cutset-merge steps over the empty cutset,
+    # a kite core's clique moved into its blowup-color step (no peel step)
+    # and the Petersen cover lost its greedy fallback: the traces changed in
+    # every class, and the assignments of Petersen cores on 10 or more
+    # vertices, whose exact cover replaces the greedy one; colors_used did
+    # not change (the oracle-check digests hold).
     "color --class diamond":
-        "6a503e6ae95364b22ef32ce1f28b7c3b827219f2adb944ad32984185c9676a2f",
+        "d6670799d44b2656d16fb83c64ffb72b5b8ea49899cea9ad819f93bb4248a560",
     "oracle-check --class diamond":
         "bfe1da6e8528b07f7711127098a9286a12cc3c8856b29d74485a91d309391789",
     "color --class kite":  # re-pinned for the same reason as diamond
-        "30f82c3436537e4598b3aec4ecb8c188cc81e0c2fffdd229a636755cfdc5509e",
+        "02981be6571ecba409f97833cd5c54d9620186a0e61aec1f6cc34c170732f2c0",
     "oracle-check --class kite":
         "c4ef634bd99f8edaeee6101b1c925f0ffb72ea0ad7159923ac49078b43aee095",
     "color --class gem":  # re-pinned for the same reason as diamond
-        "48f9659865470eb88f5c512212efd3d643a89b20d5aa602f71e38a6fc6553359",
+        "9639e50c6631f45a771d55fc1d1473cbb46ae2362e788428e938a2de7ec49400",
     "oracle-check --class gem":  # re-pinned with the merge's change of colors_used
         "93bc321efb1eda3f97c3e19a1ed8263052f8b5e4b644394f65ec07d6bccecfb0",
     "verify --theorem T1 --exhaustive 7":

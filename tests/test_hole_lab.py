@@ -142,6 +142,19 @@ def test_recheck_rejects_pairs_outside_the_rules():
     assert not recheck_counterexample(g, part, PropertyReport("NA-5", False, na4.counterexample))
 
 
+def test_recheck_confirms_coverage_of_one_vertex_only():
+    # the chain 0-7-8 leaves vertex 7 unclassified: each battery's coverage
+    # report is the 1-tuple (7,) and is confirmed, but a longer tuple that
+    # starts with 7 is not
+    g = c7_plus({0}, {7})
+    for mode, checker in BATTERIES:
+        part = partition_around_hole(g, HOLE, mode)
+        coverage = checker(g, part)[0]
+        assert coverage.counterexample == (7,) and recheck_counterexample(g, part, coverage)
+        for ce in ((7, 3, 5), (7, 8), (7, 7)):
+            assert not recheck_counterexample(g, part, PropertyReport(coverage.property_id, False, ce)), ce
+
+
 def test_recheck_confirms_only_the_partitions_own_properties():
     # over every 7-hole of F and G5, each battery's failing reports are
     # confirmed on its own mode's partition, and every report of the other
