@@ -1,8 +1,8 @@
 """Small-graph corpora: generation by canonical deletion with isomorph rejection.
 
 all_graphs and p7c4_free_graphs on n vertices grow from their own members
-on n - 1 vertices by adding a vertex x in every possible way, and
-connected_graphs keeps the connected members of all_graphs. A child is
+on n - 1 vertices by adding a vertex x, once per twin orbit of neighbours,
+and connected_graphs keeps the connected members of all_graphs. A child is
 kept only if x is the vertex a canonical rule deletes (McKay, "Isomorph-free
 exhaustive generation", J. Algorithms 26, 1998; see _grow), and children
 are deduplicated by their canonical adjacency string, read off the same
@@ -99,12 +99,35 @@ def canonical_key(g: Graph) -> str:
     return write_graph6(canonical_form(g))
 
 
+def _orbit_masks(adj: tuple[int, ...]) -> list[int]:
+    """One mask per orbit of the group a graph's twin swaps generate: a
+    prefix of each set of vertices with equal open, or equal closed,
+    neighbourhoods (a false twin f and a true twin t of v would have t in
+    N(v) = N(f) and f outside N[t] = N[v], so no vertex has both)."""
+    masks, left = [0], (1 << len(adj)) - 1
+    while left:
+        v = (left & -left).bit_length() - 1
+        prefix, grown = 0, list(masks)
+        for u in range(v, len(adj)):
+            if adj[u] == adj[v] or adj[u] | 1 << u == adj[v] | 1 << v:
+                prefix |= 1 << u
+                grown += [m | prefix for m in masks]
+        masks, left = grown, left & ~prefix
+    return masks
+
+
 def _grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph, ...]:
     """Canonical n-vertex graphs free of the patterns named in forbid whose
     vertex-deleted subgraphs lie in parents(n - 1), a hereditary family.
 
     Each graph of parents(n - 1) gains a vertex x adjacent to the vertex set
-    of every mask. A child is kept only if x is the last vertex of the last
+    of each mask of _orbit_masks, one per orbit of the parent's twin swaps.
+    A swap s is an automorphism, so s with x fixed maps the child by M onto
+    the child by s(M): x, the top label, ends the last refinement cell of
+    both or of neither, and both give one key and one answer through x.
+    Stamps depend only on the class, as the parents' memos are exact, and
+    the output is sorted by key, so it is byte for byte every mask's.
+    A child is kept only if x is the last vertex of the last
     cell of the refinement (graphs._refine): the canonical deletion.
     Refinement is equivariant and its cell order canonical, so every wanted
     G has a vertex v in that cell of its own. G - v is isomorphic to some
@@ -142,7 +165,7 @@ def _grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph, ...]:
         for v in range(n - 1):
             for k in range(adj[v].bit_count()):
                 heavier[k] |= 1 << v
-        for mask in range(1 << (n - 1)):
+        for mask in _orbit_masks(adj):
             k = mask.bit_count()
             if heavier[k] & ~mask or (k and heavier[k - 1] & mask) or c4 and _has_pattern_through(adj, mask, "C4"):
                 continue

@@ -20,7 +20,9 @@ backtracking over the refinement cells, which checks each vertex only
 against the vertices already mapped and never reaches the library's
 placement engine. The trace interpreter has its eager form, in which every
 cutset merge builds a new coloring: a copy of the right-hand one with the
-left-hand one, renamed by the permutation, written over it.
+left-hand one, renamed by the permutation, written over it. The
+generator has its plain form: every neighbourhood mask of every parent is
+tried, not one per orbit of the parent's twin swaps.
 """
 
 import heapq
@@ -30,8 +32,9 @@ import pytest
 
 from p7c4.coloring import _petersen_maximal_independent_sets
 from p7c4.families import petersen
-from p7c4.graphs import Graph, GraphError, _bits, induced_subgraph, is_clique
-from p7c4.patterns import pattern_graph
+from p7c4.enumerate import _canonical_order
+from p7c4.graphs import Graph, GraphError, _bits, _refine, _relabel, induced_subgraph, is_clique
+from p7c4.patterns import _ABSENT_BIT, _has_pattern_through, pattern_graph
 
 
 def brute_has_pattern(g: Graph, pattern: str) -> bool:
@@ -427,6 +430,46 @@ def reference_decompose(g: Graph, labels=None) -> dict:
         "left": block_child(side_a),
         "right": block_child(side_b),
     }
+
+
+def reference_grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph, ...]:
+    """enumerate._grow with every mask of every parent tried: the same
+    degree pre-check, tests, canonical deletion, deduplication and stamps."""
+    if n == 1:
+        return (Graph(1),)
+    c4 = "C4" in forbid
+    later = [name for name in forbid if name != "C4"]
+    stamp = sum(_ABSENT_BIT[name] for name in forbid)
+    found: dict[int, Graph | None] = {}
+    for parent in parents(n - 1):
+        adj = parent.adj
+        heavier = [0] * n
+        for v in range(n - 1):
+            for k in range(adj[v].bit_count()):
+                heavier[k] |= 1 << v
+        for mask in range(1 << (n - 1)):
+            k = mask.bit_count()
+            if heavier[k] & ~mask or (k and heavier[k - 1] & mask) or c4 and _has_pattern_through(adj, mask, "C4"):
+                continue
+            child = tuple(a | (mask >> v & 1) << (n - 1) for v, a in enumerate(adj)) + (mask,)
+            cells = _refine(child, [list(range(n))])
+            if cells[-1][-1] != n - 1:
+                continue
+            bits, perm = _canonical_order(child, cells)
+            if bits in found:
+                continue
+            found[bits] = None
+            if any(_has_pattern_through(adj, mask, name) for name in later):
+                continue
+            absent = stamp
+            for name in ("diamond", "kite", "gem"):
+                bit = _ABSENT_BIT[name]
+                if absent & _ABSENT_BIT["diamond"] or (parent._absent & bit & ~absent
+                                                       and not _has_pattern_through(adj, mask, name)):
+                    absent |= bit
+            canon = found[bits] = _relabel(child, perm)
+            canon._absent = absent
+    return tuple(g for _, g in sorted(found.items()) if g is not None)
 
 
 def brute_max_clique(g: Graph) -> int:

@@ -4,9 +4,10 @@ from collections import Counter
 import pytest
 
 import p7c4.enumerate as enumerate_module
-from conftest import brute_has_pattern, brute_p7_cover, reference_canonical_permutation, split_off
+from conftest import brute_has_pattern, brute_p7_cover, reference_canonical_permutation, reference_grow, split_off
 from p7c4.enumerate import (
     _canonical_order,
+    _grow,
     all_graphs,
     canonical_form,
     canonical_key,
@@ -171,21 +172,56 @@ def test_generator_stamps_exactly_the_absent_patterns():
 
 
 def test_generator_tests_each_pattern_once_per_key(monkeypatch):
-    # C4 is decided on each mask before the child is built, and never again;
-    # P7 once per new canonical key: 3,121 kept and 20 rejected for n <= 8
+    # C4 is decided on each orbit mask before the child is built, and never
+    # again; P7 once per new canonical key: 3,121 kept and 20 rejected for
+    # n <= 8. The canonical search runs once per child passing the deletion
+    # test.
     for n in range(1, 9):
         p7c4_free_graphs(n)
     tested = Counter()
     real = enumerate_module._has_pattern_through
+    real_order = enumerate_module._canonical_order
 
     def counting(adj, near, name):
         tested[name] += 1
         return real(adj, near, name)
 
+    def counting_order(adj, cells):
+        tested["canonical"] += 1
+        return real_order(adj, cells)
+
     monkeypatch.setattr(enumerate_module, "_has_pattern_through", counting)
+    monkeypatch.setattr(enumerate_module, "_canonical_order", counting_order)
     for n in range(1, 9):
         assert p7c4_free_graphs.__wrapped__(n) == p7c4_free_graphs(n)
-    assert (tested["C4"], tested["P7"]) == (16250, 3141)
+    assert (tested["C4"], tested["P7"], tested["canonical"]) == (10892, 3141, 3706)
+
+
+@pytest.mark.parametrize("generator,top,forbid", [(all_graphs, 7, ()), (p7c4_free_graphs, 8, ("C4", "P7"))])
+def test_orbit_masks_grow_what_every_mask_grows(generator, top, forbid):
+    # one mask per twin orbit gives the graph6 lines, order and memo bits
+    # that trying every mask of the same parents gives
+    for n in range(2, top + 1):
+        got, want = _grow(n, generator, forbid), reference_grow(n, generator, forbid)
+        assert [(write_graph6(g), g._absent) for g in got] == [(write_graph6(g), g._absent) for g in want], n
+
+
+def test_edgeless_parent_grows_once_per_degree(monkeypatch):
+    # the k vertices of the edgeless parent are pairwise false twins, so x
+    # takes one mask per degree 0..k: 13 canonical searches for k = 12,
+    # not 4,096
+    k = 12
+    real = enumerate_module._canonical_order
+    calls = []
+
+    def counting(adj, cells):
+        calls.append(1)
+        return real(adj, cells)
+
+    monkeypatch.setattr(enumerate_module, "_canonical_order", counting)
+    grown = _grow(k + 1, lambda m: (Graph(m),))
+    assert len(calls) == k + 1
+    assert sorted(g.edge_count() for g in grown) == list(range(k + 1))
 
 
 @pytest.mark.parametrize("n", [7, 8])
