@@ -1,15 +1,15 @@
 """Certified colorings realizing the three class bounds.
 
-The coloring mirrors the inductive structure of the bound proofs: it folds
-the atom tree that structure.decompose_into_atoms builds for each component,
-merging at each clique cutset. A clique, every bound's base case, is colored
-in closed form, as one clique-base step in every class. Each other atom goes
-to theorem_case, the engine verify checks: a "petersen" verdict (the
-Petersen graph, a clique joined to it, or a clique blowup of it) gets a
-minimum cover by independent sets, and an "eliminate" verdict removes the
-low-degree or bisimplicial vertex the theorem supplies, to be greedily
-re-colored. No exact chromatic oracle is run; those judge the colorer in
-the tests.
+The coloring mirrors the inductive structure of the bound proofs: it colors
+the atoms that the splits structure.decompose_into_atoms lists for each
+component cut off, merging at each clique cutset. A clique, every bound's
+base case, is colored in closed form, as one clique-base step in every
+class. Each other atom goes to theorem_case, the engine verify checks: a
+"petersen" verdict (the Petersen graph, a clique joined to it, or a clique
+blowup of it) gets a minimum cover by independent sets, and an "eliminate"
+verdict removes the low-degree or bisimplicial vertex the theorem supplies,
+to be greedily re-colored. No exact chromatic oracle is run; those judge the
+colorer in the tests.
 A certificate carries the assignment, the claimed bound, and a flat
 replayable trace of derivation steps, whose every mapping is a list of
 pairs, so a trace read back from JSON replays as it is. Its four step
@@ -105,9 +105,9 @@ def _apply(stack: list[dict[int, int]], step: dict) -> None:
     over a trace, and _color runs every step it emits through it. Each
     mapping a step carries (an assignment, a permutation) is a list of pairs.
     A cutset merge pops the left coloring, renames its colors by the
-    permutation and writes them into the right coloring's dict: in the right
-    spine of structure._decompose the left child is an atom, so the merge
-    costs O(|left|).
+    permutation and writes them into the right coloring's dict: the left
+    coloring is a component or the atom side_a | cutset of one split of
+    structure._decompose, so the merge costs O(|left|).
     """
     kind = step["step"]
     if kind == "eliminate-vertex":
@@ -152,11 +152,12 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     """Coloring of the vertex mask block of g, its clique number, trace steps.
 
     One work stack stands in for the recursion over components, clique
-    cutsets and eliminated vertices. A connected block pushes the atom tree
-    of structure._decompose, each split below its two children for the
-    cutset merge, and a disconnected block its m components below m - 1
-    merges over the empty cutset (identity permutations, as every block
-    coloring uses the colors 1..k); a clique goes to _color_clique instead.
+    cutsets and eliminated vertices. A disconnected block pushes its m
+    components below m - 1 merges over the empty cutset (identity
+    permutations, as every block coloring uses the colors 1..k), and a
+    connected one, in the same shape, the atoms of structure._decompose's
+    splits and its bottom atom below a merge over each split's cutset; a
+    clique goes to _color_clique instead.
     Each other work item decides one trace step, which runs through
     _apply, replay_trace's interpreter, on the done stack of block
     colorings; steps come out in post-order. omega is the largest clique
@@ -168,39 +169,36 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     omega = 1
     work: list[tuple] = [("block", block)]
     while work:
-        kind, arg, *rest = work.pop()
-        if kind == "node" and arg.left is not None:
-            work += [("cutset", arg.masks[0]), ("node", arg.right), ("node", arg.left)]
-            continue
+        kind, mask, *rest = work.pop()
         if kind == "cutset":
-            cutset = list(_bits(arg))
+            cutset = list(_bits(mask))
             step = {"step": "cutset-merge", "cutset": cutset,
                     "permutation": _cutset_permutation(done[-1], done[-2], cutset)}
         elif kind == "eliminate":
             v, budget = rest
             step = {"step": "eliminate-vertex", "vertex": v,
-                    "color": _eliminate(g, arg, done[-1], v, budget, class_name)}
-        else:
-            mask = arg.masks[0] if kind == "node" else arg
-            if _is_clique_mask(adj, mask):
-                omega = max(omega, mask.bit_count())
-                step = _color_clique(mask)
-            elif kind == "block":
-                comps = _components(adj, mask)
-                if len(comps) > 1:
-                    work += [("cutset", 0)] * (len(comps) - 1)
-                    work += [("block", c) for c in reversed(comps)]
-                else:
-                    work.append(("node", _decompose(adj, mask)))
-                continue
+                    "color": _eliminate(g, mask, done[-1], v, budget, class_name)}
+        elif _is_clique_mask(adj, mask):
+            omega = max(omega, mask.bit_count())
+            step = _color_clique(mask)
+        elif kind == "block":
+            comps = _components(adj, mask)
+            if len(comps) > 1:
+                work += [("cutset", 0)] * (len(comps) - 1)
+                work += [("block", c) for c in reversed(comps)]
             else:
-                w = _max_clique_size(adj, mask)
-                omega = max(omega, w)
-                case = theorem_case(g, mask, class_name, w)
-                if case.kind == "eliminate":
-                    work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
-                    continue
-                step = _color_case(g, mask, case, class_name)
+                tree = _decompose(adj, mask)
+                work += [("cutset", cut) for cut, _, _ in tree.cuts]
+                work += [("atom", tree.last)] + [("atom", side_a | cut) for cut, side_a, _ in reversed(tree.cuts)]
+            continue
+        elif kind == "atom":
+            w = _max_clique_size(adj, mask)
+            omega = max(omega, w)
+            case = theorem_case(g, mask, class_name, w)
+            if case.kind == "eliminate":
+                work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
+                continue
+            step = _color_case(g, mask, case, class_name)
         _apply(done, step)
         steps.append(step)
     (assign,) = done

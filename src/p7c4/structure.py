@@ -1,5 +1,6 @@
 """Decomposition toolbox: clique cutsets and atoms (one pass of Tarjan's
-algorithm over one minimal elimination ordering), universal-clique peeling,
+algorithm over one minimal elimination ordering, kept as the list of splits
+it yields and the bottom atom), universal-clique peeling,
 bisimplicial vertices, clique-blowup recognition, fixed-graph recognition,
 and the theorem engine that combines them into the three structure theorems.
 
@@ -151,7 +152,7 @@ def _splits(adj, block: int):
 def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
     """A clique cutset split if one exists, else None.
 
-    The first split of the one-pass scan that decompose_into_atoms folds:
+    The first split of the one-pass scan that decompose_into_atoms keeps:
     by Tarjan's theorem it finds a clique separator whenever one exists.
     """
     if not g.is_connected():
@@ -164,63 +165,55 @@ def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
     return split
 
 
-@dataclass
+@dataclass(frozen=True)
 class AtomDecomposition:
-    """Binary tree of clique-cutset splits; leaves are cutset-free atoms.
+    """The clique-cutset splits of one scan and the atom they leave.
 
-    All vertex sets refer to the original graph's labels. An internal node
-    has split/left/right set; a leaf has atom set. A node keeps its vertex
-    sets as masks (cutset, side_a, side_b at a split, the atom at a leaf) and
-    builds split and atom when they are read: a path or spider on n vertices
-    has about n splits whose sides hold O(n) vertices each, so stored
-    frozensets would take quadratic memory. Every left child is a leaf, and
-    deep inputs give right spines longer than Python's recursion limit, so
-    the walks below use a stack.
+    cuts holds the (cutset, side_a, side_b) masks that _splits yields, top
+    split first; each split cuts off the atom side_a | cutset and the scan
+    goes on in side_b | cutset, down to the bottom atom, the mask last. All
+    vertex sets refer to the original graph's labels. The splits read as a
+    binary tree whose left children are atoms: split and left/right (or
+    atom, at a leaf) give its root, and to_json the whole tree nested. The
+    sides stay masks until read: a path or spider on n vertices has about n
+    splits whose sides hold O(n) vertices each, so stored frozensets would
+    take quadratic memory.
     """
 
-    left: "AtomDecomposition | None" = None
-    right: "AtomDecomposition | None" = None
-    masks: tuple[int, ...] = ()
+    cuts: tuple[tuple[int, int, int], ...]
+    last: int
 
     @property
     def split(self) -> CliqueCutsetSplit | None:
-        if self.left is None:
-            return None
-        return CliqueCutsetSplit(*(frozenset(_bits(m)) for m in self.masks))
+        return CliqueCutsetSplit(*(frozenset(_bits(m)) for m in self.cuts[0])) if self.cuts else None
 
     @property
     def atom(self) -> frozenset[int] | None:
-        if self.left is not None:
-            return None
-        return frozenset(_bits(self.masks[0]))
+        return None if self.cuts else frozenset(_bits(self.last))
 
-    def _preorder(self):
-        """(node, depth) pairs, each left subtree before its right one."""
-        stack = [(self, 0)]
-        while stack:
-            node, d = stack.pop()
-            yield node, d
-            if node.left is not None:
-                stack += ((node.right, d + 1), (node.left, d + 1))
+    @property
+    def left(self) -> "AtomDecomposition | None":
+        if not self.cuts:
+            return None
+        cut, side_a, _ = self.cuts[0]
+        return AtomDecomposition((), side_a | cut)
+
+    @property
+    def right(self) -> "AtomDecomposition | None":
+        return AtomDecomposition(self.cuts[1:], self.last) if self.cuts else None
 
     def leaves(self) -> list[frozenset[int]]:
-        return [node.atom for node, _ in self._preorder() if node.left is None]
+        return [frozenset(_bits(side_a | cut)) for cut, side_a, _ in self.cuts] + [frozenset(_bits(self.last))]
 
     def depth(self) -> int:
-        return max(d for _, d in self._preorder())
+        return len(self.cuts)
 
     def to_json(self) -> dict:
-        root: dict = {}
-        stack = [(self, root)]
-        while stack:
-            node, out = stack.pop()
-            if node.left is None:
-                out["atom"] = list(_bits(node.masks[0]))
-                continue
-            out["split"] = node.split.to_json()
-            out["left"], out["right"] = {}, {}
-            stack += ((node.left, out["left"]), (node.right, out["right"]))
-        return root
+        out: dict = {"atom": list(_bits(self.last))}
+        for cut, side_a, side_b in reversed(self.cuts):
+            split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in (cut, side_a, side_b)))
+            out = {"split": split.to_json(), "left": {"atom": list(_bits(side_a | cut))}, "right": out}
+        return out
 
 
 def decompose_into_atoms(g: Graph) -> AtomDecomposition:
@@ -232,14 +225,9 @@ def decompose_into_atoms(g: Graph) -> AtomDecomposition:
 
 def _decompose(adj, block: int) -> AtomDecomposition:
     """decompose_into_atoms on the connected vertex mask block: the splits of
-    one scan down the right spine, each left child the atom side_a | cutset."""
-    root = node = AtomDecomposition()
-    for cut, side_a, side_b in _splits(adj, block):
-        node.masks = (cut, side_a, side_b)
-        node.left, node.right = AtomDecomposition(masks=(side_a | cut,)), AtomDecomposition()
-        node, block = node.right, side_b | cut
-    node.masks = (block,)
-    return root
+    one scan, and the bottom atom side_b | cutset of the last (block if none)."""
+    cuts = tuple(_splits(adj, block))
+    return AtomDecomposition(cuts, cuts[-1][0] | cuts[-1][2] if cuts else block)
 
 
 @dataclass(frozen=True)

@@ -473,6 +473,16 @@ def test_every_interpreted_step_kind_is_pinned():
     assert _compared_kinds(_reference_apply) == kinds
 
 
+def test_every_pushed_work_kind_is_compared():
+    # _color's work items are tuples headed by their kind; each kind it
+    # pushes has its own comparison, and none is compared that is never
+    # pushed, so no kind falls through to another kind's branch
+    tree = ast.parse(inspect.getsource(coloring._color))
+    pushed = {node.elts[0].value for node in ast.walk(tree) if isinstance(node, ast.Tuple)
+              and node.elts and isinstance(node.elts[0], ast.Constant) and isinstance(node.elts[0].value, str)}
+    assert pushed == _compared_kinds(coloring._color) == {"block", "atom", "cutset", "eliminate"}
+
+
 def test_component_merges_keep_their_colors():
     # every block coloring uses the colors 1..k without a gap, so each merge
     # over the empty cutset that _color emits renames nothing: its

@@ -129,6 +129,24 @@ def test_decompose_children_cover_split():
     assert tree.depth() >= 1
 
 
+def test_decomposition_is_the_scan_as_a_spine(connected_upto7):
+    # the decomposition holds the splits of one scan, top split first: the
+    # right walk from the root passes depth() splits, each left child is the
+    # atom side_a | cutset, and leaves() lists those atoms, then the bottom one
+    for g in [*connected_upto7, path_graph(512), spider(255)]:
+        tree = decompose_into_atoms(g)
+        assert tree.cuts == tuple(_splits(g.adj, g.full_mask())), g
+        node, atoms = tree, []
+        while node.split is not None:
+            split = node.split
+            assert node.atom is None and node.left.split is None, g
+            assert node.left.atom == split.side_a | split.cutset, g
+            atoms.append(node.left.atom)
+            node = node.right
+        assert len(atoms) == tree.depth() and node.atom is not None, g
+        assert tree.leaves() == atoms + [node.atom] and len(tree.leaves()) == tree.depth() + 1, g
+
+
 def _reference_cases():
     yield from (path_graph(k) for k in range(1, 41))
     yield from (cycle_graph(k) for k in range(3, 41))
