@@ -28,10 +28,10 @@ StructuralContradiction with the offending graph attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import ceil
+from typing import NamedTuple
 
 from .families import petersen
 from .graphs import (
@@ -48,8 +48,7 @@ from .patterns import class_membership, class_third_pattern
 from .structure import COLORING_BOUNDS, BlowupCertificate, TheoremCase, _decompose, theorem_case
 
 
-@dataclass(frozen=True)
-class ColoringCertificate:
+class ColoringCertificate(NamedTuple):
     """Proper coloring with its class, claimed bound, and derivation trace."""
 
     assignment: dict[int, int]
@@ -162,6 +161,10 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     _apply, replay_trace's interpreter, on the done stack of block
     colorings; steps come out in post-order. omega is the largest clique
     number of an atom, as each clique lies inside one atom.
+    An atom that eliminates a vertex v with a true twin in it pushes the
+    rest as an atom: a clique cutset S of the rest would cut the atom (as
+    S, or S + v if S holds the twin), so _components and _decompose are
+    skipped and the steps are the block's.
     """
     adj = g.adj
     steps: list[dict] = []
@@ -196,7 +199,10 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             omega = max(omega, w)
             case = theorem_case(g, mask, class_name, w)
             if case.kind == "eliminate":
-                work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
+                v = case.vertex
+                closed = (adj[v] | 1 << v) & mask
+                twin = any((adj[u] | 1 << u) & mask == closed for u in _bits(adj[v] & mask))
+                work += [("eliminate", mask, v, case.budget), ("atom" if twin else "block", mask ^ 1 << v)]
                 continue
             step = _color_case(g, mask, case, class_name)
         _apply(done, step)

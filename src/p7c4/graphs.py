@@ -14,8 +14,7 @@ across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 512
 DEFAULT_ORACLE_LIMIT = 16
@@ -600,8 +599,7 @@ def isomorphic(g: Graph, h: Graph) -> bool:
     return find_isomorphism(g, h) is not None
 
 
-@dataclass(frozen=True)
-class GraphStats:
+class GraphStats(NamedTuple):
     """Exact invariants for one graph; chi is None past the oracle limit."""
 
     omega: int

@@ -25,7 +25,7 @@ a reported pair against the same rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, GraphError, _mask
 from .patterns import _search_induced_cycles
@@ -37,8 +37,7 @@ GEM_PROPERTIES = tuple(f"M{i}" for i in range(1, 15))
 _PROPERTIES = {"diamond": DIAMOND_PROPERTIES, "gem": GEM_PROPERTIES}
 
 
-@dataclass(frozen=True)
-class SevenHolePartition:
+class SevenHolePartition(NamedTuple):
     """The hole A plus the typed partition of N(A); R is everything else.
 
     unclassified collects N(A) vertices matching no type; it is empty exactly
@@ -65,8 +64,7 @@ class SevenHolePartition:
         }
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """Verdict for one property; counterexample present iff it fails."""
 
     property_id: str

@@ -48,9 +48,9 @@ Holes named 'hole(k)' get no bit; no caller asks for one twice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from typing import NamedTuple
 
 from .graphs import (
     Graph,
@@ -111,8 +111,7 @@ def _parse_hole(name: str) -> int | None:
     return k
 
 
-@dataclass(frozen=True)
-class PatternWitness:
+class PatternWitness(NamedTuple):
     """A named pattern plus the vertex list inducing it, in canonical order."""
 
     pattern: str
@@ -122,8 +121,7 @@ class PatternWitness:
         return {"pattern": self.pattern, "vertices": list(self.vertices)}
 
 
-@dataclass(frozen=True)
-class ClassCertificate:
+class ClassCertificate(NamedTuple):
     """Membership verdict for one of the three hereditary classes.
 
     free is True exactly when witness is None; a present witness is a

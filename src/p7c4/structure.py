@@ -10,7 +10,7 @@ deterministic and test-stable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import graph_f, petersen
 from .graphs import (
@@ -29,8 +29,7 @@ from .graphs import (
 from .patterns import class_third_pattern
 
 
-@dataclass(frozen=True)
-class CliqueCutsetSplit:
+class CliqueCutsetSplit(NamedTuple):
     """A clique whose removal separates side_a from side_b."""
 
     cutset: frozenset[int]
@@ -165,8 +164,7 @@ def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
     return split
 
 
-@dataclass(frozen=True)
-class AtomDecomposition:
+class AtomDecomposition(NamedTuple):
     """The clique-cutset splits of one scan and the atom they leave.
 
     cuts holds the (cutset, side_a, side_b) masks that _splits yields, top
@@ -230,8 +228,7 @@ def _decompose(adj, block: int) -> AtomDecomposition:
     return AtomDecomposition(cuts, cuts[-1][0] | cuts[-1][2] if cuts else block)
 
 
-@dataclass(frozen=True)
-class BisimplicialCertificate:
+class BisimplicialCertificate(NamedTuple):
     """A vertex whose neighborhood is covered by two cliques."""
 
     vertex: int
@@ -286,8 +283,7 @@ def find_bisimplicial(g: Graph) -> BisimplicialCertificate | None:
     return None if got is None else BisimplicialCertificate(got[0], *(frozenset(_bits(m)) for m in got[1:]))
 
 
-@dataclass(frozen=True)
-class PeelResult:
+class PeelResult(NamedTuple):
     """Count of universal vertices peeled off, plus what remains."""
 
     ell: int
@@ -313,8 +309,7 @@ def _peel(adj, block: int) -> PeelResult:
     return PeelResult(ell=len(universal), remainder=frozenset(_bits(block)) - set(universal))
 
 
-@dataclass(frozen=True)
-class BlowupCertificate:
+class BlowupCertificate(NamedTuple):
     """Witness that a graph is a clique blowup of the given base."""
 
     base: Graph
@@ -378,8 +373,7 @@ COLORING_BOUNDS = {
 }
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(NamedTuple):
     """What a structure theorem says about one connected class member
     without a clique cutset.
 

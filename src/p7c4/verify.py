@@ -9,30 +9,33 @@ fails, reported with enough detail to replay from its graph6 string.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 from .coloring import _color_member
 from .families import _base_by_name, generate
 from .graphs import Graph, GraphError, StructuralContradiction, max_clique_size, write_graph6
 from .patterns import THEOREM_CLASS, THEOREMS, class_membership
 from .structure import find_clique_cutset, theorem_case
 
-@dataclass
-class VerificationRun:
-    """Aggregate result of checking one theorem over a corpus."""
 
-    theorem: str
-    corpus: str
-    total: int = 0
-    members: int = 0
-    checked: int = 0
-    verified: int = 0
-    violated: int = 0
-    vacuous: int = 0
-    violations: list[dict] = field(default_factory=list)
+class VerificationRun:
+    """Aggregate result of checking one theorem over a corpus; verify_corpus
+    counts into it as it goes, so unlike the library's other records it is
+    mutable. Each run owns its violations list."""
+
+    def __init__(self, theorem: str, corpus: str, total: int = 0, members: int = 0, checked: int = 0,
+                 verified: int = 0, violated: int = 0, vacuous: int = 0, violations: list[dict] | None = None):
+        self.theorem = theorem
+        self.corpus = corpus
+        self.total = total
+        self.members = members
+        self.checked = checked
+        self.verified = verified
+        self.violated = violated
+        self.vacuous = vacuous
+        self.violations = [] if violations is None else violations
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # the attributes in the order __init__ sets them
+        return {**vars(self), "violations": list(self.violations)}
 
 
 def check_theorem(g: Graph, theorem: str) -> dict:

@@ -22,7 +22,9 @@ placement engine. The trace interpreter has its eager form, in which every
 cutset merge builds a new coloring: a copy of the right-hand one with the
 left-hand one, renamed by the permutation, written over it. The
 generator has its plain form: every neighbourhood mask of every parent is
-tried, not one per orbit of the parent's twin swaps.
+tried, not one per orbit of the parent's twin swaps. The colourer has its
+form without twin runs: the rest of every atom that eliminates a vertex
+goes back through the component split and the decomposition as a block.
 """
 
 import heapq
@@ -347,6 +349,53 @@ def _reference_apply(stack: list[dict[int, int]], step: dict) -> None:
         stack.append(dict(step["assignment"]))
     else:
         raise GraphError(f"unknown trace step {kind!r}")
+
+
+def reference_color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, list[dict]]:
+    """coloring._color with every eliminated atom's rest pushed as a block,
+    never as an atom; the steps themselves come from the library's own."""
+    from p7c4.coloring import _apply, _color_case, _color_clique, _cutset_permutation, _eliminate
+    from p7c4.graphs import _components, _is_clique_mask, _max_clique_size
+    from p7c4.structure import _decompose, theorem_case
+
+    adj = g.adj
+    steps, done, omega = [], [], 1
+    work = [("block", block)]
+    while work:
+        kind, mask, *rest = work.pop()
+        if kind == "cutset":
+            cutset = list(_bits(mask))
+            step = {"step": "cutset-merge", "cutset": cutset,
+                    "permutation": _cutset_permutation(done[-1], done[-2], cutset)}
+        elif kind == "eliminate":
+            v, budget = rest
+            step = {"step": "eliminate-vertex", "vertex": v,
+                    "color": _eliminate(g, mask, done[-1], v, budget, class_name)}
+        elif _is_clique_mask(adj, mask):
+            omega = max(omega, mask.bit_count())
+            step = _color_clique(mask)
+        elif kind == "block":
+            comps = _components(adj, mask)
+            if len(comps) > 1:
+                work += [("cutset", 0)] * (len(comps) - 1)
+                work += [("block", c) for c in reversed(comps)]
+            else:
+                tree = _decompose(adj, mask)
+                work += [("cutset", cut) for cut, _, _ in tree.cuts]
+                work += [("atom", tree.last)] + [("atom", side_a | cut) for cut, side_a, _ in reversed(tree.cuts)]
+            continue
+        else:
+            w = _max_clique_size(adj, mask)
+            omega = max(omega, w)
+            case = theorem_case(g, mask, class_name, w)
+            if case.kind == "eliminate":
+                work += [("eliminate", mask, case.vertex, case.budget), ("block", mask ^ 1 << case.vertex)]
+                continue
+            step = _color_case(g, mask, case, class_name)
+        _apply(done, step)
+        steps.append(step)
+    (assign,) = done
+    return assign, omega, steps
 
 
 def reference_mcsm(g: Graph) -> tuple[list[int], list[int]]:

@@ -6,8 +6,15 @@ from random import Random
 
 import pytest
 
-from conftest import _reference_apply, reference_min_multicover, reference_replay, spider, windmill
-from p7c4 import coloring
+from conftest import (
+    _reference_apply,
+    reference_color,
+    reference_min_multicover,
+    reference_replay,
+    spider,
+    windmill,
+)
+from p7c4 import coloring, structure
 from p7c4.coloring import (
     ColoringCertificate,
     StructuralContradiction,
@@ -481,6 +488,44 @@ def test_every_pushed_work_kind_is_compared():
     pushed = {node.elts[0].value for node in ast.walk(tree) if isinstance(node, ast.Tuple)
               and node.elts and isinstance(node.elts[0], ast.Constant) and isinstance(node.elts[0].value, str)}
     assert pushed == _compared_kinds(coloring._color) == {"block", "atom", "cutset", "eliminate"}
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_twin_runs_match_the_block_reference(monkeypatch):
+    # an atom that eliminates a vertex with a true twin pushes the rest as an
+    # atom, where the reference pushes a block through _components and
+    # _decompose; assignments (in insertion order), omega and steps agree
+    cases = [(g, cls) for cls in COLORERS for n in range(1, 9) for g in class_members(cls, n)]
+    rng = Random(36)
+    for base in (5, 7):
+        for seed in range(8):
+            g = clique_blowup(cycle_graph(base), [rng.randint(1, 6) for _ in range(base)])
+            cases += [(g, "gem-class"), (_relabelled(g, seed), "gem-class")]
+    decomposed = _count_calls(monkeypatch, coloring, "_decompose")
+    for g, class_name in cases:
+        assign, omega, steps = _color(g, g.full_mask(), class_name)
+        ref_assign, ref_omega, ref_steps = reference_color(g, g.full_mask(), class_name)
+        assert (list(assign.items()), omega, steps) == (list(ref_assign.items()), ref_omega, ref_steps)
+    assert len(cases) == 3846 and len(decomposed) == 4464  # the reference: 17 more on the members, 172 on the blowups
+
+
+def test_twin_runs_decompose_a_clique_blowup_once(monkeypatch):
+    # gem colors the C5 blowup 60^5 by eliminating bisimplicial vertices;
+    # each has a true twin until its class runs out, so only the first
+    # block and the first rest that is no longer an atom run MCS-M
+    g = clique_blowup(cycle_graph(5), [60] * 5)
+    runs = _count_calls(monkeypatch, structure, "_mcsm")
+    assign, omega, steps = _color(g, g.full_mask(), "gem-class")
+    assert len(runs) == 2
+    assert (max(assign.values()), omega, len(steps)) == (180, 120, 301)
+    runs.clear()
+    assert reference_color(g, g.full_mask(), "gem-class") == (assign, omega, steps) and len(runs) == 61
 
 
 def test_component_merges_keep_their_colors():

@@ -1,7 +1,7 @@
 """Every module-level import in the library is used, no closure calls
 itself, the package exports exactly its public names, a CLI subcommand
-loads only what it runs, and every function the benchmark's tracer wraps
-by name still exists.
+loads only what it runs and never dataclasses, and every function the
+benchmark's tracer wraps by name still exists.
 """
 
 import ast
@@ -161,19 +161,51 @@ def test_package_names_follow_their_module(monkeypatch):
     assert p7c4.write_graph6 is len
 
 
-def test_classify_loads_only_what_it_runs():
+# the p7c4 modules each subcommand of the benchmark's CLI batch loads
+SUBCOMMAND_MODULES = {
+    "classify --class gem": ["graphs", "patterns"],
+    "oracle-check": ["graphs", "patterns"],
+    "analyze-hole --mode gem --all-holes": ["graphs", "hole_lab", "patterns"],
+    "decompose": ["families", "graphs", "patterns", "structure"],
+    "color --class gem": ["coloring", "families", "graphs", "patterns", "structure"],
+}
+# what the stdlib dataclasses module pulls in; a record needs none of it
+HEAVY_STDLIB = ("dataclasses", "inspect", "ast", "dis")
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_MODULES), ids=lambda c: c.split()[0])
+def test_subcommand_loads_only_what_it_runs(command):
+    # the heavy modules are compared with the interpreter's own start-up
+    # set, as some sites preload stdlib modules
     script = (
-        "import io, sys\n"
+        "import sys\n"
+        "start = set(sys.modules)\n"
+        "import io\n"
         "from p7c4.cli import cli_main\n"
         "sys.stdin = io.StringIO('Bw\\n')\n"
-        "assert cli_main(['classify', '--class', 'gem', '--corpus', '-']) == 0\n"
+        f"assert cli_main({command.split()!r} + ['--corpus', '-']) == 0\n"
         "print(sorted(m for m in sys.modules if m.startswith('p7c4')), file=sys.stderr)\n"
+        f"print(sorted(m for m in {HEAVY_STDLIB!r} if m in sys.modules and m not in start), file=sys.stderr)\n"
     )
     src = str(Path(p7c4.__file__).parent.parent)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.strip() == str(["p7c4", "p7c4.cli", "p7c4.graphs", "p7c4.patterns"])
+    wanted = ["p7c4", "p7c4.cli", *(f"p7c4.{m}" for m in SUBCOMMAND_MODULES[command])]
+    assert proc.stderr.splitlines() == [str(wanted), "[]"]
+
+
+def _imports_dataclasses(source: str) -> bool:
+    return any(isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+               or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples, so no subcommand pays for dataclasses
+    assert [path.name for path in MODULES if _imports_dataclasses(path.read_text())] == []
+    assert _imports_dataclasses("def f():\n    from dataclasses import field\n")
+    assert _imports_dataclasses("import os, dataclasses as dc\n")
 
 
 def test_every_traced_function_resolves():

@@ -27,6 +27,7 @@ from p7c4.graphs import (
 from p7c4.enumerate import class_members, connected_graphs
 from p7c4.patterns import class_membership, find_induced_pattern
 from p7c4.structure import (
+    CliqueCutsetSplit,
     _mcsm,
     _splits,
     decompose_into_atoms,
@@ -60,6 +61,17 @@ def test_cutset_examples():
     split = find_clique_cutset(diamond)
     assert split.cutset == {1, 2}
     assert {split.side_a, split.side_b} == {frozenset({0}), frozenset({3})}
+
+
+@pytest.mark.parametrize("parts", [
+    ({2, 3}, {0, 1}, {3}),  # the parts cover V, but 3 is listed twice
+    ({2}, {0}, {0, 3}),     # the sizes sum to n, but 1 is missing
+], ids=["repeated-vertex", "missing-vertex"])
+def test_validate_split_needs_a_partition(parts):
+    # each bad split passes one of the two partition checks, and every
+    # later check, so each check must fail it on its own
+    with pytest.raises(GraphError, match="partition"):
+        validate_split(path_graph(4), CliqueCutsetSplit(*map(frozenset, parts)))
 
 
 def test_cutset_requires_connected():
