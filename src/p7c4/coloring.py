@@ -151,26 +151,28 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     """Coloring of the vertex mask block of g, its clique number, trace steps.
 
     One work stack stands in for the recursion over components, clique
-    cutsets and eliminated vertices. A disconnected block pushes its m
-    components below m - 1 merges over the empty cutset (identity
-    permutations, as every block coloring uses the colors 1..k), and a
-    connected one, in the same shape, the atoms of structure._decompose's
-    splits and its bottom atom below a merge over each split's cutset; a
-    clique goes to _color_clique instead.
+    cutsets and eliminated vertices. It starts with block's m components,
+    as blocks, below m - 1 merges over the empty cutset (identity
+    permutations, as every block coloring uses the colors 1..k). A block
+    pushes, in the same shape, the atoms of structure._decompose's splits
+    and its bottom atom below a merge over each split's cutset; a clique
+    goes to _color_clique instead.
     Each other work item decides one trace step, which runs through
     _apply, replay_trace's interpreter, on the done stack of block
     colorings; steps come out in post-order. omega is the largest clique
     number of an atom, as each clique lies inside one atom.
-    An atom that eliminates a vertex v with a true twin in it pushes the
-    rest as an atom: a clique cutset S of the rest would cut the atom (as
-    S, or S + v if S holds the twin), so _components and _decompose are
-    skipped and the steps are the block's.
+    An atom that eliminates a vertex v pushes the rest as a block, which is
+    connected, as an atom has no cut vertex (a one-vertex clique cutset).
+    If v has a true twin in the atom, the rest is pushed as an atom: a clique
+    cutset S of the rest would cut the atom (as S, or S + v if S holds the
+    twin), so _decompose is skipped and the steps are the block's.
     """
     adj = g.adj
     steps: list[dict] = []
     done: list[dict[int, int]] = []
     omega = 1
-    work: list[tuple] = [("block", block)]
+    comps = _components(adj, block)
+    work: list[tuple] = [("cutset", 0)] * (len(comps) - 1) + [("block", c) for c in reversed(comps)]
     while work:
         kind, mask, *rest = work.pop()
         if kind == "cutset":
@@ -185,14 +187,9 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             omega = max(omega, mask.bit_count())
             step = _color_clique(mask)
         elif kind == "block":
-            comps = _components(adj, mask)
-            if len(comps) > 1:
-                work += [("cutset", 0)] * (len(comps) - 1)
-                work += [("block", c) for c in reversed(comps)]
-            else:
-                tree = _decompose(adj, mask)
-                work += [("cutset", cut) for cut, _, _ in tree.cuts]
-                work += [("atom", tree.last)] + [("atom", side_a | cut) for cut, side_a, _ in reversed(tree.cuts)]
+            tree = _decompose(adj, mask)
+            work += [("cutset", cut) for cut, _, _ in tree.cuts]
+            work += [("atom", tree.last)] + [("atom", side_a | cut) for cut, side_a, _ in reversed(tree.cuts)]
             continue
         elif kind == "atom":
             w = _max_clique_size(adj, mask)
@@ -285,23 +282,16 @@ def color_gem_class(g: Graph) -> ColoringCertificate:
 
 
 @lru_cache(maxsize=1)
-def _petersen_maximal_independent_sets() -> tuple[tuple[int, ...], ...]:
-    """Every maximal independent set of the Petersen graph, larger sets
-    first: the masks that meet no neighbourhood of their own vertices and
-    every neighbourhood of the others."""
-    adj = petersen().adj
-    out = [tuple(_bits(m)) for m in range(1 << 10)
-           if not any(adj[v] & m for v in _bits(m)) and all(adj[w] & m for w in _bits(1023 & ~m))]
-    return tuple(sorted(out, key=lambda s: (-len(s), s)))
-
-
-@lru_cache(maxsize=1)
 def _petersen_cover_tables() -> tuple[tuple, tuple, tuple]:
     """The cover search's tables: the maximal independent sets through each
-    vertex, the edges, and the twelve 5-cycles (the 5-sets in which every
-    vertex has two neighbours; girth 5 rules out a triangle plus an edge)."""
-    sets = _petersen_maximal_independent_sets()
+    vertex, larger sets first (the masks that meet no neighbourhood of their
+    own vertices and every neighbourhood of the others), the edges, and the
+    twelve 5-cycles (the 5-sets in which every vertex has two neighbours;
+    girth 5 rules out a triangle plus an edge)."""
     p = petersen()
+    sets = sorted((tuple(_bits(m)) for m in range(1 << 10)
+                   if not any(p.adj[v] & m for v in _bits(m)) and all(p.adj[w] & m for w in _bits(1023 & ~m))),
+                  key=lambda s: (-len(s), s))
     pentagons = tuple(c for c in combinations(range(10), 5)
                       if all((p.adj[u] & sum(1 << w for w in c)).bit_count() == 2 for u in c))
     return tuple(tuple(s for s in sets if v in s) for v in range(10)), tuple(p.edges()), pentagons

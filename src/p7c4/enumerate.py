@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, _refine, _relabel, write_graph6
+from .graphs import Graph, GraphError, _bits, _refine, _relabel, _twin_classes, write_graph6
 from .patterns import _ABSENT_BIT, _has_pattern_through, class_third_pattern
 
 
@@ -101,18 +101,18 @@ def canonical_key(g: Graph) -> str:
 
 def _orbit_masks(adj: tuple[int, ...]) -> list[int]:
     """One mask per orbit of the group a graph's twin swaps generate: a
-    prefix of each set of vertices with equal open, or equal closed,
-    neighbourhoods (a false twin f and a true twin t of v would have t in
-    N(v) = N(f) and f outside N[t] = N[v], so no vertex has both)."""
-    masks, left = [0], (1 << len(adj)) - 1
-    while left:
-        v = (left & -left).bit_length() - 1
+    prefix of each twin class, the false-twin classes of two or more
+    vertices and the true-twin classes that meet none of them
+    (graphs._twin_classes; no vertex has both kinds of twin)."""
+    full = (1 << len(adj)) - 1
+    false = [c for c in _twin_classes(adj, full, closed=False) if c & c - 1]
+    masks, paired = [0], sum(false)
+    for c in false + [c for c in _twin_classes(adj, full) if not c & paired]:
         prefix, grown = 0, list(masks)
-        for u in range(v, len(adj)):
-            if adj[u] == adj[v] or adj[u] | 1 << u == adj[v] | 1 << v:
-                prefix |= 1 << u
-                grown += [m | prefix for m in masks]
-        masks, left = grown, left & ~prefix
+        for u in _bits(c):
+            prefix |= 1 << u
+            grown += [m | prefix for m in masks]
+        masks = grown
     return masks
 
 

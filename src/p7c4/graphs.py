@@ -161,11 +161,13 @@ def _vertex_mask(g: Graph, vertices: Iterable[int]) -> int:
     return m
 
 
-def _true_twin_classes(adj, block: int) -> list[int]:
-    """Masks of the classes of equal closed neighborhood inside block, by lowest vertex."""
+def _twin_classes(adj, block: int, closed: bool = True) -> list[int]:
+    """Masks of the classes of equal closed (true twins) or open (false twins)
+    neighborhood inside block, by lowest vertex. No vertex v has both a false
+    twin f and a true twin t: t would lie in N(v) = N(f), and f outside N[t] = N[v]."""
     groups: dict[int, int] = {}
     for v in _bits(block):
-        key = adj[v] & block | 1 << v
+        key = adj[v] & block | closed << v
         groups[key] = groups.get(key, 0) | 1 << v
     return list(groups.values())
 

@@ -60,7 +60,7 @@ from .graphs import (
     _is_clique_mask,
     _place,
     _relabel,
-    _true_twin_classes,
+    _twin_classes,
     _twin_representatives,
     cycle_graph,
     path_graph,
@@ -162,7 +162,7 @@ def find_induced_pattern(g: Graph, pattern: str) -> PatternWitness | None:
 @lru_cache(maxsize=None)
 def _largest_twin_class(pat: Graph) -> int:
     """Size of the pattern's largest true-twin class."""
-    return max(c.bit_count() for c in _true_twin_classes(pat.adj, pat.full_mask()))
+    return max(c.bit_count() for c in _twin_classes(pat.adj, pat.full_mask()))
 
 
 def find_hole(g: Graph, k: int) -> PatternWitness | None:

@@ -21,7 +21,7 @@ from .graphs import (
     _is_clique_mask,
     _mask,
     _relabel,
-    _true_twin_classes,
+    _twin_classes,
     _vertex_mask,
     find_isomorphism,
     is_clique,
@@ -329,7 +329,7 @@ class BlowupCertificate(NamedTuple):
 def recognize_clique_blowup(g: Graph, base: Graph) -> BlowupCertificate | None:
     """Decide whether g is a clique blowup of the twin-free base. Bases with
     true twins are rejected: their quotient would be ambiguous."""
-    if len(_true_twin_classes(base.adj, base.full_mask())) != base.n:
+    if len(_twin_classes(base.adj, base.full_mask())) != base.n:
         raise GraphError("blowup base must be twin-free")
     return _blowup(g.adj, g.full_mask(), base)
 
@@ -345,7 +345,7 @@ def _blowup(adj, block: int, base: Graph) -> BlowupCertificate | None:
     """
     if not block or block.bit_count() < base.n:
         return None
-    classes = _true_twin_classes(adj, block)
+    classes = _twin_classes(adj, block)
     if len(classes) != base.n:
         return None
     quotient = _relabel(adj, [(c & -c).bit_length() - 1 for c in classes])  # on the lowest vertex of each class

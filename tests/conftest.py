@@ -15,7 +15,8 @@ vertices already placed. The path and cycle searches have theirs: the
 same backtracking over every vertex of the graph, without the library's
 restriction to a few vertices of each true-twin class. The Petersen-blowup
 cover search has its plain form too: one search per cover size, cut only
-when the deficit exceeds four per remaining set. Isomorphism has its own
+when the deficit exceeds four per remaining set, over maximal independent
+sets found by trying every vertex subset. Isomorphism has its own
 backtracking over the refinement cells, which checks each vertex only
 against the vertices already mapped and never reaches the library's
 placement engine. The trace interpreter has its eager form, in which every
@@ -32,7 +33,6 @@ from itertools import combinations
 
 import pytest
 
-from p7c4.coloring import _petersen_maximal_independent_sets
 from p7c4.families import petersen
 from p7c4.enumerate import _canonical_order
 from p7c4.graphs import Graph, GraphError, _bits, _refine, _relabel, induced_subgraph, is_clique
@@ -289,11 +289,22 @@ def reference_find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     return dict(mapping) if go(0) else None
 
 
+def petersen_maximal_independent_sets() -> list[tuple[int, ...]]:
+    """Every maximal independent set of the Petersen graph, larger sets
+    first, then in lexicographic order: the independent vertex subsets to
+    which no vertex can be added."""
+    p = petersen()
+    independent = [s for k in range(1, 11) for s in combinations(range(10), k)
+                   if not any(p.has_edge(u, v) for u, v in combinations(s, 2))]
+    return sorted((s for s in independent if all(any(p.has_edge(v, u) for u in s) for v in range(10) if v not in s)),
+                  key=lambda s: (-len(s), s))
+
+
 def reference_min_multicover(weights) -> list[tuple[int, ...]]:
     """The first cover found depth-first at the least feasible size, sizes
     tried upward from the edge and total-count bounds alone, with a fresh
     memo of failed states for each size."""
-    sets = _petersen_maximal_independent_sets()
+    sets = petersen_maximal_independent_sets()
     by_vertex = [[s for s in sets if v in s] for v in range(10)]
     p = petersen()
     k = max(max(weights[u] + weights[v] for u, v in p.edges()), -(-sum(weights) // 4))

@@ -7,7 +7,9 @@ from random import Random
 import pytest
 
 from conftest import (
+    _mask_is_connected,
     _reference_apply,
+    petersen_maximal_independent_sets,
     reference_color,
     reference_min_multicover,
     reference_replay,
@@ -23,7 +25,6 @@ from p7c4.coloring import (
     _cutset_permutation,
     _eliminate,
     _min_multicover,
-    _petersen_maximal_independent_sets,
     color_diamond_class,
     color_gem_class,
     color_kite_class,
@@ -156,7 +157,7 @@ def test_multicover_bounds_keep_the_first_cover():
     cases = [(w,) * 10 for w in range(1, 6)] + [(4, 5, 2, 2, 5, 2, 5, 2, 2, 3)]
     cases += [tuple(rng.randint(lo, hi) for _ in range(10))
               for lo, hi in [(2, 5)] * 30 + [(1, 4)] * 40 + [(0, 4)] * 40]
-    sets = set(_petersen_maximal_independent_sets())
+    sets = set(petersen_maximal_independent_sets())
     edges = list(petersen().edges())
     above_plain_bound = 0
     for weights in cases:
@@ -526,6 +527,30 @@ def test_twin_runs_decompose_a_clique_blowup_once(monkeypatch):
     assert (max(assign.values()), omega, len(steps)) == (180, 120, 301)
     runs.clear()
     assert reference_color(g, g.full_mask(), "gem-class") == (assign, omega, steps) and len(runs) == 61
+
+
+def test_components_are_split_once_and_every_block_is_connected(monkeypatch):
+    # _color splits its input into components once, before its loop; every
+    # mask it hands _decompose is connected, the rest of an atom after an
+    # elimination included, as an atom has no cut vertex
+    cases = [(g, cls) for cls in COLORERS for n in range(1, 9) for g in class_members(cls, n)]
+    rng = Random(37)
+    for base in (5, 7):
+        for seed in range(8):
+            g = clique_blowup(cycle_graph(base), [rng.randint(1, 6) for _ in range(base)])
+            cases += [(g, "gem-class"), (_relabelled(g, seed), "gem-class")]
+    cases += [(g, cls) for g in (spider(40), windmill(40)) for cls in COLORERS]
+    split = _count_calls(monkeypatch, coloring, "_components")
+    blocks = []
+    real = coloring._decompose
+    monkeypatch.setattr(coloring, "_decompose", lambda adj, mask: blocks.append(mask) or real(adj, mask))
+    decomposed = 0
+    for g, class_name in cases:
+        _color(g, g.full_mask(), class_name)
+        assert all(_mask_is_connected(g, mask) for mask in blocks), g.adj
+        decomposed += len(blocks)
+        blocks.clear()
+    assert (len(cases), len(split), decomposed) == (3852, 3852, 4470)
 
 
 def test_component_merges_keep_their_colors():

@@ -183,3 +183,21 @@ def test_spine_merges_keep_the_larger_coloring(g, merges):
             assert len(left) <= 3 and stack[-1] is right and len(right) == before + len(left) - len(step["cutset"])
             seen += 1
         assert seen == merges and len(stack) == 1 and len(stack[0]) == g.n
+
+
+TRIANGLES_170 = Graph(510, [(3 * i + a, 3 * i + b) for i in range(170) for a, b in ((0, 1), (0, 2), (1, 2))])
+
+
+@pytest.mark.parametrize("g, colors, steps", [(empty_graph(512), 1, 1023), (TRIANGLES_170, 3, 339)],
+                         ids=["E512", "170K3"])
+def test_disconnected_inputs_at_the_cap(g, colors, steps):
+    # one clique-base step per component and a merge over the empty cutset
+    # between each two, under every class and the default recursion limit;
+    # the trace replays after a JSON round trip
+    assert sys.getrecursionlimit() <= 1000
+    for color in (color_diamond_class, color_kite_class, color_gem_class):
+        cert = color(g)
+        validate_certificate(g, cert)
+        assert (cert.colors_used, len(cert.trace)) == (colors, steps)
+        trace = json.loads(json.dumps(cert.to_json()))["trace"]
+        assert list(replay_trace(trace).items()) == list(cert.assignment.items())

@@ -1,11 +1,11 @@
 """Golden outputs: sha256 digests of CLI stdout and check_theorem diagnoses.
 
 Every subcommand is run in-process over fixed corpora, and the digest of its
-exit code, stdout and stderr is compared against the value pinned below. The
-pinned values were captured before the colouring and verification paths were
-merged into one theorem engine, so any change in witnesses, certificates,
-traces or diagnosis text shows up here. A failure names each run whose output
-diverged.
+exit code, stdout and stderr is compared against the value pinned below, so
+any change in witnesses, certificates, traces or diagnosis text shows up
+here. A pin moves only with a declared output change, which CHANGES.md
+records with the old and new digest and a comment beside the pin gives the
+reason for. A failure names each run whose output diverged.
 """
 
 from __future__ import annotations

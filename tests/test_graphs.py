@@ -11,6 +11,7 @@ from p7c4.graphs import (
     _is_clique_mask,
     _refine,
     _relabel,
+    _twin_classes,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -233,6 +234,43 @@ def test_is_clique_mask_matches_the_all_expression(small_graphs):
         for mask in range(1 << g.n):
             want = all(g.adj[v] & mask == mask ^ 1 << v for v in _bits(mask))
             assert _is_clique_mask(g.adj, mask) == want
+
+
+def _pairwise_twin_classes(adj, block: int, closed: bool) -> list[int]:
+    """Classes of the relation "u = v, or u and v see the same vertices of
+    block besides each other and are adjacent iff closed", by lowest vertex."""
+    def twins(u, v):
+        others = block & ~(1 << u | 1 << v)
+        return u == v or adj[u] & others == adj[v] & others and bool(adj[u] >> v & 1) == closed
+
+    classes = []
+    for v in _bits(block):
+        c = sum(1 << u for u in _bits(block) if twins(u, v))
+        if c not in classes:
+            classes.append(c)
+    return classes
+
+
+def test_twin_classes_match_the_pairwise_definition(small_graphs):
+    # both kinds of class, on the full mask of every graph on <= 6 vertices
+    # and on seeded random blocks of them and of larger random graphs; no
+    # vertex lies in a false-twin class and a true-twin class of two or more
+    rng = random.Random(37)
+    cases = [(g.adj, g.full_mask()) for g in small_graphs]
+    cases += [(g.adj, rng.getrandbits(g.n)) for g in small_graphs]
+    for _ in range(200):
+        n = rng.randint(7, 14)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+        cases.append((g.adj, rng.getrandbits(n)))
+    both = 0
+    for adj, block in cases:
+        false, true = (_twin_classes(adj, block, closed) for closed in (False, True))
+        assert false == _pairwise_twin_classes(adj, block, False), (adj, block)
+        assert true == _pairwise_twin_classes(adj, block, True), (adj, block)
+        assert _twin_classes(adj, block) == true
+        assert not any(f & t and f & f - 1 and t & t - 1 for f in false for t in true)
+        both += any(f & f - 1 for f in false) and any(t & t - 1 for t in true)
+    assert len(cases) == 616 and both == 82  # blocks with twins of both kinds, in different classes
 
 
 def test_chromatic_oracle_examples():

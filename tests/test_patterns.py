@@ -16,7 +16,7 @@ from p7c4.families import g1, g4, graph_f, petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
-    _true_twin_classes,
+    _twin_classes,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -222,7 +222,7 @@ def test_twin_restricted_search_keeps_the_witness(connected_upto7, pattern):
         got = find_induced_pattern(g, pattern)
         assert (got.vertices if got else None) == _reference(g, pattern), (g, g.adj)
         if got is not None:
-            classes = _true_twin_classes(g.adj, g.full_mask())
+            classes = _twin_classes(g.adj, g.full_mask())
             twin_pairs += any((c & sum(1 << v for v in got.vertices)).bit_count() > 1 for c in classes)
     # the diamond and kite have a twin pair, so their witnesses may take two
     # vertices of one class; the other patterns never do
