@@ -156,7 +156,9 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
     permutations, as every block coloring uses the colors 1..k). A block
     pushes, in the same shape, the atoms of structure._decompose's splits
     and its bottom atom below a merge over each split's cutset; a clique
-    goes to _color_clique instead.
+    goes to _color_clique instead. The tree is only read: for a connected
+    g's full mask it is the immutable one g keeps, shared with
+    decompose_into_atoms, so a graph decomposed first is not scanned again.
     Each other work item decides one trace step, which runs through
     _apply, replay_trace's interpreter, on the done stack of block
     colorings; steps come out in post-order. omega is the largest clique
@@ -187,7 +189,7 @@ def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, 
             omega = max(omega, mask.bit_count())
             step = _color_clique(mask)
         elif kind == "block":
-            tree = _decompose(adj, mask)
+            tree = _decompose(g, mask)
             work += [("cutset", cut) for cut, _, _ in tree.cuts]
             work += [("atom", tree.last)] + [("atom", side_a | cut) for cut, side_a, _ in reversed(tree.cuts)]
             continue

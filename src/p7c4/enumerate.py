@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, _bits, _refine, _relabel, _twin_classes, write_graph6
+from .graphs import Graph, GraphError, _bits, _refine, _twin_classes, write_graph6
 from .patterns import _ABSENT_BIT, _has_pattern_through, class_third_pattern
 
 
@@ -38,6 +38,23 @@ def _perm_bits(adj: tuple[int, ...], perm: list[int], upto: int) -> int:
         for i in range(j):
             bits = bits << 1 | (col >> perm[i] & 1)
     return bits
+
+
+def _graph_of_bits(n: int, bits: int) -> Graph:
+    """The n-vertex graph whose _perm_bits string (identity labeling, all n
+    positions) is bits. Columns are read from the last: the lowest j bits
+    hold column j, and its bit k is the edge (j-1-k, j)."""
+    adj = [0] * n
+    for j in range(n - 1, 0, -1):
+        col = bits & (1 << j) - 1
+        bits >>= j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            col ^= low
+    return Graph._from_adj(n, tuple(adj))
 
 
 def canonical_permutation(g: Graph) -> tuple[int, ...]:
@@ -91,7 +108,8 @@ def _least_leaf(adj: tuple[int, ...], cells: list[list[int]], best: tuple | None
 
 
 def canonical_form(g: Graph) -> Graph:
-    return _relabel(g.adj, canonical_permutation(g))
+    """g relabeled by canonical_permutation, decoded from its least string."""
+    return _graph_of_bits(g.n, _canonical_order(g.adj, _refine(g.adj, [list(range(g.n))]))[0])
 
 
 def canonical_key(g: Graph) -> str:
@@ -135,7 +153,8 @@ def _grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph, ...]:
     image of v, last in its cell (vertices ascend within a cell). So every
     class is reached. The canonical search starts from the cells the test
     read, and its least adjacency string keys found, which removes the
-    remaining duplicates.
+    remaining duplicates; a kept graph is that string decoded
+    (_graph_of_bits).
 
     As the parent is in the family, the child is in it iff x lies on no
     forbidden pattern (patterns._has_pattern_through). C4 fails about half
@@ -173,7 +192,7 @@ def _grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph, ...]:
             cells = _refine(child, [list(range(n))])
             if cells[-1][-1] != n - 1:
                 continue
-            bits, perm = _canonical_order(child, cells)
+            bits = _canonical_order(child, cells)[0]
             if bits in found:
                 continue
             found[bits] = None
@@ -185,7 +204,7 @@ def _grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph, ...]:
                 if absent & _ABSENT_BIT["diamond"] or (parent._absent & bit & ~absent
                                                        and not _has_pattern_through(adj, mask, name)):
                     absent |= bit
-            canon = found[bits] = _relabel(child, perm)
+            canon = found[bits] = _graph_of_bits(n, bits)
             canon._absent = absent
     return tuple(g for _, g in sorted(found.items()) if g is not None)
 

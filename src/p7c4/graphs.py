@@ -1,15 +1,17 @@
 """Simple graphs on vertex indices 0..n-1 with bitmask adjacency.
 
 Every operation here is a pure function, and a graph's vertex count and
-adjacency never change after construction. The one mutable field is
-`_absent`, a memo of the named patterns proven absent (see `patterns`),
-which starts at 0 and only gains bits. A bit is set only once a
-completed search, or the generator's induction (`enumerate`), proves
-absence, and the adjacency it speaks about is fixed, so every bit stays
-true. The generator sets its bits before a graph leaves it. Two threads
-that set bits at once can only lose a bit, which costs one repeated
-search and never a wrong answer; graphs are therefore safe to share
-across threads.
+adjacency never change after construction. Its two mutable fields are
+memos of the object: neither ever changes an answer, and neither is part
+of equality or the hash. `_absent` holds the named patterns proven absent
+(see `patterns`). It starts at 0 and gains a bit only once a completed
+search, or the generator's induction (`enumerate`), proves absence in the
+fixed adjacency, so every bit stays true; the generator sets its bits
+before a graph leaves it. `_atoms` is None until `structure._decompose`
+first decomposes the whole vertex set, and then that immutable tree. Two
+threads that set bits at once can only lose a bit, which costs one
+repeated search, and two that decompose at once can at worst compute the
+same tree twice; graphs are therefore safe to share across threads.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ class StructuralContradiction(RuntimeError):
 class Graph:
     """Simple undirected graph; adjacency stored as one bitmask per vertex."""
 
-    __slots__ = ("n", "adj", "_absent")
+    __slots__ = ("n", "adj", "_absent", "_atoms")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -60,6 +62,7 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         self._absent = 0  # bit i: patterns.PATTERN_NAMES[i] proven absent
+        self._atoms = None  # structure.AtomDecomposition of the full vertex mask, once computed
 
     @classmethod
     def _from_adj(cls, n: int, adj: tuple[int, ...]) -> "Graph":
@@ -68,6 +71,7 @@ class Graph:
         g.n = n
         g.adj = adj
         g._absent = 0
+        g._atoms = None
         return g
 
     def has_edge(self, u: int, v: int) -> bool:

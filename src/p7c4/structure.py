@@ -215,17 +215,28 @@ class AtomDecomposition(NamedTuple):
 
 
 def decompose_into_atoms(g: Graph) -> AtomDecomposition:
-    """Clique-cutset decomposition of a connected graph down to cutset-free atoms."""
+    """Clique-cutset decomposition of a connected graph down to cutset-free
+    atoms. The tree is immutable and shared: every call on the same object,
+    and the colorers, get the one g keeps (see _decompose)."""
     if not g.is_connected():
         raise GraphError("atom decomposition requires a connected graph")
-    return _decompose(g.adj, g.full_mask())
+    return _decompose(g, g.full_mask())
 
 
-def _decompose(adj, block: int) -> AtomDecomposition:
-    """decompose_into_atoms on the connected vertex mask block: the splits of
-    one scan, and the bottom atom side_b | cutset of the last (block if none)."""
-    cuts = tuple(_splits(adj, block))
-    return AtomDecomposition(cuts, cuts[-1][0] | cuts[-1][2] if cuts else block)
+def _decompose(g: Graph, block: int) -> AtomDecomposition:
+    """decompose_into_atoms on the connected vertex mask block of g: the
+    splits of one scan, and the bottom atom side_b | cutset of the last
+    (block if none). The tree of the full vertex mask is computed once per
+    object and kept in g._atoms, so the caller gets a shared immutable tree;
+    any other block is scanned afresh."""
+    full = block == g.full_mask()
+    if full and g._atoms is not None:
+        return g._atoms
+    cuts = tuple(_splits(g.adj, block))
+    tree = AtomDecomposition(cuts, cuts[-1][0] | cuts[-1][2] if cuts else block)
+    if full:
+        g._atoms = tree
+    return tree
 
 
 class BisimplicialCertificate(NamedTuple):

@@ -364,10 +364,13 @@ def _reference_apply(stack: list[dict[int, int]], step: dict) -> None:
 
 def reference_color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, list[dict]]:
     """coloring._color with every eliminated atom's rest pushed as a block,
-    never as an atom; the steps themselves come from the library's own."""
+    never as an atom; the steps themselves come from the library's own. Each
+    block is scanned afresh by structure._splits, never read from the
+    graph's decomposition memo, so counts of MCS-M runs do not depend on
+    what ran before on the same object."""
     from p7c4.coloring import _apply, _color_case, _color_clique, _cutset_permutation, _eliminate
     from p7c4.graphs import _components, _is_clique_mask, _max_clique_size
-    from p7c4.structure import _decompose, theorem_case
+    from p7c4.structure import _splits, theorem_case
 
     adj = g.adj
     steps, done, omega = [], [], 1
@@ -391,9 +394,10 @@ def reference_color(g: Graph, block: int, class_name: str) -> tuple[dict[int, in
                 work += [("cutset", 0)] * (len(comps) - 1)
                 work += [("block", c) for c in reversed(comps)]
             else:
-                tree = _decompose(adj, mask)
-                work += [("cutset", cut) for cut, _, _ in tree.cuts]
-                work += [("atom", tree.last)] + [("atom", side_a | cut) for cut, side_a, _ in reversed(tree.cuts)]
+                cuts = list(_splits(adj, mask))
+                work += [("cutset", cut) for cut, _, _ in cuts]
+                work += [("atom", cuts[-1][0] | cuts[-1][2] if cuts else mask)]
+                work += [("atom", side_a | cut) for cut, side_a, _ in reversed(cuts)]
             continue
         else:
             w = _max_clique_size(adj, mask)

@@ -1,7 +1,9 @@
 import ast
 import hashlib
+import importlib
 import inspect
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -543,7 +545,7 @@ def test_components_are_split_once_and_every_block_is_connected(monkeypatch):
     split = _count_calls(monkeypatch, coloring, "_components")
     blocks = []
     real = coloring._decompose
-    monkeypatch.setattr(coloring, "_decompose", lambda adj, mask: blocks.append(mask) or real(adj, mask))
+    monkeypatch.setattr(coloring, "_decompose", lambda g, mask: blocks.append(mask) or real(g, mask))
     decomposed = 0
     for g, class_name in cases:
         _color(g, g.full_mask(), class_name)
@@ -551,6 +553,27 @@ def test_components_are_split_once_and_every_block_is_connected(monkeypatch):
         decomposed += len(blocks)
         blocks.clear()
     assert (len(cases), len(split), decomposed) == (3852, 3852, 4470)
+
+
+def test_a_kept_decomposition_colors_as_a_fresh_one(monkeypatch):
+    # _color on a graph whose decomposition memo decompose_into_atoms filled
+    # reads the kept tree; assignments (in insertion order), omega and steps
+    # equal those of a fresh copy, on every member n <= 8 and on the inputs
+    # of the benchmark's large_members workload
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cases = [(g, cls) for cls in COLORERS for n in range(1, 9) for g in class_members(cls, n)]
+    cases += [(g, f"{cls}-class") for seed in (1, 2, 3) for _, g, cls in workloads.large_build(seed)]
+    kept = 0
+    for g, class_name in cases:
+        decomposed, fresh = (Graph._from_adj(g.n, g.adj) for _ in range(2))
+        tree = structure.decompose_into_atoms(decomposed) if g.is_connected() else None
+        kept += tree is not None
+        got = _color(decomposed, decomposed.full_mask(), class_name)
+        want = _color(fresh, fresh.full_mask(), class_name)
+        assert (list(got[0].items()), *got[1:]) == (list(want[0].items()), *want[1:]), g.adj
+        assert decomposed._atoms is tree
+    assert (len(cases), kept) == (3814 + 171, 2345 + 171)
 
 
 def test_component_merges_keep_their_colors():

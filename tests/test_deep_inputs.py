@@ -80,11 +80,13 @@ def test_spider_511_decomposes_and_colors():
 
 
 def test_cap_size_splits_reuse_one_mcsm_order(monkeypatch):
-    # decomposing and colouring run MCS-M once and scan its order once per
-    # connected block, not once per split, and colouring splits only
-    # through structure: it scans the very block that decomposing scans.
-    # The path holds a P7, so it is coloured past the membership test; every
-    # atom of either graph is an edge, coloured in closed form
+    # decomposing and colouring a fresh copy each run MCS-M once and scan its
+    # order once per connected block, not once per split, and colouring
+    # splits only through structure: it scans the very block that
+    # decomposing scans. Colouring the object decomposed first reads its
+    # tree from the memo and runs neither. The path holds a P7, so it is
+    # coloured past the membership test; every atom of either graph is an
+    # edge, coloured in closed form
     mcsm_blocks, scan_blocks = [], []
 
     def counted(adj, block):
@@ -97,12 +99,19 @@ def test_cap_size_splits_reuse_one_mcsm_order(monkeypatch):
 
     monkeypatch.setattr(structure, "_mcsm", counted)
     monkeypatch.setattr(structure, "_splits", scanned)
+    color = lambda g: coloring._color_member(g, "gem-class")
     for g in (spider(255), path_graph(512)):
-        for run in (decompose_into_atoms, lambda g: coloring._color_member(g, "gem-class")):
+        for run in (decompose_into_atoms, color):
             mcsm_blocks.clear()
             scan_blocks.clear()
-            run(g)
+            run(Graph._from_adj(g.n, g.adj))
             assert mcsm_blocks == scan_blocks == [g.full_mask()], run
+        decompose_into_atoms(g)
+        mcsm_blocks.clear()
+        scan_blocks.clear()
+        color(g)
+        decompose_into_atoms(g)
+        assert mcsm_blocks == scan_blocks == []
 
 
 def test_cli_decompose_path_512(capsys):

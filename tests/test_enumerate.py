@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from random import Random
 
 import pytest
 
@@ -7,6 +8,7 @@ import p7c4.enumerate as enumerate_module
 from conftest import brute_has_pattern, brute_p7_cover, reference_canonical_permutation, reference_grow, split_off
 from p7c4.enumerate import (
     _canonical_order,
+    _graph_of_bits,
     _grow,
     all_graphs,
     canonical_form,
@@ -21,6 +23,7 @@ from p7c4.graphs import (
     Graph,
     GraphError,
     _refine,
+    _relabel,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -252,6 +255,20 @@ def test_canonical_order_bits_are_the_graph6_body():
             body = "".join(chr(63 + (padded >> 6 * i & 63)) for i in reversed(range((total + 5) // 6)))
             assert body == canonical_key(g)[1:], write_graph6(g)
             assert perm == canonical_permutation(flipped)
+
+
+def test_graph_of_bits_decodes_the_canonical_relabelling():
+    # the graph decoded from the least string is the relabelling by the
+    # permutation that gives it, on every graph n <= 7 under seeded shuffles
+    rng = Random(38)
+    for n in range(1, 8):
+        for g in all_graphs(n):
+            for _ in range(2):
+                order = list(range(n))
+                rng.shuffle(order)
+                h = _relabel(g.adj, order)
+                bits, perm = _canonical_order(h.adj, _refine(h.adj, [list(range(n))]))
+                assert _graph_of_bits(n, bits) == _relabel(h.adj, perm) == canonical_form(h), (write_graph6(g), order)
 
 
 def test_canonical_key_separates_all_small_graphs(small_graphs):

@@ -36,6 +36,7 @@ from p7c4.patterns import (
     find_induced_pattern,
     pattern_graph,
 )
+from p7c4.structure import decompose_into_atoms
 from p7c4.verify import verify_corpus
 
 from conftest import (
@@ -388,7 +389,10 @@ def test_threads_sharing_graphs_never_set_a_false_bit(connected_upto7):
 
 
 def test_every_construction_starts_with_an_empty_memo():
+    # neither memo, the absence bits nor the atom decomposition, passes to a
+    # graph built from a graph that holds both
     source = _full_memo(clique_blowup(petersen(), [2, 1, 1, 1, 1, 1, 1, 1, 1, 3]))
+    assert decompose_into_atoms(source) is source._atoms
     built = [
         Graph(3, [(0, 1)]),
         parse_graph6(write_graph6(source)),
@@ -399,7 +403,7 @@ def test_every_construction_starts_with_an_empty_memo():
         # petersen() caches its one graph, which keeps the bits it gains
         petersen.__wrapped__(),
     ]
-    assert all(g._absent == 0 for g in built)
+    assert all(g._absent == 0 and g._atoms is None for g in built)
     for clone in (copy.copy(source), pickle.loads(pickle.dumps(source))):
         assert clone is not source
         assert (clone.n, clone.adj) == (source.n, source.adj) and clone == source

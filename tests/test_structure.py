@@ -1,6 +1,8 @@
 import ast
 import inspect
 import random
+import sys
+import threading
 from itertools import combinations, permutations
 
 import pytest
@@ -139,6 +141,70 @@ def test_decompose_children_cover_split():
     assert left_vertices == tree.split.side_a | tree.split.cutset
     assert right_vertices == tree.split.side_b | tree.split.cutset
     assert tree.depth() >= 1
+
+
+def test_decomposition_is_kept_by_the_graph(monkeypatch):
+    # the first call fills the memo; every later call on the object returns
+    # that very tree and the colourer reads it, so a graph decomposed and
+    # coloured runs MCS-M on its full vertex mask once (C7 runs it again on
+    # the rest after an elimination)
+    runs = []
+    real = structure._mcsm
+    monkeypatch.setattr(structure, "_mcsm", lambda adj, block: runs.append(block) or real(adj, block))
+    for g in (path_graph(6), cycle_graph(7), petersen.__wrapped__()):
+        runs.clear()
+        assert g._atoms is None
+        tree = decompose_into_atoms(g)
+        assert g._atoms is tree and decompose_into_atoms(g) is tree
+        coloring.color_gem_class(g)
+        assert g._atoms is tree and runs.count(g.full_mask()) == 1
+        assert find_clique_cutset(g) == tree.split and (tree.split is None) == (g.n != 6)
+
+
+def test_equal_graphs_keep_separate_decompositions():
+    a, b = (spider(5) for _ in range(2))
+    tree = decompose_into_atoms(a)
+    assert a._atoms is tree and b._atoms is None
+    assert a == b and hash(a) == hash(b)  # the memo is no part of equality
+    other = decompose_into_atoms(b)
+    assert other == tree and other is not tree and a._atoms is tree
+
+
+def test_disconnected_graph_is_never_decomposed():
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    for _ in range(2):
+        for search in (decompose_into_atoms, find_clique_cutset):
+            with pytest.raises(GraphError):
+                search(g)
+        assert g._atoms is None
+
+
+def test_threads_sharing_graphs_get_the_one_decomposition(connected_upto7):
+    # threads race to fill the memo of the same graphs; a race may cost a
+    # second scan, but every tree returned and every tree kept must be the
+    # one a fresh copy gives
+    graphs = [Graph._from_adj(g.n, g.adj) for g in connected_upto7 if g.n >= 5][::3] + [spider(40)]
+    truth = [decompose_into_atoms(Graph._from_adj(g.n, g.adj)) for g in graphs]
+    wrong = []
+
+    def ask(start):
+        for g, want in [*zip(graphs, truth)][start:] + [*zip(graphs, truth)][:start]:
+            if decompose_into_atoms(g) != want:
+                wrong.append(g.adj)
+
+    workers = [threading.Thread(target=ask, args=(start,)) for start in (0, 0, 1, 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert not wrong, wrong[:3]
+    assert [g._atoms for g in graphs] == truth
 
 
 def test_decomposition_is_the_scan_as_a_spine(connected_upto7):
