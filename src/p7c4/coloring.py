@@ -68,15 +68,29 @@ class ColoringCertificate(NamedTuple):
 
 
 def validate_certificate(g: Graph, cert: ColoringCertificate) -> None:
-    """Raise GraphError unless the certificate is sound for g."""
+    """Raise GraphError unless the certificate is sound for g.
+
+    Its six checks, in order: the assignment covers exactly g's vertices;
+    every color is an integer from 1; no edge is monochromatic; colors_used
+    is the largest color; the claimed bound is an integer at least
+    colors_used; and the trace replays to the assignment. Properness is
+    tested per color class: the pass that checks the colors builds one
+    vertex mask per color, and then each vertex v in order tests
+    adj[v] & class. The first v that meets its own class and its lowest
+    neighbour there are the lex-least monochromatic edge, which the error names.
+    """
     if set(cert.assignment) != set(range(g.n)):
         raise GraphError("assignment does not cover the vertex set")
-    if any(type(c) is not int or c < 1 for c in cert.assignment.values()):
-        raise GraphError("colors must be integers from 1")
-    for u, v in g.edges():
-        if cert.assignment[u] == cert.assignment[v]:
-            raise GraphError(f"edge ({u},{v}) is monochromatic")
-    if cert.colors_used != max(cert.assignment.values(), default=0):
+    colors = [cert.assignment[v] for v in range(g.n)]
+    classes: dict[int, int] = {}
+    for v, c in enumerate(colors):
+        if type(c) is not int or c < 1:
+            raise GraphError("colors must be integers from 1")
+        classes[c] = classes.get(c, 0) | 1 << v
+    for u, (nbrs, c) in enumerate(zip(g.adj, colors)):
+        if same := nbrs & classes[c]:
+            raise GraphError(f"edge ({u},{(same & -same).bit_length() - 1}) is monochromatic")
+    if cert.colors_used != max(classes, default=0):
         raise GraphError("colors_used does not match the assignment")
     if type(cert.claimed_bound) is not int or cert.colors_used > cert.claimed_bound:
         raise GraphError(f"{cert.colors_used} colors exceed the claimed bound {cert.claimed_bound!r}")
@@ -101,25 +115,30 @@ def _apply(stack: list[dict[int, int]], step: dict) -> None:
     """Execute one trace step on a stack of block colorings, in place.
 
     This is the one definition of what a step means: replay_trace folds it
-    over a trace, and _color runs every step it emits through it. Each
-    mapping a step carries (an assignment, a permutation) is a list of pairs.
+    over a trace, and _color runs every step it emits through it. It tests
+    the kinds most frequent first: the trace of a nonempty graph has one
+    base step (clique-base or blowup-color) more than it has cutset merges,
+    and few eliminations. Each mapping a step carries (an assignment, a
+    permutation) is a list of pairs.
     A cutset merge pops the left coloring, renames its colors by the
     permutation and writes them into the right coloring's dict: the left
     coloring is a component or the atom side_a | cutset of one split of
     structure._decompose, so the merge costs O(|left|).
     """
     kind = step["step"]
-    if kind == "eliminate-vertex":
-        stack[-1][step["vertex"]] = step["color"]
+    if kind in ("clique-base", "blowup-color"):
+        stack.append(dict(step["assignment"]))
     elif kind == "cutset-merge":
         left = stack.pop(-2)
         right = stack[-1]
         perm = dict(step["permutation"])
-        if any(perm[left[v]] != right[v] for v in step["cutset"]):
-            raise GraphError("cutset colors disagree on replay")
-        right.update((v, perm[c]) for v, c in left.items())
-    elif kind in ("clique-base", "blowup-color"):
-        stack.append(dict(step["assignment"]))
+        for v in step["cutset"]:
+            if perm[left[v]] != right[v]:
+                raise GraphError("cutset colors disagree on replay")
+        for v, c in left.items():
+            right[v] = perm[c]
+    elif kind == "eliminate-vertex":
+        stack[-1][step["vertex"]] = step["color"]
     else:
         raise GraphError(f"unknown trace step {kind!r}")
 
@@ -132,19 +151,18 @@ def _cutset_permutation(right: dict[int, int], left: dict[int, int], cutset) -> 
     Requires both sides injective on the cutset, which holds whenever the
     cutset is a clique properly colored.
     """
-    perm = {left[v]: right[v] for v in cutset}
-    if len(perm) != len(cutset) or len(set(perm.values())) != len(cutset):
+    pairs = [(left[v], right[v]) for v in cutset]
+    renamed = {c for c, _ in pairs}
+    taken = {c for _, c in pairs}
+    if len(renamed) != len(cutset) or len(taken) != len(cutset):
         raise GraphError("block colorings are not injective on the cutset")
-    taken = set(perm.values())
     nxt = 1
-    for c in sorted(set(left.values())):
-        if c in perm:
-            continue
+    for c in sorted(set(left.values()).difference(renamed)):
         while nxt in taken:
             nxt += 1
-        perm[c] = nxt
-        taken.add(nxt)
-    return list(perm.items())
+        pairs.append((c, nxt))
+        nxt += 1
+    return pairs
 
 
 def _color(g: Graph, block: int, class_name: str) -> tuple[dict[int, int], int, list[dict]]:
@@ -305,9 +323,11 @@ def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     the exhaustive search _cover finds, at each size from the counting
     lower bound up.
 
-    A search state (deficits d, l sets left) is cut when l is below any of
-    three counting bounds: an independent set meets an edge in at most one
-    vertex, a 5-cycle in at most two, and the whole graph in at most four.
+    A search state (deficits d, l sets left) is cut when l is below either
+    counting bound: an independent set meets an edge in at most one vertex
+    and a 5-cycle in at most two. The third, that it meets the whole graph
+    in at most four vertices, is implied: each vertex lies on 6 of the 12
+    5-cycles, so the largest 5-cycle sum is at least half the total.
     The bounds never cut a state that can still be covered, so the search
     returns the first cover of the depth-first order, as an uncut search
     would. With the 5-cycle bound the first size tried was feasible for
@@ -323,11 +343,8 @@ def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def _cover_lower(tables: tuple, d: tuple[int, ...]) -> int:
     _, edges, pentagons = tables
-    return max(
-        max(d[u] + d[v] for u, v in edges),
-        max(ceil(sum(d[u] for u in c) / 2) for c in pentagons),
-        ceil(sum(d) / 4),
-    )
+    return max(max([d[u] + d[v] for u, v in edges]),
+               -(-max([d[a] + d[b] + d[c] + d[e] + d[f] for a, b, c, e, f in pentagons]) // 2))
 
 
 def _cover(tables: tuple, deficit: tuple[int, ...], left: int) -> list[tuple[int, ...]] | None:

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import inspect
 import json
+import math
 from pathlib import Path
 from random import Random
 
@@ -24,9 +25,11 @@ from p7c4.coloring import (
     StructuralContradiction,
     _color,
     _color_clique,
+    _cover_lower,
     _cutset_permutation,
     _eliminate,
     _min_multicover,
+    _petersen_cover_tables,
     color_diamond_class,
     color_gem_class,
     color_kite_class,
@@ -39,6 +42,7 @@ from p7c4.families import g1, g2, graph_f, petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
+    _bits,
     clique_blowup,
     complete_graph,
     cycle_graph,
@@ -161,6 +165,9 @@ def test_multicover_bounds_keep_the_first_cover():
               for lo, hi in [(2, 5)] * 30 + [(1, 4)] * 40 + [(0, 4)] * 40]
     sets = set(petersen_maximal_independent_sets())
     edges = list(petersen().edges())
+    tables = _petersen_cover_tables()
+    pentagons = tables[2]
+    assert len(pentagons) == 12
     above_plain_bound = 0
     for weights in cases:
         if not any(weights):
@@ -171,6 +178,13 @@ def test_multicover_bounds_keep_the_first_cover():
         assert all(sum(v in s for s in cover) >= w for v, w in enumerate(weights))
         plain = max(max(weights[u] + weights[v] for u, v in edges), -(-sum(weights) // 4))
         above_plain_bound += len(cover) > plain
+        # the search's integer bound is the float definition: the largest
+        # edge sum, each 5-cycle's sum over 2 and the total over 4, rounded
+        # up (the last is implied by the 5-cycles, so the search skips it)
+        exact = max(max(weights[u] + weights[v] for u, v in edges),
+                    max(math.ceil(sum(weights[u] for u in c) / 2) for c in pentagons),
+                    math.ceil(sum(weights) / 4))
+        assert _cover_lower(tables, weights) == exact, weights
     assert above_plain_bound > 40  # covers the plain search proves optimal only by exhausting smaller sizes
 
 
@@ -245,6 +259,51 @@ def test_validate_certificate_rejects_non_integer_values():
     for assignment, bound in (({0: "1", 1: 2}, 2), ({0: 1.0, 1: 2}, 2), ({0: 1, 1: 2}, "3")):
         with pytest.raises(GraphError):
             validate_certificate(g, ColoringCertificate(assignment, 2, "kite-class", bound, trace))
+
+
+def _forgeries(g: Graph, cert: ColoringCertificate):
+    """(forged certificate, the message of the check it must fail), one or
+    more per check of validate_certificate, each made from the valid cert."""
+    a = cert.assignment
+    yield cert._replace(assignment={v: c for v, c in a.items() if v != g.n // 2}), (
+        "assignment does not cover the vertex set")
+    yield cert._replace(assignment={**a, g.n: 1}), "assignment does not cover the vertex set"
+    yield cert._replace(assignment={**a, 0: 1.0}), "colors must be integers from 1"
+    for v in range(g.n):
+        for u in _bits(g.adj[v]):
+            b = {**a, v: a[u]}
+            x, y = min((x, y) for x, y in g.edges() if b[x] == b[y])
+            yield cert._replace(assignment=b), f"edge ({x},{y}) is monochromatic"
+    for k in (cert.colors_used - 1, cert.colors_used + 1):
+        yield cert._replace(colors_used=k), "colors_used does not match the assignment"
+    k = cert.colors_used
+    yield cert._replace(claimed_bound=k - 1), f"{k} colors exceed the claimed bound {k - 1}"
+    swap = {1: 2, 2: 1}
+    yield cert._replace(assignment={v: swap.get(c, c) for v, c in a.items()}), (
+        "trace replay does not reproduce the assignment")
+
+
+def test_validate_certificate_rejects_each_forgery():
+    # each check rejects its own forgeries of a valid certificate: a vertex
+    # missing or out of range, a color that is no integer, a vertex recolored
+    # to a neighbour's color (the message names the lex-least monochromatic
+    # edge, also where the recoloring makes several), colors_used off by one,
+    # a bound below it, and a proper coloring that is not the trace's replay
+    # (two color classes swapped)
+    pet = petersen()
+    cases = [(spider(40), color_kite_class),
+             (clique_blowup(cycle_graph(7), [3, 2, 4, 2, 3, 2, 3]), color_gem_class),
+             (clique_blowup(pet, [2, 3, 2, 2, 2, 3, 2, 2, 2, 2]), color_gem_class)]
+    messages = set()
+    for g, colorer in cases:
+        cert = colorer(g)
+        validate_certificate(g, cert)
+        for forged, message in _forgeries(g, cert):
+            with pytest.raises(GraphError) as exc:
+                validate_certificate(g, forged)
+            assert str(exc.value) == message, (g.n, message)
+            messages.add((g.n, message))
+    assert len(messages) > 100  # many distinct monochromatic edges named
 
 
 _SV0 = {"step": "clique-base", "assignment": [(0, 1)]}
