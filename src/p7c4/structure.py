@@ -44,6 +44,11 @@ class CliqueCutsetSplit(NamedTuple):
         }
 
 
+def _split_of(masks: tuple[int, int, int]) -> CliqueCutsetSplit:
+    """The split of one (cutset, side_a, side_b) mask triple of the scan."""
+    return CliqueCutsetSplit(*(frozenset(_bits(m)) for m in masks))
+
+
 def validate_split(g: Graph, split: CliqueCutsetSplit) -> None:
     """Raise unless the split is a genuine clique-cutset partition of g."""
     parts = (split.cutset, split.side_a, split.side_b)
@@ -149,18 +154,12 @@ def _splits(adj, block: int):
 
 
 def find_clique_cutset(g: Graph) -> CliqueCutsetSplit | None:
-    """A clique cutset split if one exists, else None.
-
-    The first split of the one-pass scan that decompose_into_atoms keeps:
-    by Tarjan's theorem it finds a clique separator whenever one exists.
-    """
-    if not g.is_connected():
-        raise GraphError("clique cutset search requires a connected graph")
-    found = next(_splits(g.adj, g.full_mask()), None)
-    if found is None:
-        return None
-    split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in found))
-    validate_split(g, split)
+    """The top split of the atom decomposition g keeps (see _decompose),
+    validated, or None if g is an atom: by Tarjan's theorem the scan finds a
+    clique separator whenever one exists. The first call on g makes the tree."""
+    split = decompose_into_atoms(g).split
+    if split is not None:
+        validate_split(g, split)
     return split
 
 
@@ -183,7 +182,7 @@ class AtomDecomposition(NamedTuple):
 
     @property
     def split(self) -> CliqueCutsetSplit | None:
-        return CliqueCutsetSplit(*(frozenset(_bits(m)) for m in self.cuts[0])) if self.cuts else None
+        return _split_of(self.cuts[0]) if self.cuts else None
 
     @property
     def atom(self) -> frozenset[int] | None:
@@ -208,18 +207,18 @@ class AtomDecomposition(NamedTuple):
 
     def to_json(self) -> dict:
         out: dict = {"atom": list(_bits(self.last))}
-        for cut, side_a, side_b in reversed(self.cuts):
-            split = CliqueCutsetSplit(*(frozenset(_bits(m)) for m in (cut, side_a, side_b)))
-            out = {"split": split.to_json(), "left": {"atom": list(_bits(side_a | cut))}, "right": out}
+        for masks in reversed(self.cuts):
+            cut, side_a, _ = masks
+            out = {"split": _split_of(masks).to_json(), "left": {"atom": list(_bits(side_a | cut))}, "right": out}
         return out
 
 
 def decompose_into_atoms(g: Graph) -> AtomDecomposition:
     """Clique-cutset decomposition of a connected graph down to cutset-free
     atoms. The tree is immutable and shared: every call on the same object,
-    and the colorers, get the one g keeps (see _decompose)."""
+    find_clique_cutset and the colorers get the one g keeps (see _decompose)."""
     if not g.is_connected():
-        raise GraphError("atom decomposition requires a connected graph")
+        raise GraphError("clique cutsets are searched only in a connected graph")
     return _decompose(g, g.full_mask())
 
 

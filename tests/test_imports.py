@@ -146,6 +146,30 @@ def test_one_placement_engine():
     assert patterns._place is graphs._place
 
 
+def _referrers(name: str) -> list[str]:
+    """The module-level functions and methods of the library, as
+    module.function, whose bodies name the function `name` (a call or any
+    other reference; a docstring does not count)."""
+    out = []
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            defs = node.body if isinstance(node, ast.ClassDef) else [node]
+            for fn in defs:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                        (isinstance(n, ast.Name) and n.id == name) or (isinstance(n, ast.Attribute) and n.attr == name)
+                        for n in ast.walk(fn)):
+                    out.append(f"{path.stem}.{fn.name}")
+    return out
+
+
+def test_one_clique_cutset_engine():
+    # one MCS-M order and one split scan decide every clique cutset: the
+    # cutset search, the atom decomposition and the colourer all read the
+    # tree that structure._decompose keeps
+    assert _referrers("_splits") == ["structure._decompose"]
+    assert _referrers("_mcsm") == ["structure._splits"]
+
+
 def test_graphs_keeps_no_cache():
     # the placement engine and every other graph function keep no state between calls
     from p7c4 import graphs

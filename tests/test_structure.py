@@ -76,6 +76,17 @@ def test_validate_split_needs_a_partition(parts):
         validate_split(path_graph(4), CliqueCutsetSplit(*map(frozenset, parts)))
 
 
+@pytest.mark.parametrize("parts, message", [
+    (({1}, {0, 2, 3}, set()), "sides must be nonempty"),
+    (({0, 2}, {1}, {3}), "cutset is not a clique"),
+    (({1}, {0, 2}, {3}), "edges cross between the two sides"),
+], ids=["empty-side", "cutset-not-a-clique", "edge-between-sides"])
+def test_validate_split_rejects_a_malformed_split(parts, message):
+    # on the path 0-1-2-3, each split passes every check before its own
+    with pytest.raises(GraphError, match=message):
+        validate_split(path_graph(4), CliqueCutsetSplit(*map(frozenset, parts)))
+
+
 def test_cutset_requires_connected():
     with pytest.raises(GraphError):
         find_clique_cutset(Graph(4, [(0, 1), (2, 3)]))
@@ -144,8 +155,9 @@ def test_decompose_children_cover_split():
 
 
 def test_decomposition_is_kept_by_the_graph(monkeypatch):
-    # the first call fills the memo; every later call on the object returns
-    # that very tree and the colourer reads it, so a graph decomposed and
+    # the first call, here find_clique_cutset, fills the memo and answers
+    # with its top split; every later call on the object returns that very
+    # tree and the colourer reads it, so a graph searched, decomposed and
     # coloured runs MCS-M on its full vertex mask once (C7 runs it again on
     # the rest after an elimination)
     runs = []
@@ -154,11 +166,19 @@ def test_decomposition_is_kept_by_the_graph(monkeypatch):
     for g in (path_graph(6), cycle_graph(7), petersen.__wrapped__()):
         runs.clear()
         assert g._atoms is None
-        tree = decompose_into_atoms(g)
-        assert g._atoms is tree and decompose_into_atoms(g) is tree
+        split = find_clique_cutset(g)
+        tree = g._atoms
+        assert tree is not None and split == tree.split and (split is None) == (g.n != 6)
+        assert decompose_into_atoms(g) is tree
         coloring.color_gem_class(g)
         assert g._atoms is tree and runs.count(g.full_mask()) == 1
-        assert find_clique_cutset(g) == tree.split and (tree.split is None) == (g.n != 6)
+    # verify's checks in the benchmark's order: T1 and T3 search for a
+    # cutset, C1-C3 colour, and all of them share the one scan
+    for g in (spider(5), path_graph(6), clique_blowup(cycle_graph(7), [2, 1, 3, 1, 1, 2, 1]),
+              petersen.__wrapped__()):
+        runs.clear()
+        statuses = [verify.check_theorem(g, th)["status"] for th in ("T1", "T2", "T3", "C1", "C2", "C3")]
+        assert "verified" in statuses[3:] and runs.count(g.full_mask()) == 1, (g, statuses)
 
 
 def test_equal_graphs_keep_separate_decompositions():
@@ -171,10 +191,11 @@ def test_equal_graphs_keep_separate_decompositions():
 
 
 def test_disconnected_graph_is_never_decomposed():
+    # both searches give the one message, which names neither
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
     for _ in range(2):
         for search in (decompose_into_atoms, find_clique_cutset):
-            with pytest.raises(GraphError):
+            with pytest.raises(GraphError, match="^clique cutsets are searched only in a connected graph$"):
                 search(g)
         assert g._atoms is None
 

@@ -91,6 +91,45 @@ def test_verify_corpus_rejects_unknown_theorem():
             verify_corpus(corpus, "T9")
 
 
+def _raising(make):
+    """A fake _color_member that raises make(g)."""
+    def fake(g, class_name):
+        raise make(g)
+    return fake
+
+
+C7 = cycle_graph(7)
+
+# a falsified theorem, faked at the seam verify reads it from, and the diagnosis it must give
+VIOLATIONS = {
+    "C1": ("_color_member", _raising(lambda g: GraphError("colour 1 on both ends of edge (0, 1)")),
+           {"reason": "invalid certificate: colour 1 on both ends of edge (0, 1)"}),
+    "C3": ("_color_member", _raising(lambda g: StructuralContradiction("gem-class", g, "no case applies")),
+           {"reason": "structural contradiction: no case applies", "contradiction_graph6": write_graph6(C7)}),
+    "T1": ("theorem_case", lambda *args: structure.TheoremCase("contradiction", detail="no case applies"),
+           {"conclusion": "delta 2 <= max(2, omega-1) = 2"}),
+    "T3": ("theorem_case", lambda *args: structure.TheoremCase("contradiction", detail="no case applies"),
+           {"conclusion": "no bisimplicial vertex"}),
+}
+
+
+@pytest.mark.parametrize("theorem", VIOLATIONS)
+def test_a_violation_is_reported_with_its_repro(theorem, monkeypatch, capsys, tmp_path):
+    seam, fake, want = VIOLATIONS[theorem]
+    monkeypatch.setattr(verify, seam, fake)
+    diag = check_theorem(C7, theorem)
+    assert diag["status"] == "violated" and {k: diag.get(k) for k in want} == want, diag
+    # C4 is no class member, so it stays vacuous
+    run = verify_corpus([C7, cycle_graph(4)], theorem, corpus="C7, C4")
+    counts = (run.total, run.members, run.checked, run.verified, run.violated, run.vacuous)
+    assert counts == (2, 1, 1, 0, 1, 1)
+    assert run.violations == [{"graph6": write_graph6(C7), "diagnosis": diag}]
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(f"{write_graph6(C7)}\n{write_graph6(cycle_graph(4))}\n")
+    code, out = run_cli(capsys, "verify", "--theorem", theorem, "--corpus", str(corpus))
+    assert code == 1 and out[0]["result"]["violations"] == run.to_json()["violations"]
+
+
 def test_theorems_hold_on_all_members_up_to_9():
     # beyond the exhaustive n<=8 acceptance run: hypothesis-failing graphs
     # are vacuous anyway, so checking every class member at n=9 extends the
