@@ -331,8 +331,10 @@ def _min_multicover(weights: tuple[int, ...]) -> list[tuple[int, ...]]:
     The bounds never cut a state that can still be covered, so the search
     returns the first cover of the depth-first order, as an uncut search
     would. With the 5-cycle bound the first size tried was feasible for
-    each of 3,000 random weight vectors (entries up to 51), so no memo of
-    failed states is kept.
+    every weight vector with entries 0-3 (all 1,048,576 of them) and for
+    each of 3,000 random ones (entries up to 51), so no memo of failed
+    states is kept. No such vector is known to need a second size; the
+    loop stays, as the bounds are not proved exact.
     """
     tables = _petersen_cover_tables()
     k = _cover_lower(tables, weights)

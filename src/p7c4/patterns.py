@@ -8,7 +8,9 @@ Paths and holes have their own searches here. The diamond, kite, gem and
 bull are placed by graphs._find_fixed_pattern, the library's one search for
 an induced placement of a fixed graph, which find_isomorphism also runs.
 _has_pattern_through is the generator's one test of whether a new vertex
-lies on a copy of a pattern.
+lies on a copy of a pattern; it places nothing, but reads the answer off
+bit masks of the parent's rows, by an arm search for P7 and by closed
+forms, one per orbit of the pattern's vertices, for the others.
 
 Each witness search runs on the m lowest vertices of every true-twin class of
 the graph (vertices with the same closed neighborhood), where m is the size
@@ -49,7 +51,6 @@ Holes named 'hole(k)' get no bit; no caller asks for one twice.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from typing import NamedTuple
 
 from .graphs import (
@@ -58,8 +59,6 @@ from .graphs import (
     _bits,
     _find_fixed_pattern,
     _is_clique_mask,
-    _place,
-    _relabel,
     _twin_classes,
     _twin_representatives,
     cycle_graph,
@@ -181,20 +180,70 @@ def _has_pattern_through(adj: tuple[int, ...], near: int, name: str) -> bool:
     middle vertex of a diamond iff two adjacent neighbours of x differ in
     their closed neighbourhoods inside N(x), and an end iff two adjacent
     neighbours have a common neighbour outside N[x]. The kite and gem are
-    placed with x first, once per orbit of their vertices.
+    closed forms too, one per orbit of their vertices (_kite_through,
+    _gem_through).
     """
     if name == "C4":
         return not all(_is_clique_mask(adj, adj[v] & near) for v in range(len(adj)) if not near >> v & 1)
     if name == "diamond":
         return any(adj[w] & near | 1 << w != adj[u] & near | 1 << u or adj[u] & adj[w] & ~near
                    for u in _bits(near) for w in _bits(adj[u] & near))
+    if name == "kite":
+        return _kite_through(adj, near)
+    if name == "gem":
+        return _gem_through(adj, near)
     x = len(adj)
     rows = adj + (near,)
-    if name == "P7":
-        return any(_p7_arm(rows, w, x, 1 << x | 1 << w, 0, 2, True) for w in _bits(near))
-    rest = (1 << x) - 1
-    return any(_place(rows, pat.adj, [0] * pat.n, 0, [1 << x] + [rest] * (pat.n - 1))
-               for pat in _anchored_copies(name))
+    return any(_p7_arm(rows, w, x, 1 << x | 1 << w, 0, 2, True) for w in _bits(near))
+
+
+def _kite_through(adj, near: int) -> bool:
+    # the kite: a diamond with middle b, c and non-adjacent ends a, d, plus
+    # a pendant p at d. By the orbit of x, over edges u-w of N(x) first:
+    # - x = b, c = w, d = u: some p in N(u) - N[x] - N(w) misses some a
+    #   in N(x) & N(w) - N(u);
+    # - x = a or d, middle u < w: some c in N(u) & N(w) - N[x], the other
+    #   end, has a neighbour outside N(x) (p, x = a) or a non-neighbour in
+    #   N(x) (p, x = d), adjacent to neither u nor w;
+    # - x = p: d in N(x), middle u < w in N(d) - N[x], and some a in
+    #   N(u) & N(w) - N(d) - N(x).
+    for u in _bits(near):
+        for w in _bits(near & adj[u]):
+            for p in _bits(adj[u] & ~near & ~adj[w]):
+                if near & adj[w] & ~adj[u] & ~adj[p]:
+                    return True
+            if w > u:
+                for c in _bits(adj[u] & adj[w] & ~near):
+                    if (near ^ adj[c]) & ~(adj[u] | adj[w]):
+                        return True
+    for d in _bits(near):
+        for u in _bits(adj[d] & ~near):
+            for w in _bits(adj[d] & adj[u] & ~near & ~((2 << u) - 1)):
+                if adj[u] & adj[w] & ~adj[d] & ~near:
+                    return True
+    return False
+
+
+def _gem_through(adj, near: int) -> bool:
+    # the gem: an induced P4 plus an apex. By the orbit of x:
+    # - x is the apex iff N(x) holds an induced P4 u-v-w-z, met at its
+    #   middle edge v < w;
+    # - else x is on a P4 inside N(h) + x for an apex h in N(x). Take w in
+    #   N(x) & N(h) and y in N(h) - N(x) adjacent to w: the P4 is u-x-w-y
+    #   for some u in N(x) & N(h) missing w and y (x inner), or x-w-y-z
+    #   for some z in N(h) - N(x) adjacent to y and not to w (x an end).
+    for v in _bits(near):
+        for w in _bits(near & adj[v] & ~((2 << v) - 1)):
+            for u in _bits(near & adj[v] & ~adj[w]):
+                if near & adj[w] & ~adj[v] & ~adj[u]:
+                    return True
+    for h in _bits(near):
+        inner, out = near & adj[h], adj[h] & ~near
+        for w in _bits(inner):
+            for y in _bits(out & adj[w]):
+                if (adj[y] & out | inner & ~adj[y]) & ~adj[w]:
+                    return True
+    return False
 
 
 def _p7_arm(adj, end: int, other: int, used: int, inner: int, size: int, first: bool) -> bool:
@@ -210,17 +259,6 @@ def _p7_arm(adj, end: int, other: int, used: int, inner: int, size: int, first: 
         if _p7_arm(adj, w, other, used | 1 << w, inner | adj[end], size + 1, first):
             return True
     return False
-
-
-@lru_cache(maxsize=None)
-def _anchored_copies(name: str) -> tuple[Graph, ...]:
-    """The pattern relabelled to start at one vertex of each orbit, then its
-    neighbours; orbits of higher degree, where x lies more often, first."""
-    pat = pattern_graph(name)
-    autos = [p for p in permutations(range(pat.n)) if all(pat.has_edge(p[u], p[v]) for u, v in pat.edges())]
-    starts = sorted({min(p[v] for p in autos) for v in range(pat.n)}, key=lambda v: (-pat.degree(v), v))
-    orders = [sorted(range(pat.n), key=lambda v: (v != s, not pat.has_edge(s, v))) for s in starts]
-    return tuple(_relabel(pat.adj, o) for o in orders)
 
 
 def _find_induced_path(g: Graph, k: int, allowed: int) -> tuple[int, ...] | None:

@@ -19,9 +19,13 @@ when the deficit exceeds four per remaining set, over maximal independent
 sets found by trying every vertex subset. Isomorphism has its own
 backtracking over the refinement cells, which checks each vertex only
 against the vertices already mapped and never reaches the library's
-placement engine. The trace interpreter has its eager form, in which every
-cutset merge builds a new coloring: a copy of the right-hand one with the
-left-hand one, renamed by the permutation, written over it. The
+placement engine. The generator's kite and gem tests through a new vertex
+x have their first form: the pattern relabelled to start at one vertex of
+each orbit, then placed with x first by graphs._place, the placement
+engine that the fixed-pattern reference checks. The trace interpreter has
+its eager form, in which every cutset merge builds a new coloring: a copy
+of the right-hand one with the left-hand one, renamed by the permutation,
+written over it. The
 generator has its plain form: every neighbourhood mask of every parent is
 tried, not one per orbit of the parent's twin swaps. The colourer has its
 form without twin runs: the rest of every atom that eliminates a vertex
@@ -29,13 +33,14 @@ goes back through the component split and the decomposition as a block.
 """
 
 import heapq
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import pytest
 
 from p7c4.families import petersen
 from p7c4.enumerate import _canonical_order
-from p7c4.graphs import Graph, GraphError, _bits, _refine, _relabel, induced_subgraph, is_clique
+from p7c4.graphs import Graph, GraphError, _bits, _place, _refine, _relabel, induced_subgraph, is_clique
 from p7c4.patterns import _ABSENT_BIT, _has_pattern_through, pattern_graph
 
 
@@ -97,6 +102,28 @@ def reference_fixed_pattern(g: Graph, pattern: str):
         return False
 
     return tuple(chosen) if place(0, 0) else None
+
+
+def reference_pattern_through(adj: tuple[int, ...], near: int, name: str) -> bool:
+    """patterns._has_pattern_through for the kite and gem as a placement:
+    x = len(adj), with row near, is put first, then the rest of the pattern
+    from each of its orbits in turn (_anchored_copies)."""
+    x = len(adj)
+    rows = adj + (near,)
+    rest = (1 << x) - 1
+    return any(_place(rows, pat.adj, [0] * pat.n, 0, [1 << x] + [rest] * (pat.n - 1))
+               for pat in _anchored_copies(name))
+
+
+@lru_cache(maxsize=None)
+def _anchored_copies(name: str) -> tuple[Graph, ...]:
+    """The pattern relabelled to start at one vertex of each orbit, then its
+    neighbours; orbits of higher degree first."""
+    pat = pattern_graph(name)
+    autos = [p for p in permutations(range(pat.n)) if all(pat.has_edge(p[u], p[v]) for u, v in pat.edges())]
+    starts = sorted({min(p[v] for p in autos) for v in range(pat.n)}, key=lambda v: (-pat.degree(v), v))
+    orders = [sorted(range(pat.n), key=lambda v: (v != s, not pat.has_edge(s, v))) for s in starts]
+    return tuple(_relabel(pat.adj, o) for o in orders)
 
 
 def reference_induced_path(g: Graph, k: int):

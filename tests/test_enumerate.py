@@ -177,8 +177,10 @@ def test_generator_stamps_exactly_the_absent_patterns():
 def test_generator_tests_each_pattern_once_per_key(monkeypatch):
     # C4 is decided on each orbit mask before the child is built, and never
     # again; P7 once per new canonical key: 3,121 kept and 20 rejected for
-    # n <= 8. The canonical search runs once per child passing the deletion
-    # test.
+    # n <= 8. Each kept key asks for the diamond, kite and gem that its
+    # parent's memo proves absent, the kite and gem only if the child has a
+    # diamond: 1,969, 1,712 and 2,113 times.
+    # The canonical search runs once per child passing the deletion test.
     for n in range(1, 9):
         p7c4_free_graphs(n)
     tested = Counter()
@@ -198,6 +200,7 @@ def test_generator_tests_each_pattern_once_per_key(monkeypatch):
     for n in range(1, 9):
         assert p7c4_free_graphs.__wrapped__(n) == p7c4_free_graphs(n)
     assert (tested["C4"], tested["P7"], tested["canonical"]) == (10892, 3141, 3706)
+    assert (tested["diamond"], tested["kite"], tested["gem"]) == (1969, 1712, 2113)
 
 
 @pytest.mark.parametrize("generator,top,forbid", [(all_graphs, 7, ()), (p7c4_free_graphs, 8, ("C4", "P7"))])

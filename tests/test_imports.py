@@ -137,15 +137,6 @@ def test_shared_names_are_one_object():
     assert verify.THEOREMS is patterns.THEOREMS
 
 
-def test_one_placement_engine():
-    # fixed patterns, the generator's through-x tests and isomorphism all
-    # place a graph with the same search
-    from p7c4 import graphs, patterns
-
-    assert patterns._find_fixed_pattern is graphs._find_fixed_pattern
-    assert patterns._place is graphs._place
-
-
 def _referrers(name: str) -> list[str]:
     """The module-level functions and methods of the library, as
     module.function, whose bodies name the function `name` (a call or any
@@ -160,6 +151,16 @@ def _referrers(name: str) -> list[str]:
                         for n in ast.walk(fn)):
                     out.append(f"{path.stem}.{fn.name}")
     return out
+
+
+def test_one_placement_engine():
+    # fixed patterns and isomorphism place a graph with the same search, and
+    # only _find_fixed_pattern starts it: the generator's through-x tests
+    # read closed forms and place nothing
+    from p7c4 import graphs, patterns
+
+    assert patterns._find_fixed_pattern is graphs._find_fixed_pattern
+    assert _referrers("_place") == ["graphs._find_fixed_pattern", "graphs._place"]
 
 
 def test_one_clique_cutset_engine():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import p7c4.patterns as patterns
 from p7c4.coloring import color_gem_class
-from p7c4.enumerate import canonical_form, class_members, p7c4_free_graphs
+from p7c4.enumerate import all_graphs, canonical_form, class_members, p7c4_free_graphs
 from p7c4.families import g1, g4, graph_f, petersen
 from p7c4.graphs import (
     Graph,
@@ -46,6 +46,7 @@ from conftest import (
     reference_fixed_pattern,
     reference_induced_cycle,
     reference_induced_path,
+    reference_pattern_through,
     spider,
     split_off,
     windmill,
@@ -472,6 +473,21 @@ def test_anchored_pattern_search_matches_bruteforce(connected_upto7, pattern):
         cover = brute_p7_cover(g) if pattern == "P7" else brute_pattern_cover(g, pattern)
         for x in range(g.n):
             assert _has_pattern_through(*split_off(g, x), pattern) == bool(cover >> x & 1), (write_graph6(g), x)
+
+
+@pytest.mark.parametrize("pattern", ("kite", "gem"))
+def test_through_x_closed_forms_match_the_placement(pattern):
+    # x joined to every vertex mask of every graph n <= 6: 11,290 queries
+    # a pattern, each answered by the closed forms and by the placement
+    # from x that they replace
+    queries = 0
+    for n in range(1, 7):
+        for g in all_graphs(n):
+            for near in range(1 << n):
+                queries += 1
+                assert _has_pattern_through(g.adj, near, pattern) == reference_pattern_through(g.adj, near, pattern), (
+                    write_graph6(g), near)
+    assert queries == 11290
 
 
 def test_colourer_reuses_the_membership_proof(monkeypatch):
