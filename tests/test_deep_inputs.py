@@ -13,6 +13,7 @@ from p7c4 import coloring
 from p7c4.cli import cli_main
 from p7c4.coloring import (color_diamond_class, color_gem_class, color_kite_class, replay_trace,
                            validate_certificate)
+from p7c4.enumerate import canonical_form
 from p7c4.families import petersen
 from p7c4.graphs import (Graph, clique_blowup, complete_graph, cycle_graph, empty_graph, find_isomorphism,
                          induced_subgraph, path_graph)
@@ -160,6 +161,17 @@ def test_isomorphism_at_the_cap(g):
     iso = find_isomorphism(g, h)
     assert sorted(iso) == sorted(iso.values()) == list(range(g.n))
     assert all(h.has_edge(iso[u], iso[v]) for u, v in g.edges())
+
+
+def test_canonical_form_at_the_cap():
+    # the canonical search on cells far wider than _bits' byte table: a
+    # seeded relabelling of P512 has P512's canonical form
+    assert sys.getrecursionlimit() <= 1000
+    g = path_graph(512)
+    perm = list(range(g.n))
+    random.Random(43).shuffle(perm)
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    assert canonical_form(h) == canonical_form(g)
 
 
 @pytest.mark.parametrize("g", [spider(255), windmill(255)], ids=["spider255", "windmill255"])

@@ -163,6 +163,13 @@ def test_one_placement_engine():
     assert _referrers("_place") == ["graphs._find_fixed_pattern", "graphs._place"]
 
 
+def test_one_refinement_engine():
+    # the canonical search, the generator's deletion test and isomorphism
+    # refine vertex-mask cells with one function
+    assert _referrers("_refine") == ["enumerate.canonical_permutation", "enumerate._least_leaf",
+                                     "enumerate.canonical_form", "enumerate._grow", "graphs.find_isomorphism"]
+
+
 def test_one_clique_cutset_engine():
     # one MCS-M order and one split scan decide every clique cutset: the
     # cutset search, the atom decomposition and the colourer all read the
