@@ -11,13 +11,13 @@ and each of the diamond, kite and gem it is free of, proven from its
 parent's memo by tests through x, so class_members runs no search.
 
 Canonical forms come from adjacency-string minimization guided by iterated
-degree refinement: labelings are explored cell by cell (vertex masks) and
-pruned against the best prefix found so far (McKay, "Practical graph
-isomorphism", 1981). A branch vertex that is a twin of an earlier one in
-its cell is skipped: swapping the two is an automorphism fixing the
-partition, so its subtree repeats leaf strings already met and cannot
-change the result. Distinct children of one class can survive the test, so
-the canonical string still removes duplicates. Desk scale only, by design.
+degree refinement: candidate labelings are explored cell by cell and pruned
+against the best prefix found so far (McKay, "Practical graph isomorphism",
+1981). A branch vertex that is a twin of an earlier one in its cell is
+skipped: swapping the two is an automorphism fixing the partition, so its
+subtree repeats leaf strings already met and cannot change the result.
+Distinct children of one class can survive the test, so the canonical
+string still removes duplicates. Desk scale only, by design.
 """
 
 from __future__ import annotations
@@ -60,10 +60,10 @@ def _graph_of_bits(n: int, bits: int) -> Graph:
 def canonical_permutation(g: Graph) -> tuple[int, ...]:
     """A relabeling minimizing the adjacency string over the labelings
     consistent with iterated degree refinement (see _canonical_order)."""
-    return _canonical_order(g.adj, _refine(g.adj, [g.full_mask()]))[1]
+    return _canonical_order(g.adj, _refine(g.adj, [list(range(g.n))]))[1]
 
 
-def _canonical_order(adj: tuple[int, ...], cells: list[int]) -> tuple[int, tuple[int, ...]]:
+def _canonical_order(adj: tuple[int, ...], cells: list[list[int]]) -> tuple[int, tuple[int, ...]]:
     """The least adjacency string (_perm_bits) over the labelings that
     refine cells, the unit partition's refinement, and a relabeling giving it.
 
@@ -80,15 +80,15 @@ def _canonical_order(adj: tuple[int, ...], cells: list[int]) -> tuple[int, tuple
     return bits, tuple(perm)
 
 
-def _least_leaf(adj: tuple[int, ...], cells: list[int], best: tuple | None) -> tuple:
-    """best, or the (bits, perm) of a leaf below the mask cells with a
-    smaller string: _canonical_order's search, one call per node."""
+def _least_leaf(adj: tuple[int, ...], cells: list[list[int]], best: tuple | None) -> tuple:
+    """best, or the (bits, perm) of a leaf below cells with a smaller string:
+    _canonical_order's search, one call per node."""
     n = len(adj)
     prefix: list[int] = []
     for cell in cells:
-        if cell & cell - 1:
+        if len(cell) > 1:
             break
-        prefix.append(cell.bit_length() - 1)
+        prefix.append(cell[0])
     if best is not None and len(prefix) > 1:
         plen = len(prefix) * (len(prefix) - 1) // 2
         if _perm_bits(adj, prefix, len(prefix)) > best[0] >> (n * (n - 1) // 2 - plen):
@@ -96,20 +96,20 @@ def _least_leaf(adj: tuple[int, ...], cells: list[int], best: tuple | None) -> t
     if len(prefix) == n:
         bits = _perm_bits(adj, prefix, n)
         return (bits, prefix) if best is None or bits < best[0] else best
-    pivot = len(prefix)  # the first cell of two or more vertices
+    pivot = next(i for i, c in enumerate(cells) if len(c) > 1)
     branched: list[int] = []
-    for v in _bits(cells[pivot]):
+    for v in cells[pivot]:
         if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in branched):
             continue
         branched.append(v)
-        split = [*cells[:pivot], 1 << v, cells[pivot] ^ 1 << v, *cells[pivot + 1:]]
-        best = _least_leaf(adj, _refine(adj, split, [1 << v]), best)
+        rest = [u for u in cells[pivot] if u != v]
+        best = _least_leaf(adj, _refine(adj, [*cells[:pivot], [v], rest, *cells[pivot + 1:]], [[v]]), best)
     return best
 
 
 def canonical_form(g: Graph) -> Graph:
     """g relabeled by canonical_permutation, decoded from its least string."""
-    return _graph_of_bits(g.n, _canonical_order(g.adj, _refine(g.adj, [g.full_mask()]))[0])
+    return _graph_of_bits(g.n, _canonical_order(g.adj, _refine(g.adj, [list(range(g.n))]))[0])
 
 
 def canonical_key(g: Graph) -> str:
@@ -145,12 +145,12 @@ def _grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph, ...]:
     both or of neither, and both give one key and one answer through x.
     Stamps depend only on the class, as the parents' memos are exact, and
     the output is sorted by key, so it is byte for byte every mask's.
-    A child is kept only if x is the top vertex of the last
+    A child is kept only if x is the last vertex of the last
     cell of the refinement (graphs._refine): the canonical deletion.
     Refinement is equivariant and its cell order canonical, so every wanted
     G has a vertex v in that cell of its own. G - v is isomorphic to some
     parent, whose child by v's neighbours is isomorphic to G with x, the
-    image of v, the top label of its cell. So every
+    image of v, last in its cell (vertices ascend within a cell). So every
     class is reached. The canonical search starts from the cells the test
     read, and its least adjacency string keys found, which removes the
     remaining duplicates; a kept graph is that string decoded
@@ -189,8 +189,8 @@ def _grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph, ...]:
             if heavier[k] & ~mask or (k and heavier[k - 1] & mask) or c4 and _has_pattern_through(adj, mask, "C4"):
                 continue
             child = tuple(a | (mask >> v & 1) << (n - 1) for v, a in enumerate(adj)) + (mask,)
-            cells = _refine(child, [(1 << n) - 1])
-            if not cells[-1] >> n - 1:
+            cells = _refine(child, [list(range(n))])
+            if cells[-1][-1] != n - 1:
                 continue
             bits = _canonical_order(child, cells)[0]
             if bits in found:

@@ -513,52 +513,42 @@ def exact_chromatic_number(g: Graph, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     return max(exact_coloring(g, limit).values())
 
 
-def _refine(adj: tuple[int, ...], cells: list[int], splitters: list[int] | None = None) -> list[int]:
-    """Coarsest equitable refinement of an ordered partition into nonempty
-    vertex masks (Graph(0)'s [0] refines to []). Cells split by how many
-    neighbors each vertex has in every current cell; the pieces are ordered
-    by that signature, so the result is equivariant under isomorphism.
+def _refine(adj: tuple[int, ...], cells: list[list[int]],
+            splitters: list[list[int]] | None = None) -> list[list[int]]:
+    """Coarsest equitable refinement of an ordered partition.
+
+    Cells split by how many neighbors each vertex has in every current cell;
+    the pieces are ordered by that signature, so the result is equivariant
+    under isomorphism, and vertices keep their order within each cell.
+
     Later rounds count only against the splitters: the pieces of the cells
     that split last round, less the last piece of each. Within a cell every
     other count is equal, and a last piece's count is fixed by the pieces
     before it, so the groups and their order are those of all the counts.
     By the same argument the first round counts only against splitters
     when given: a caller that splits one cell of an equitable partition
-    into 1 << v and the rest passes [1 << v]. Only a cell's vertices in
-    touch get their own count (after Hopcroft's "smaller half"): the others
-    meet no splitter given, or no piece but the first (the least signature,
-    in a sparse graph the largest) of each cell split last round, whose
-    count is then the one against its whole cell, so they share a signature.
+    into [v] and the rest passes [[v]].
     """
     if splitters is None:
-        splitters = cells = [cell for cell in cells if cell]
-    reach = -1 if splitters is cells else 0  # the first round's touch: all, or the splitters' neighbours
-    for w in _bits(0 if reach else sum(splitters)):
-        reach |= adj[w]
+        splitters = cells
     while splitters:
-        masks, splitters, touch, reach = splitters, [], reach, 0
-        out: list[int] = []
+        masks = [_mask(cell) for cell in splitters]
+        out: list[list[int]] = []
+        splitters = []
         for cell in cells:
-            near = cell & touch
-            if not (near and cell & cell - 1):
+            if len(cell) == 1:
                 out.append(cell)
                 continue
-            far = cell ^ near
-            groups: dict[int, int] = {}
-            rest = near | far & -far  # far's vertices share the signature of its lowest
-            while rest:
-                low = rest & -rest
-                a = adj[low.bit_length() - 1]
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                a = adj[v]
                 sig = 0  # the counts, each below 2**10, as digits: ints order as their tuples
                 for m in masks:
                     sig = sig << 10 | (a & m).bit_count()
-                groups[sig] = groups.get(sig, 0) | (far if low & far else low)
-                rest ^= low
-            pieces = [cell] if len(groups) == 1 else [groups[sig] for sig in sorted(groups)]
+                groups.setdefault(sig, []).append(v)
+            pieces = [groups[sig] for sig in sorted(groups)]
             out += pieces
             splitters += pieces[:-1]
-            for w in _bits(cell ^ pieces[0]):
-                reach |= adj[w]
         cells = out
     return cells
 
@@ -606,13 +596,14 @@ def find_isomorphism(g: Graph, h: Graph) -> dict[int, int] | None:
     """
     if g.n != h.n or g.edge_count() != h.edge_count():
         return None
-    cells_g = _refine(g.adj, [g.full_mask()])
-    by_color = _refine(h.adj, [h.full_mask()])
-    if [c.bit_count() for c in cells_g] != [c.bit_count() for c in by_color]:
+    cells_g = _refine(g.adj, [list(range(g.n))])
+    by_color = _refine(h.adj, [list(range(h.n))])
+    if [len(c) for c in cells_g] != [len(c) for c in by_color]:
         return None
-    cg = {v: i for i, cell in enumerate(cells_g) for v in _bits(cell)}
-    order = sorted(range(g.n), key=lambda v: (by_color[cg[v]].bit_count(), v))  # rarest cells first
-    got = _find_fixed_pattern(h, _relabel(g.adj, order), [by_color[cg[v]] for v in order])
+    cg = {v: i for i, cell in enumerate(cells_g) for v in cell}
+    order = sorted(range(g.n), key=lambda v: (len(by_color[cg[v]]), v))  # rarest cells first
+    cell_masks = [_mask(cell) for cell in by_color]
+    got = _find_fixed_pattern(h, _relabel(g.adj, order), [cell_masks[cg[v]] for v in order])
     return None if got is None else dict(zip(order, got))
 
 

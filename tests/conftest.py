@@ -543,8 +543,8 @@ def reference_grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph
             if heavier[k] & ~mask or (k and heavier[k - 1] & mask) or c4 and _has_pattern_through(adj, mask, "C4"):
                 continue
             child = tuple(a | (mask >> v & 1) << (n - 1) for v, a in enumerate(adj)) + (mask,)
-            cells = _refine(child, [(1 << n) - 1])
-            if not cells[-1] >> n - 1:
+            cells = _refine(child, [list(range(n))])
+            if cells[-1][-1] != n - 1:
                 continue
             bits, perm = _canonical_order(child, cells)
             if bits in found:

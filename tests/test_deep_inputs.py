@@ -164,8 +164,8 @@ def test_isomorphism_at_the_cap(g):
 
 
 def test_canonical_form_at_the_cap():
-    # the canonical search on cells far wider than _bits' byte table: a
-    # seeded relabelling of P512 has P512's canonical form
+    # the canonical search at the vertex cap, on cells far wider than _bits'
+    # byte table: a seeded relabelling of P512 has P512's canonical form
     assert sys.getrecursionlimit() <= 1000
     g = path_graph(512)
     perm = list(range(g.n))

@@ -254,7 +254,7 @@ def test_canonical_order_bits_are_the_graph6_body():
         total = n * (n - 1) // 2
         for g in all_graphs(n):
             flipped = Graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges()])
-            bits, perm = _canonical_order(flipped.adj, _refine(flipped.adj, [flipped.full_mask()]))
+            bits, perm = _canonical_order(flipped.adj, _refine(flipped.adj, [list(range(n))]))
             padded = bits << -total % 6
             body = "".join(chr(63 + (padded >> 6 * i & 63)) for i in reversed(range((total + 5) // 6)))
             assert body == canonical_key(g)[1:], write_graph6(g)
@@ -271,7 +271,7 @@ def test_graph_of_bits_decodes_the_canonical_relabelling():
                 order = list(range(n))
                 rng.shuffle(order)
                 h = _relabel(g.adj, order)
-                bits, perm = _canonical_order(h.adj, _refine(h.adj, [h.full_mask()]))
+                bits, perm = _canonical_order(h.adj, _refine(h.adj, [list(range(n))]))
                 assert _graph_of_bits(n, bits) == _relabel(h.adj, perm) == canonical_form(h), (write_graph6(g), order)
 
 
@@ -281,8 +281,9 @@ def test_canonical_key_separates_all_small_graphs(small_graphs):
 
 
 def test_degenerate_graphs_have_canonical_answers():
-    # refinement drops the empty cell of Graph(0)'s unit partition, so the
-    # searches on zero and one vertex answer without indexing a cell
+    # refinement never yields an empty cell (Graph(0)'s unit partition
+    # refines to no cells), so the searches on zero and one vertex answer
+    # without indexing a cell
     assert (canonical_permutation(Graph(0)), canonical_key(Graph(0))) == ((), "?")
     assert (canonical_permutation(Graph(1)), canonical_key(Graph(1))) == ((0,), "@")
     assert find_isomorphism(Graph(0), Graph(0)) == {}

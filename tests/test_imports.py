@@ -165,7 +165,7 @@ def test_one_placement_engine():
 
 def test_one_refinement_engine():
     # the canonical search, the generator's deletion test and isomorphism
-    # refine vertex-mask cells with one function
+    # refine their ordered partitions with one function, and no second copy
     assert _referrers("_refine") == ["enumerate.canonical_permutation", "enumerate._least_leaf",
                                      "enumerate.canonical_form", "enumerate._grow", "graphs.find_isomorphism"]
 
