@@ -24,37 +24,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .graphs import Graph, GraphError, _bits, _refine, _twin_classes, write_graph6
+from .graphs import Graph, GraphError, _bits, _graph_of_bits, _perm_bits, _refine, _twin_classes, write_graph6
 from .patterns import _ABSENT_BIT, _has_pattern_through, class_third_pattern
-
-
-def _perm_bits(adj: tuple[int, ...], perm: list[int], upto: int) -> int:
-    # column-major upper-triangle bits of the relabeled graph, restricted to
-    # the first `upto` positions, packed into one int (first bit most
-    # significant so prefixes compare correctly)
-    bits = 0
-    for j in range(1, upto):
-        col = adj[perm[j]]
-        for i in range(j):
-            bits = bits << 1 | (col >> perm[i] & 1)
-    return bits
-
-
-def _graph_of_bits(n: int, bits: int) -> Graph:
-    """The n-vertex graph whose _perm_bits string (identity labeling, all n
-    positions) is bits. Columns are read from the last: the lowest j bits
-    hold column j, and its bit k is the edge (j-1-k, j)."""
-    adj = [0] * n
-    for j in range(n - 1, 0, -1):
-        col = bits & (1 << j) - 1
-        bits >>= j
-        while col:
-            low = col & -col
-            i = j - low.bit_length()
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            col ^= low
-    return Graph._from_adj(n, tuple(adj))
 
 
 def canonical_permutation(g: Graph) -> tuple[int, ...]:

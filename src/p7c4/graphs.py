@@ -21,6 +21,7 @@ from typing import Iterable, Iterator, NamedTuple
 MAX_VERTICES = 512
 DEFAULT_ORACLE_LIMIT = 16
 _BYTE_BITS = tuple(tuple(i for i in range(8) if m >> i & 1) for m in range(256))  # _bits below 2**8
+_SIX_BITS = {63 + b: format(b, "06b") for b in range(64)}  # graph6 character -> its six bits
 
 
 class GraphError(ValueError):
@@ -231,7 +232,41 @@ def empty_graph(k: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# graph6 and edge-list text formats
+# The adjacency bit string, and the graph6 and edge-list text formats
+
+
+def _perm_bits(adj: tuple[int, ...], perm: list[int], upto: int) -> int:
+    """The adjacency bit string of the graph relabeled by perm, cut to its
+    first `upto` positions: the upper triangle column by column, each column
+    top down, packed into one int with the first bit most significant, so
+    prefixes compare as the strings do. Under the identity labeling and all
+    n positions it is the graph6 body without its padding. write_graph6
+    keeps its own identity-order loop: a writer on this encoder was 1.7-1.8x
+    slower at n = 8 and 14, and 19x at n = 512, where each step shifts the
+    whole int."""
+    bits = 0
+    for j in range(1, upto):
+        col = adj[perm[j]]
+        for i in range(j):
+            bits = bits << 1 | (col >> perm[i] & 1)
+    return bits
+
+
+def _graph_of_bits(n: int, bits: int) -> Graph:
+    """The n-vertex graph whose _perm_bits string (identity labeling, all n
+    positions) is bits. Columns are read from the last: the lowest j bits
+    hold column j, and its bit k is the edge (j-1-k, j)."""
+    adj = [0] * n
+    for j in range(n - 1, 0, -1):
+        col = bits & (1 << j) - 1
+        bits >>= j
+        while col:
+            low = col & -col
+            i = j - low.bit_length()
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+            col ^= low
+    return Graph._from_adj(n, tuple(adj))
 
 
 def write_graph6(g: Graph) -> str:
@@ -269,32 +304,22 @@ def parse_graph6(text: str) -> Graph:
     if any(b < 0 or b > 63 for b in data):
         raise GraphError(f"invalid graph6 characters in {line!r}")
     if data[0] < 63:
-        n = data[0]
-        body = data[1:]
+        n, body = data[0], line[1:]
     else:
         if len(data) < 4 or data[1] == 63:
             raise GraphError("malformed graph6 header")
-        n = data[1] << 12 | data[2] << 6 | data[3]
-        body = data[4:]
+        n, body = data[1] << 12 | data[2] << 6 | data[3], line[4:]
     if n > MAX_VERTICES:
         raise GraphError(f"graph6 order {n} exceeds cap {MAX_VERTICES}")
-    need = (n * (n - 1) // 2 + 5) // 6
+    total = n * (n - 1) // 2
+    need = (total + 5) // 6
     if len(body) != need:
         raise GraphError(f"graph6 body has {len(body)} bytes, expected {need}")
-    adj = [0] * n
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[idx // 6]
-            if byte >> (5 - idx % 6) & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            idx += 1
-    # padding bits beyond the triangle must be zero
-    if idx % 6:
-        if body[idx // 6] & ((1 << (6 - idx % 6)) - 1):
-            raise GraphError("nonzero trailing bits in graph6 encoding")
-    return Graph._from_adj(n, tuple(adj))
+    bits = int(body.translate(_SIX_BITS) or "0", 2)
+    pad = -total % 6  # padding bits beyond the triangle must be zero
+    if bits & (1 << pad) - 1:
+        raise GraphError("nonzero trailing bits in graph6 encoding")
+    return _graph_of_bits(n, bits >> pad)
 
 
 def parse_edge_list(text: str) -> Graph:

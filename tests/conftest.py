@@ -30,6 +30,8 @@ generator has its plain form: every neighbourhood mask of every parent is
 tried, not one per orbit of the parent's twin swaps. The colourer has its
 form without twin runs: the rest of every atom that eliminates a vertex
 goes back through the component split and the decomposition as a block.
+graph6 parsing has its per-bit form: each bit of the upper triangle is
+read from its body byte and set in both rows, with no adjacency bit string.
 """
 
 import heapq
@@ -40,7 +42,7 @@ import pytest
 
 from p7c4.families import petersen
 from p7c4.enumerate import _canonical_order
-from p7c4.graphs import Graph, GraphError, _bits, _place, _refine, _relabel, induced_subgraph, is_clique
+from p7c4.graphs import MAX_VERTICES, Graph, GraphError, _bits, _place, _refine, _relabel, induced_subgraph, is_clique
 from p7c4.patterns import _ABSENT_BIT, _has_pattern_through, pattern_graph
 
 
@@ -561,6 +563,46 @@ def reference_grow(n: int, parents, forbid: tuple[str, ...] = ()) -> tuple[Graph
             canon = found[bits] = _relabel(child, perm)
             canon._absent = absent
     return tuple(g for _, g in sorted(found.items()) if g is not None)
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """parse_graph6 in its per-bit form: the same checks and messages in the
+    same order, then every bit of the upper triangle read from its byte."""
+    line = text.strip()
+    if line.startswith(">>graph6<<"):
+        line = line[len(">>graph6<<"):]
+    if not line:
+        raise GraphError("empty graph6 line")
+    data = [ord(c) - 63 for c in line]
+    if any(b < 0 or b > 63 for b in data):
+        raise GraphError(f"invalid graph6 characters in {line!r}")
+    if data[0] < 63:
+        n = data[0]
+        body = data[1:]
+    else:
+        if len(data) < 4 or data[1] == 63:
+            raise GraphError("malformed graph6 header")
+        n = data[1] << 12 | data[2] << 6 | data[3]
+        body = data[4:]
+    if n > MAX_VERTICES:
+        raise GraphError(f"graph6 order {n} exceeds cap {MAX_VERTICES}")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise GraphError(f"graph6 body has {len(body)} bytes, expected {need}")
+    adj = [0] * n
+    idx = 0
+    for j in range(1, n):
+        for i in range(j):
+            byte = body[idx // 6]
+            if byte >> (5 - idx % 6) & 1:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            idx += 1
+    # padding bits beyond the triangle must be zero
+    if idx % 6:
+        if body[idx // 6] & ((1 << (6 - idx % 6)) - 1):
+            raise GraphError("nonzero trailing bits in graph6 encoding")
+    return Graph._from_adj(n, tuple(adj))
 
 
 def brute_max_clique(g: Graph) -> int:

@@ -580,11 +580,15 @@ def test_twin_runs_match_the_block_reference(monkeypatch):
 def test_twin_runs_decompose_a_clique_blowup_once(monkeypatch):
     # gem colors the C5 blowup 60^5 by eliminating bisimplicial vertices;
     # each has a true twin until its class runs out, so only the first
-    # block and the first rest that is no longer an atom run MCS-M
+    # block and the first rest that is no longer an atom run MCS-M. Each
+    # eliminating atom still runs a clique search and a theorem case; a
+    # re-pin may only lower these counts
     g = clique_blowup(cycle_graph(5), [60] * 5)
     runs = _count_calls(monkeypatch, structure, "_mcsm")
+    searches = _count_calls(monkeypatch, coloring, "_max_clique_size")
+    cases = _count_calls(monkeypatch, coloring, "theorem_case")
     assign, omega, steps = _color(g, g.full_mask(), "gem-class")
-    assert len(runs) == 2
+    assert (len(runs), len(searches), len(cases)) == (2, 60, 60)
     assert (max(assign.values()), omega, len(steps)) == (180, 120, 301)
     runs.clear()
     assert reference_color(g, g.full_mask(), "gem-class") == (assign, omega, steps) and len(runs) == 61

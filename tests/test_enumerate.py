@@ -8,7 +8,6 @@ import p7c4.enumerate as enumerate_module
 from conftest import brute_has_pattern, brute_p7_cover, reference_canonical_permutation, reference_grow, split_off
 from p7c4.enumerate import (
     _canonical_order,
-    _graph_of_bits,
     _grow,
     all_graphs,
     canonical_form,
@@ -22,6 +21,7 @@ from p7c4.families import petersen
 from p7c4.graphs import (
     Graph,
     GraphError,
+    _graph_of_bits,
     _refine,
     _relabel,
     clique_blowup,

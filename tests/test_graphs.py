@@ -34,7 +34,7 @@ from p7c4.graphs import (
 from p7c4.enumerate import all_graphs
 from p7c4.families import petersen
 
-from conftest import brute_max_clique, reference_find_isomorphism, reference_refine
+from conftest import brute_max_clique, reference_find_isomorphism, reference_parse_graph6, reference_refine
 
 
 @st.composite
@@ -104,19 +104,46 @@ def test_graph6_accepts_format_marker():
     assert parse_graph6(">>graph6<<Bw") == complete_graph(3)
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "",  # empty
-        "B",  # truncated body
-        "Bww",  # oversized body
-        "B~",  # nonzero padding for K2? actually invalid bits
-        "\x1f",  # character under the graph6 range
-    ],
-)
-def test_graph6_rejects_malformed(bad):
-    with pytest.raises(GraphError):
+# every malformed graph6 line and the message it raises, one per check
+MALFORMED_GRAPH6 = [
+    ("", "empty graph6 line"),
+    ("B>", "invalid graph6 characters"),  # '>' lies just under the graph6 range
+    ("B\x7f", "invalid graph6 characters"),  # just above '~'
+    ("~??", "malformed graph6 header"),  # the long header cut short
+    ("~~?????", "malformed graph6 header"),  # the 8-byte header form, unsupported
+    ("B", "graph6 body has 0 bytes, expected 1"),  # truncated body
+    ("Bww", "graph6 body has 2 bytes, expected 1"),  # oversized body
+    ("B~", "nonzero trailing bits"),  # K3 with its three padding bits set
+]
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED_GRAPH6, ids=[bad for bad, _ in MALFORMED_GRAPH6])
+def test_graph6_rejects_malformed(bad, message):
+    with pytest.raises(GraphError, match=message):
         parse_graph6(bad)
+
+
+def test_graph6_parsing_matches_the_per_bit_reference():
+    # the same graph, or GraphError with the same message, on every graph
+    # n <= 7, on n = 62, 63 and 64 in both header forms, on seeded sparse and
+    # dense graphs up to the cap, and on every malformed line
+    rng = random.Random(44)
+    lines = [write_graph6(g) for n in range(1, 8) for g in all_graphs(n)]
+    for n in (62, 63, 64, 100, 300, 511, 512):
+        for p in (0.02, 0.5):
+            line = write_graph6(Graph(n, [(u, v) for v in range(n) for u in range(v) if rng.random() < p]))
+            body = line[1:] if n <= 62 else line[4:]
+            lines += [line, "~" + chr(63 + (n >> 12 & 63)) + chr(63 + (n >> 6 & 63)) + chr(63 + (n & 63)) + body]
+    lines += [bad for bad, _ in MALFORMED_GRAPH6]
+    for line in lines:
+        try:
+            want = reference_parse_graph6(line)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as got:
+                parse_graph6(line)
+            assert str(got.value) == str(exc), line
+        else:
+            assert parse_graph6(line) == want, line
 
 
 def test_graph6_rejects_trailing_bits():

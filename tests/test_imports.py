@@ -1,12 +1,14 @@
 """Every module-level import in the library is used, no closure calls
-itself, the package exports exactly its public names, a CLI subcommand
-loads only what it runs and never dataclasses, and every function the
-benchmark's tracer wraps by name still exists.
+itself, every source parses at the declared minimum Python, the package
+exports exactly its public names, a CLI subcommand loads only what it runs
+and never dataclasses, and every function the benchmark's tracer wraps by
+name still exists.
 """
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +100,23 @@ def test_oracle_use_is_reported():
     assert _oracle_uses(source) == ["exact_coloring", "graph_stats"]
 
 
+def _declared_minimum_python() -> tuple[int, int]:
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python\s*=\s*">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_sources_parse_at_the_declared_minimum_python(path):
+    ast.parse(path.read_text(), feature_version=_declared_minimum_python())
+
+
+def test_syntax_above_the_minimum_is_rejected():
+    assert _declared_minimum_python() == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
 PUBLIC_NAMES = sorted("""
     AtomDecomposition BisimplicialCertificate BlowupCertificate ClassCertificate CliqueCutsetSplit
     ColoringCertificate Graph GraphError GraphStats PatternWitness PeelResult PropertyReport
@@ -161,6 +180,17 @@ def test_one_placement_engine():
 
     assert patterns._find_fixed_pattern is graphs._find_fixed_pattern
     assert _referrers("_place") == ["graphs._find_fixed_pattern", "graphs._place"]
+
+
+def test_one_bit_string_decoder():
+    # graphs alone knows the adjacency bit string: graph6 parsing and the
+    # generator decode it with one function, and only the canonical search
+    # encodes with _perm_bits
+    from p7c4 import enumerate as enum, graphs
+
+    assert enum._graph_of_bits is graphs._graph_of_bits and enum._perm_bits is graphs._perm_bits
+    assert _referrers("_graph_of_bits") == ["enumerate.canonical_form", "enumerate._grow", "graphs.parse_graph6"]
+    assert _referrers("_perm_bits") == ["enumerate._least_leaf"]
 
 
 def test_one_refinement_engine():
